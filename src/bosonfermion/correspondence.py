@@ -2,17 +2,25 @@
 
 from dataclasses import dataclass, field
 
-from .boson import BosonPolynomial, hall_form, oscillator, schur, schur_expand
+from .boson import BosonMonomial, BosonPolynomial, hall_form, oscillator, schur, schur_expand
 from .fermion import FermionState, alpha, basis_state, hermitian_form
 from .partitions import partitions_up_to
-from .scalars import Rational
+from .scalars import Rational, ZERO
 
 
 def sigma(state: FermionState) -> BosonPolynomial:
     """Linear extension of (charge m, shape) -> q^m * S_shape."""
-    result = BosonPolynomial.zero()
+    terms: dict[BosonMonomial, Rational] = {}
     for mono, coeff in state.terms.items():
-        result = result + (BosonPolynomial.q(mono.charge) * schur(mono.shape)).scale(coeff)
+        for s_mono, s_coeff in schur(mono.shape).terms.items():
+            key = BosonMonomial(s_mono.q_power + mono.charge, s_mono.p_exps)
+            value = terms.get(key, ZERO) + coeff * s_coeff
+            if value == 0:
+                terms.pop(key, None)
+            else:
+                terms[key] = value
+    result = BosonPolynomial()
+    result.terms = terms
     return result
 
 
@@ -103,13 +111,13 @@ def verify_intertwining(
 
     checked = 0
     witness = None
+    states = {shape: basis_state(0, shape) for shape in shapes}
+    images = {shape: sigma(state) for shape, state in states.items()}
     for a in shapes:
-        sa = basis_state(0, a)
         for b in shapes:
-            sb = basis_state(0, b)
             checked += 1
-            lhs = hermitian_form(sa, sb)
-            rhs = hall_form(sigma(sa), sigma(sb))
+            lhs = hermitian_form(states[a], states[b])
+            rhs = hall_form(images[a], images[b])
             if lhs != rhs:
                 witness = witness or f"pair=({a}, {b})"
     report.checks.append(

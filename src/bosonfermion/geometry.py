@@ -16,7 +16,7 @@ the unique choice reproducing both the tangent Euler class
 import json
 from functools import cache
 
-from .boson import BosonPolynomial, oscillator, schur, schur_expand
+from .boson import BosonPolynomial, schur, schur_expand
 from .fermion import FermionState
 from .partitions import (
     Partition,
@@ -31,6 +31,7 @@ from .partitions import (
     partitions_of,
     remove_box,
     removable_boxes,
+    ribbons,
 )
 from .scalars import (
     Rational,
@@ -209,11 +210,17 @@ class LocalizedClass:
 
     @classmethod
     def from_json(cls, data: dict) -> "LocalizedClass":
-        n = int(data["n"])
-        restrictions = {
-            parse_partition(key): parse_tscalar(value)
-            for key, value in data.get("restrictions", {}).items()
-        }
+        """Read {"n": int, "restrictions": {partition: scalar}}; ValueError on
+        any other shape of input."""
+        if not isinstance(data, dict):
+            raise ValueError("a localized class is a JSON object with keys n and restrictions")
+        n = data.get("n")
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f"n must be an integer, got {n!r}")
+        raw = data.get("restrictions", {})
+        if not isinstance(raw, dict) or not all(isinstance(v, str) for v in raw.values()):
+            raise ValueError("restrictions must map partition strings to scalar strings")
+        restrictions = {parse_partition(key): parse_tscalar(value) for key, value in raw.items()}
         return cls(n, restrictions)
 
 
@@ -422,18 +429,18 @@ def eta_inverse(beta: LocalizedClass) -> QuiverClass:
 
 
 def _schur_coordinates(beta: LocalizedClass) -> dict[Partition, Rational]:
-    """Rational coordinates of a class in the normalized point basis."""
+    """Rational coordinates of a class in the normalized point basis: the
+    restriction c*t^n at shape is the coordinate c / h(shape)."""
     coords = {}
-    denominator = TScalar.monomial(1, beta.n)
+    n = beta.n
     for shape, value in beta.restrictions.items():
-        ratio = value / (TScalar.monomial(hook_product(shape)) * denominator)
-        try:
-            coords[shape] = ratio.constant_value()
-        except ValueError:
+        terms = value.num.terms
+        if not value.is_laurent() or len(terms) != 1 or n not in terms:
             raise ValueError(
                 f"restriction {value} at {shape} is not in the span of the "
                 "normalized point classes over Q"
-            ) from None
+            )
+        coords[shape] = terms[n] / hook_product(shape)
     return coords
 
 
@@ -461,16 +468,10 @@ def phi_inverse(f: BosonPolynomial, n: int | None = None) -> LocalizedClass:
 
 # --- geometric bosons ----------------------------------------------------------
 
-@cache
-def _boson_on_basis(k: int, shape: Partition) -> tuple[tuple[Partition, Rational], ...]:
-    """Transport of the oscillator generator through phi on a basis class."""
-    image = phi_inverse(oscillator(k, phi(normalized_class(shape))))
-    return tuple(sorted(_schur_coordinates(image).items(), key=lambda kv: _shape_sort_key(kv[0])))
-
-
 def geometric_boson(k: int, beta: LocalizedClass) -> LocalizedClass:
-    """Heisenberg operator on localized classes, realized by transport through
-    the Schur dictionary; index 0 acts as zero, negative indices raise n."""
+    """Heisenberg operator on localized classes.  On normalized point classes
+    it removes (k > 0) or adds (k < 0) border strips of size |k| with sign
+    (-1)^height, the Murnaghan-Nakayama rule; index 0 acts as zero."""
     if k == 0:
         return LocalizedClass.zero(beta.n)
     if k > beta.n:
@@ -478,8 +479,8 @@ def geometric_boson(k: int, beta: LocalizedClass) -> LocalizedClass:
     target = beta.n - k
     coords: dict[Partition, Rational] = {}
     for shape, coeff in _schur_coordinates(beta).items():
-        for out_shape, out_coeff in _boson_on_basis(k, shape):
-            s = coords.get(out_shape, ZERO) + coeff * out_coeff
+        for sign, out_shape in ribbons(shape, k):
+            s = coords.get(out_shape, ZERO) + (coeff if sign > 0 else -coeff)
             if s == 0:
                 coords.pop(out_shape, None)
             else:
@@ -624,6 +625,12 @@ def parse_quiver(text: str) -> QuiverClass:
             if sign < 0:
                 raise ValueError("fixed-point coefficients live in Q[t]")
             base = base**value
+        while peek() == "/":
+            take()
+            kind, value = take()
+            if kind != "int" or value == 0:
+                raise ValueError("expected a nonzero integer divisor")
+            base = base.scale(Rational(1, value))
         return base
 
     def parse_sum_laurent() -> TLaurent:

@@ -171,6 +171,35 @@ def remove_box(shape: Partition, box: Box) -> Partition:
     return Partition(parts)
 
 
+@cache
+def ribbons(shape: Partition, k: int) -> tuple[tuple[int, Partition], ...]:
+    """Border strips of size |k|: removed from shape for k > 0, added for k < 0.
+
+    Works on the beta-set {shape_i - i}: a strip moves one bead by |k| to a
+    free position, and its sign (-1)^height is (-1) to the number of beads
+    passed.  Results come as (sign, shape) pairs, top row's bead first.
+    """
+    if k == 0:
+        raise ValueError("a border strip has positive size")
+    # Beads below index `count` sit at every position <= -count.
+    count = len(shape) + max(-k, 0)
+    beads = [shape.part(i) - i for i in range(count)]
+    occupied = set(beads)
+    result = []
+    for i, bead in enumerate(beads):
+        target = bead - k
+        if target <= -count or target in occupied:
+            continue
+        low, high = (target, bead) if k > 0 else (bead, target)
+        passed = sum(1 for b in beads if low < b < high)
+        moved = sorted(beads[:i] + [target] + beads[i + 1:], reverse=True)
+        parts = [b + j for j, b in enumerate(moved)]
+        while parts and parts[-1] == 0:
+            parts.pop()
+        result.append((-1 if passed % 2 else 1, Partition(parts)))
+    return tuple(result)
+
+
 def cartan_apply(counts: dict[int, int], k: int) -> int:
     """(C v)_k for the doubly infinite tridiagonal Cartan matrix of type A."""
     return 2 * counts.get(k, 0) - counts.get(k - 1, 0) - counts.get(k + 1, 0)

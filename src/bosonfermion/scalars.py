@@ -159,6 +159,9 @@ class TLaurent:
         return f"TLaurent({self.terms!r})"
 
 
+_LAURENT_ONE = TLaurent.one()
+
+
 def format_tlaurent(value: TLaurent) -> str:
     if value.is_zero():
         return "0"
@@ -311,8 +314,10 @@ class TScalar:
     __slots__ = ("num", "den")
 
     def __init__(self, num: TLaurent, den: TLaurent | None = None):
-        if den is None:
-            den = TLaurent.one()
+        if den is None or den.terms == _LAURENT_ONE.terms:
+            # over a denominator of exactly 1 every numerator is canonical
+            self.num, self.den = num, _LAURENT_ONE
+            return
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         self.num, self.den = _canonical(num, den)
@@ -340,10 +345,10 @@ class TScalar:
         """True when the value lies in Q[t]."""
         if self.is_zero():
             return True
-        return self.den == TLaurent.one() and self.num.min_exp() >= 0
+        return self.den == _LAURENT_ONE and self.num.min_exp() >= 0
 
     def is_laurent(self) -> bool:
-        return self.den == TLaurent.one()
+        return self.den == _LAURENT_ONE
 
     def as_laurent(self) -> TLaurent:
         if not self.is_laurent():
@@ -360,6 +365,8 @@ class TScalar:
         return self.num.max_exp() - self.den.max_exp()
 
     def __add__(self, other: "TScalar") -> "TScalar":
+        if self.den is _LAURENT_ONE and other.den is _LAURENT_ONE:
+            return TScalar(self.num + other.num)
         return TScalar(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __neg__(self) -> "TScalar":
@@ -371,6 +378,8 @@ class TScalar:
         return self + (-other)
 
     def __mul__(self, other: "TScalar") -> "TScalar":
+        if self.den is _LAURENT_ONE and other.den is _LAURENT_ONE:
+            return TScalar(self.num * other.num)
         return TScalar(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: "TScalar") -> "TScalar":
@@ -399,7 +408,7 @@ class TScalar:
         return hash((self.num, self.den))
 
     def __str__(self) -> str:
-        if self.den == TLaurent.one():
+        if self.den == _LAURENT_ONE:
             return str(self.num)
         num_s = str(self.num)
         den_s = str(self.den)
@@ -415,10 +424,10 @@ class TScalar:
 
 def _canonical(num: TLaurent, den: TLaurent) -> tuple[TLaurent, TLaurent]:
     if num.is_zero():
-        return TLaurent.zero(), TLaurent.one()
+        return TLaurent.zero(), _LAURENT_ONE
     if len(den.terms) == 1:
         ((e, c),) = den.terms.items()
-        return num.shift(-e).scale(Rational(1) / c), TLaurent.one()
+        return num.shift(-e).scale(Rational(1) / c), _LAURENT_ONE
     shift_n = num.min_exp()
     shift_d = den.min_exp()
     f = _dense(num.shift(-shift_n))
@@ -430,7 +439,7 @@ def _canonical(num: TLaurent, den: TLaurent) -> tuple[TLaurent, TLaurent]:
     lead = g[-1]
     f = [c / lead for c in f]
     g = [c / lead for c in g]
-    return _from_dense(f).shift(shift_n - shift_d), _from_dense(g)
+    return _from_dense(f).shift(shift_n - shift_d), (_from_dense(g) if len(g) > 1 else _LAURENT_ONE)
 
 
 # --- parsing ---------------------------------------------------------------

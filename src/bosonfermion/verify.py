@@ -11,6 +11,7 @@ from .boson import (
     oscillator,
     power_sum,
     schur,
+    schur_expand,
     schur_jacobi_trudi,
 )
 from .fermion import (
@@ -37,6 +38,7 @@ from .geometry import (
     hecke_f,
     normalized_class,
     phi,
+    phi_inverse,
     point_variety_dimension,
     power_sum_class,
     quiver_form,
@@ -80,10 +82,12 @@ class _Check:
         self.checked = 0
         self.witness = None
 
-    def record(self, ok: bool, witness: str) -> None:
+    def record(self, ok: bool, template: str, *args) -> None:
+        """Count one check; on the first failure, format the witness
+        template.format(*args), so passing checks format nothing."""
         self.checked += 1
         if not ok and self.witness is None:
-            self.witness = witness
+            self.witness = template.format(*args)
 
     def result(self) -> CheckResult:
         return CheckResult(self.name, self.witness is None, self.checked, self.witness)
@@ -105,7 +109,6 @@ def clifford_suite(max_size: int = 6, max_index: int = 5, charge_bound: int = 2)
     ]
     indices = range(-max_index, max_index + 1)
     for state in monos:
-        label = str(state)
         for i in indices:
             psi_i = psi(i, state)
             psi_star_i = psi_star(i, state)
@@ -115,7 +118,7 @@ def clifford_suite(max_size: int = 6, max_index: int = 5, charge_bound: int = 2)
                 ok = mixed == expected
                 ok = ok and (psi(i, psi(j, state)) + psi(j, psi_i)).is_zero()
                 ok = ok and (psi_star(i, psi_star(j, state)) + psi_star(j, psi_star_i)).is_zero()
-                anti.record(ok, f"i={i}, j={j}, state={label}")
+                anti.record(ok, "i={}, j={}, state={}", i, j, state)
     # cross-charge pairs vanish on both sides (charge shift is checked below),
     # so the adjointness sweep pairs charge m with charge m + 1 only
     by_charge: dict[int, list[FermionState]] = {}
@@ -128,7 +131,7 @@ def clifford_suite(max_size: int = 6, max_index: int = 5, charge_bound: int = 2)
                 for j in indices:
                     lhs = fermion.hermitian_form(psi(j, left), right)
                     rhs = fermion.hermitian_form(left, psi_star(j, right))
-                    adjoint.record(lhs == rhs, f"j={j}, pair=({left}, {right})")
+                    adjoint.record(lhs == rhs, "j={}, pair=({}, {})", j, left, right)
     shift = _Check("charge-shift")
     for state in monos:
         m = state.charge()
@@ -137,13 +140,13 @@ def clifford_suite(max_size: int = 6, max_index: int = 5, charge_bound: int = 2)
             down = psi_star(j, state)
             ok = up.is_zero() or up.charge() == m + 1
             ok = ok and (down.is_zero() or down.charge() == m - 1)
-            shift.record(ok, f"j={j}, state={state}")
+            shift.record(ok, "j={}, state={}", j, state)
     for m in _charges(charge_bound):
         vac = fermion.vacuum(m)
         for j in indices:
             ok = psi(j, vac).is_zero() if j <= m else not psi(j, vac).is_zero()
             ok = ok and (psi_star(j, vac).is_zero() if j > m else not psi_star(j, vac).is_zero())
-            vac_ann.record(ok, f"j={j}, charge={m}")
+            vac_ann.record(ok, "j={}, charge={}", j, m)
     return [anti.result(), adjoint.result(), shift.result(), vac_ann.result()]
 
 
@@ -155,23 +158,22 @@ def heisenberg_fermion_suite(max_size: int = 8, max_index: int = 4, charge_bound
     shapes = partitions_up_to(max_size)
     states = [basis_state(0, shape) for shape in shapes]
     for state in states:
-        label = str(state)
         images = {l: alpha(l, state) for l in range(-max_index, max_index + 1)}
         for k in range(-max_index, max_index + 1):
             for l, inner in images.items():
                 commutator = alpha(k, inner) - alpha(l, alpha(k, state))
                 expected = state.scale(k) if k == -l else FermionState.zero()
-                comm.record(commutator == expected, f"k={k}, l={l}, state={label}")
+                comm.record(commutator == expected, "k={}, l={}, state={}", k, l, state)
     for m in _charges(charge_bound):
         for shape in partitions_up_to(min(max_size, 4)):
             state = basis_state(m, shape)
-            charge_action.record(alpha(0, state) == state.scale(m), f"state={state}")
+            charge_action.record(alpha(0, state) == state.scale(m), "state={}", state)
     for left in states:
         for right in states:
             for k in range(1, max_index + 1):
                 lhs = fermion.hermitian_form(alpha(-k, left), right)
                 rhs = fermion.hermitian_form(left, alpha(k, right))
-                adjoint.record(lhs == rhs, f"k={k}, pair=({left}, {right})")
+                adjoint.record(lhs == rhs, "k={}, pair=({}, {})", k, left, right)
     return [comm.result(), charge_action.result(), adjoint.result()]
 
 
@@ -180,12 +182,11 @@ def heisenberg_boson_suite(max_size: int = 8, max_index: int = 4) -> list[CheckR
     comm = _Check("oscillator-commutators")
     for shape in partitions_up_to(max_size):
         f = power_sum(shape)
-        label = str(f)
         for k in range(-max_index, max_index + 1):
             for l in range(-max_index, max_index + 1):
                 commutator = oscillator(k, oscillator(l, f)) - oscillator(l, oscillator(k, f))
                 expected = f.scale(k) if k == -l else BosonPolynomial.zero()
-                comm.record(commutator == expected, f"k={k}, l={l}, monomial={label}")
+                comm.record(commutator == expected, "k={}, l={}, monomial={}", k, l, f)
     return [comm.result()]
 
 
@@ -197,18 +198,26 @@ def _boson_term(k: int, beta: LocalizedClass) -> LocalizedClass | None:
 
 
 def heisenberg_geometric_suite(max_size: int = 8, max_index: int = 4) -> list[CheckResult]:
-    """Heisenberg relations and adjointness for the transported operators."""
+    """Heisenberg relations and adjointness for the ribbon-rule operators, and
+    their agreement with the oscillator transported through phi."""
     comm = _Check("geometric-boson-commutators")
     adjoint = _Check("geometric-boson-adjointness")
+    transport = _Check("geometric-boson-transport")
+    indices = range(-max_index, max_index + 1)
     for shape in partitions_up_to(max_size):
         beta = normalized_class(shape)
         n = shape.size()
-        for k in range(-max_index, max_index + 1):
-            for l in range(-max_index, max_index + 1):
-                first = _boson_term(l, beta)
-                term1 = _boson_term(k, first) if first is not None else None
-                second = _boson_term(k, beta)
-                term2 = _boson_term(l, second) if second is not None else None
+        once = {l: _boson_term(l, beta) for l in indices}
+        # twice[k, l] is p_k p_l beta, or None when a step underflows
+        twice = {
+            (k, l): _boson_term(k, once[l]) if once[l] is not None else None
+            for k in indices
+            for l in indices
+        }
+        for k in indices:
+            for l in indices:
+                term1 = twice[k, l]
+                term2 = twice[l, k]
                 target = n - k - l
                 if target < 0:
                     ok = (term1 is None or term1.is_zero()) and (
@@ -221,7 +230,7 @@ def heisenberg_geometric_suite(max_size: int = 8, max_index: int = 4) -> list[Ch
                     )
                     expected = beta.scale(TScalar.monomial(k)) if k == -l else zero
                     ok = commutator == expected
-                comm.record(ok, f"k={k}, l={l}, shape={shape}")
+                comm.record(ok, "k={}, l={}, shape={}", k, l, shape)
     for i in range(1, max_index + 1):
         for n in range(0, max_size - i + 1):
             for small in partitions_of(n):
@@ -230,8 +239,18 @@ def heisenberg_geometric_suite(max_size: int = 8, max_index: int = 4) -> list[Ch
                     lowered = geometric_boson(i, normalized_class(large))
                     lhs = bilinear_form(raised, normalized_class(large))
                     rhs = bilinear_form(normalized_class(small), lowered)
-                    adjoint.record(lhs == rhs, f"i={i}, pair=({small}, {large})")
-    return [comm.result(), adjoint.result()]
+                    adjoint.record(lhs == rhs, "i={}, pair=({}, {})", i, small, large)
+    for shape in partitions_up_to(min(max_size, 4)):
+        beta = normalized_class(shape)
+        image = phi(beta)
+        for k in range(-max_index, max_index + 1):
+            moved = oscillator(k, image)
+            if k > shape.size():
+                ok = _boson_term(k, beta) is None and moved.is_zero()
+            else:
+                ok = geometric_boson(k, beta) == phi_inverse(moved, shape.size() - k)
+            transport.record(ok, "k={}, shape={}", k, shape)
+    return [comm.result(), adjoint.result(), transport.result()]
 
 
 def serre_suite(max_size: int = 8, max_index: int = 4) -> list[CheckResult]:
@@ -256,15 +275,15 @@ def serre_suite(max_size: int = 8, max_index: int = 4) -> list[CheckResult]:
             commutator = ek_f - f_ek
             ok = commutator == basis.scale(Rational(eigenvalue))
             ok = ok and eigenvalue == box_count == weight
-            eigen.record(ok, f"k={k}, shape={shape}")
+            eigen.record(ok, "k={}, shape={}", k, shape)
             for l in indices:
                 if l != k:
                     lhs = hecke_e(k, hecke_f(l, basis)) - hecke_f(l, hecke_e(k, basis))
-                    ef_comm.record(lhs.is_zero(), f"k={k}, l={l}, shape={shape}")
+                    ef_comm.record(lhs.is_zero(), "k={}, l={}, shape={}", k, l, shape)
                 if abs(l - k) >= 2:
                     ee = hecke_e(k, hecke_e(l, basis)) - hecke_e(l, hecke_e(k, basis))
                     ff = hecke_f(k, hecke_f(l, basis)) - hecke_f(l, hecke_f(k, basis))
-                    distant.record(ee.is_zero() and ff.is_zero(), f"k={k}, l={l}, shape={shape}")
+                    distant.record(ee.is_zero() and ff.is_zero(), "k={}, l={}, shape={}", k, l, shape)
             for j in (k - 1, k + 1):
                 def ad2(op, a, b, target):
                     return (
@@ -274,13 +293,13 @@ def serre_suite(max_size: int = 8, max_index: int = 4) -> list[CheckResult]:
                     )
                 e_side = ad2(hecke_e, k, j, basis)
                 f_side = ad2(hecke_f, k, j, basis)
-                serre.record(e_side.is_zero() and f_side.is_zero(), f"k={k}, j={j}, shape={shape}")
+                serre.record(e_side.is_zero() and f_side.is_zero(), "k={}, j={}, shape={}", k, j, shape)
     vacuum_class = QuiverClass.unit(Partition())
     for k in indices:
-        highest.record(hecke_e(k, vacuum_class).is_zero(), f"k={k}")
+        highest.record(hecke_e(k, vacuum_class).is_zero(), "k={}", k)
     for shape in partitions_up_to(max(max_size, 10)):
         dimension.record(
-            point_variety_dimension(dimension_vector(shape)) == 0, f"shape={shape}"
+            point_variety_dimension(dimension_vector(shape)) == 0, "shape={}", shape
         )
     return [
         ef_comm.result(),
@@ -309,22 +328,22 @@ def orthonormality_suite(max_size: int = 8, max_index: int = 4) -> list[CheckRes
                 delta = a == b
                 schur_pairs.record(
                     hall_form(schur_cache[a], schur_cache[b]) == (1 if delta else 0),
-                    f"pair=({a}, {b})",
+                    "pair=({}, {})", a, b,
                 )
                 power_pairs.record(
                     hall_form(power_cache[a], power_cache[b])
                     == (z_factor(a) if delta else 0),
-                    f"pair=({a}, {b})",
+                    "pair=({}, {})", a, b,
                 )
                 class_pairs.record(
                     bilinear_form(class_cache[a], class_cache[b])
                     == TScalar.monomial(1 if delta else 0),
-                    f"pair=({a}, {b})",
+                    "pair=({}, {})", a, b,
                 )
                 geom_pairs.record(
                     bilinear_form(heis_cache[a], heis_cache[b])
                     == TScalar.monomial(z_factor(a) if delta else 0),
-                    f"pair=({a}, {b})",
+                    "pair=({}, {})", a, b,
                 )
     return [schur_pairs.result(), power_pairs.result(), class_pairs.result(), geom_pairs.result()]
 
@@ -335,11 +354,18 @@ def correspondence_suite(max_size: int = 8, max_index: int = 4, charge_bound: in
     for shape in partitions_up_to(max_size):
         narrow = schur_jacobi_trudi(shape, len(shape))
         wide = schur_jacobi_trudi(shape, shape.size()) if shape.size() else narrow
-        two_route.record(narrow == wide, f"shape={shape}")
+        two_route.record(narrow == wide, "shape={}", shape)
+    rebuild = _Check("schur-expand-rebuild")
+    for shape in partitions_up_to(max_size):
+        f = power_sum(shape)
+        rebuilt = BosonPolynomial.zero()
+        for out_shape, coeff in schur_expand(f).items():
+            rebuilt = rebuilt + schur(out_shape).scale(coeff)
+        rebuild.record(rebuilt == f, "shape={}", shape)
     report = correspondence.verify_intertwining(
         max_size, tuple(_charges(charge_bound)), max_index
     )
-    results = [two_route.result()]
+    results = [two_route.result(), rebuild.result()]
     for check in report.checks:
         results.append(CheckResult(check.name, check.passed, check.checked, check.witness))
     return results
@@ -355,28 +381,28 @@ def commuting_square_suite(max_size: int = 8, max_index: int = 4) -> list[CheckR
     for shape in partitions_up_to(max_size):
         state = basis_state(0, shape)
         square.record(
-            phi(eta(tau(state))) == sigma(state), f"shape={shape}"
+            phi(eta(tau(state))) == sigma(state), "shape={}", shape
         )
-        grading.record(tau(state) == QuiverClass.graded_unit(shape), f"shape={shape}")
+        grading.record(tau(state) == QuiverClass.graded_unit(shape), "shape={}", shape)
         for k in range(-max_index, max_index + 1):
             lhs_e = tau(chevalley_e(k, state))
             rhs_e = hecke_e(k, tau(state))
             lhs_f = tau(chevalley_f(k, state))
             rhs_f = hecke_f(k, tau(state))
-            intertwine.record(lhs_e == rhs_e and lhs_f == rhs_f, f"k={k}, shape={shape}")
+            intertwine.record(lhs_e == rhs_e and lhs_f == rhs_f, "k={}, shape={}", k, shape)
     for n in range(max_size + 1):
         shapes = partitions_of(n)
         for a in shapes:
             ca = QuiverClass.graded_unit(a)
             inverse.record(
                 eta_inverse(eta(ca)) == ca and eta(eta_inverse(normalized_class(a))) == normalized_class(a),
-                f"shape={a}",
+                "shape={}", a,
             )
             for b in shapes:
                 cb = QuiverClass.graded_unit(b)
                 lhs = bilinear_form(eta(ca), eta(cb))
                 isometry.record(
-                    lhs == TScalar.monomial(quiver_form(ca, cb)), f"pair=({a}, {b})"
+                    lhs == TScalar.monomial(quiver_form(ca, cb)), "pair=({}, {})", a, b
                 )
     return [square.result(), intertwine.result(), isometry.result(), inverse.result(), grading.result()]
 
@@ -398,12 +424,12 @@ def euler_suite(max_size: int = 10, max_index: int = 4) -> list[CheckResult]:
     for shape in partitions_up_to(max_size):
         n = shape.size()
         expected = TScalar.monomial((-1) ** n * hook_product(shape) ** 2, 2 * n)
-        closed.record(euler_class(shape) == expected, f"shape={shape}")
+        closed.record(euler_class(shape) == expected, "shape={}", shape)
     for shape in partitions_up_to(min(max_size, 8)):
         pushed = geometry.pushforward(shape, TScalar.one())
         ok = geometry.pullback(pushed, shape) == euler_class(shape)
         ok = ok and geometry.integrate(pushed) == TScalar.one()
-        pushpull.record(ok, f"shape={shape}")
+        pushpull.record(ok, "shape={}", shape)
     return [closed.result(), pushpull.result()]
 
 

@@ -143,6 +143,21 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+def test_malformed_localized_json_exits_2(capsys):
+    for text in ["{}", "[]"]:
+        code, out, err = run_cli(capsys, "localize", "integrate", text)
+        assert code == 2 and out == "" and err.startswith("error:")
+    code, out, err = run_cli(capsys, "apply", "p(1)", '{"n":1,"restrictions":{"[1]":7}}')
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_rational_fixed_point_coefficients_reparse(capsys):
+    code, out, _ = run_cli(capsys, "correspond", "tau", "1/2*phi[1]")
+    assert code == 0
+    assert out == "1/2*t*1@[1]\n"
+    assert str(parse_quiver(out.strip())) == out.strip()
+
+
 def test_outputs_reparse(capsys):
     _, out, _ = run_cli(capsys, "schur", "[3,1]")
     reparsed = parse_boson(out.strip())

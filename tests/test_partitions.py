@@ -20,6 +20,7 @@ from bosonfermion.partitions import (
     partitions_up_to,
     removable_boxes,
     removable_corners,
+    ribbons,
     shape_from_indices,
     z_factor,
 )
@@ -206,6 +207,49 @@ def test_monomial_indices_round_trip(shape, charge):
     count = len(shape) + 2
     word = monomial_indices(shape, charge, count)
     assert shape_from_indices(word, charge) == shape
+
+
+# --- border strips ------------------------------------------------------------------
+
+def test_ribbons_examples():
+    assert ribbons(Partition((2, 1)), 3) == ((-1, Partition()),)
+    assert ribbons(Partition(), -2) == ((1, Partition((2,))), (-1, Partition((1, 1))))
+    assert ribbons(Partition((2, 2)), 2) == ((-1, Partition((1, 1))), (1, Partition((2,))))
+    assert ribbons(Partition((2, 2)), 3) == ((-1, Partition((1,))),)
+    assert ribbons(Partition((2, 2)), 4) == ()
+    with pytest.raises(ValueError):
+        ribbons(Partition((1,)), 0)
+
+
+@cache
+def signed_box_paths(shape: Partition) -> int:
+    """Signed count of ways to strip shape to the empty diagram one box at a time."""
+    if shape.size() == 0:
+        return 1
+    return sum(sign * signed_box_paths(smaller) for sign, smaller in ribbons(shape, 1))
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_single_box_ribbon_paths_count_standard_tableaux(n):
+    for shape in partitions_of(n):
+        assert signed_box_paths(shape) == factorial(n) // hook_product(shape)
+
+
+def test_ribbons_match_wedge_bosons():
+    # the ribbon-rule geometric boson against the wedge definition of alpha,
+    # carried to the geometric side by eta . tau, with no Schur polynomial
+    from bosonfermion.fermion import alpha, basis_state
+    from bosonfermion.geometry import eta, geometric_boson, tau
+
+    for n in range(8):
+        for shape in partitions_of(n):
+            state = basis_state(0, shape)
+            beta = eta(tau(state))
+            for k in range(-4, 5):
+                if k == 0 or k > n:
+                    continue
+                expected = eta(tau(alpha(k, state)), n - k)
+                assert geometric_boson(k, beta) == expected, (k, shape)
 
 
 # --- enumeration -------------------------------------------------------------------
