@@ -18,12 +18,7 @@ from .boson import (
     schur_expand,
     schur_jacobi_trudi,
 )
-from .correspondence import (
-    CorrespondenceReport,
-    sigma,
-    sigma_inverse,
-    verify_intertwining,
-)
+from .correspondence import sigma, sigma_inverse
 from .fermion import (
     ChargedMonomial,
     FermionState,

@@ -7,8 +7,10 @@ polynomials of a partition of n are homogeneous of degree n.
 from functools import cache
 from typing import Iterable, NamedTuple
 
+from .linear import LinearCombination, accumulate, power
 from .partitions import Partition, partitions_of, z_factor
 from .scalars import ONE, Rational, ZERO, parse_rational
+from .text import Grammar, parse
 
 
 class BosonMonomial(NamedTuple):
@@ -77,110 +79,59 @@ def _mono_sort_key(mono: BosonMonomial):
     return (mono.q_power, -mono.degree(), tuple((i, -e) for i, e in mono.p_exps))
 
 
-class BosonPolynomial:
+class BosonPolynomial(LinearCombination):
     """Finite Q-linear combination of monomials in p1, p2, ... and q, q^-1."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[BosonMonomial, Rational] | None = None):
-        self.terms: dict[BosonMonomial, Rational] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = Rational(coeff)
-                if coeff != 0:
-                    self.terms[mono] = coeff
-
-    @classmethod
-    def zero(cls) -> "BosonPolynomial":
-        return cls()
+    __slots__ = ()
+    _coerce = staticmethod(Rational)
 
     @classmethod
     def one(cls) -> "BosonPolynomial":
-        return cls({_UNIT: ONE})
+        return cls._make({_UNIT: ONE})
 
     @classmethod
     def constant(cls, value) -> "BosonPolynomial":
-        return cls({_UNIT: Rational(value)})
+        return cls({_UNIT: value})
 
     @classmethod
     def p(cls, index: int) -> "BosonPolynomial":
         if index < 1:
             raise ValueError("p-variables are indexed from 1")
-        return cls({_mono(0, {index: 1}): ONE})
+        return cls._make({_mono(0, {index: 1}): ONE})
 
     @classmethod
     def q(cls, power: int = 1) -> "BosonPolynomial":
-        return cls({_mono(power): ONE})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, mono: BosonMonomial) -> Rational:
-        return self.terms.get(mono, ZERO)
-
-    def __add__(self, other: "BosonPolynomial") -> "BosonPolynomial":
-        merged = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            s = merged.get(mono, ZERO) + coeff
-            if s == 0:
-                merged.pop(mono, None)
-            else:
-                merged[mono] = s
-        out = BosonPolynomial()
-        out.terms = merged
-        return out
-
-    def __neg__(self) -> "BosonPolynomial":
-        return BosonPolynomial({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "BosonPolynomial") -> "BosonPolynomial":
-        return self + (-other)
+        return cls._make({_mono(power): ONE})
 
     def __mul__(self, other: "BosonPolynomial") -> "BosonPolynomial":
-        product: dict[BosonMonomial, Rational] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                s = product.get(m, ZERO) + c1 * c2
-                if s == 0:
-                    product.pop(m, None)
-                else:
-                    product[m] = s
-        out = BosonPolynomial()
-        out.terms = product
-        return out
+        if type(other) is not BosonPolynomial:
+            return NotImplemented
+        return BosonPolynomial._make(accumulate(
+            (_mono_mul(m1, m2), c1 * c2)
+            for m1, c1 in self.terms.items()
+            for m2, c2 in other.terms.items()
+        ))
 
-    def scale(self, factor) -> "BosonPolynomial":
-        factor = Rational(factor)
-        if factor == 0:
-            return BosonPolynomial()
-        return BosonPolynomial({m: c * factor for m, c in self.terms.items()})
-
-    def __rmul__(self, factor) -> "BosonPolynomial":
-        return self.scale(factor)
+    def __truediv__(self, other: "BosonPolynomial") -> "BosonPolynomial":
+        if type(other) is not BosonPolynomial:
+            return NotImplemented
+        if list(other.terms) != [_UNIT]:
+            raise ValueError("division is only supported by rational constants")
+        return self.scale(ONE / other.terms[_UNIT])
 
     def __pow__(self, n: int) -> "BosonPolynomial":
-        if n < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        result = BosonPolynomial.one()
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, BosonPolynomial):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        if n >= 0:
+            return power(self, n)
+        if self != BosonPolynomial.q():
+            raise ValueError("negative exponents are only allowed on q")
+        return BosonPolynomial.q(n)
 
     def q_components(self) -> dict[int, "BosonPolynomial"]:
         """Split into pieces of fixed q-power, with the q-factor removed."""
         pieces: dict[int, dict[BosonMonomial, Rational]] = {}
         for mono, coeff in self.terms.items():
             pieces.setdefault(mono.q_power, {})[_mono(0, dict(mono.p_exps))] = coeff
-        return {m: BosonPolynomial(t) for m, t in sorted(pieces.items())}
+        return {m: BosonPolynomial._make(t) for m, t in sorted(pieces.items())}
 
     def p_degree(self) -> int:
         """Common p-degree of all terms; error when inhomogeneous or zero."""
@@ -211,36 +162,33 @@ class BosonPolynomial:
 
     @classmethod
     def from_json(cls, data: Iterable[dict]) -> "BosonPolynomial":
-        terms: dict[BosonMonomial, Rational] = {}
-        for item in data:
-            mono = _mono(int(item.get("q", 0)), {int(i): int(e) for i, e in item.get("p", [])})
-            terms[mono] = terms.get(mono, ZERO) + parse_rational(item["coeff"])
-        return cls(terms)
+        return cls._make(accumulate(
+            (
+                _mono(int(item.get("q", 0)), {int(i): int(e) for i, e in item.get("p", [])}),
+                parse_rational(item["coeff"]),
+            )
+            for item in data
+        ))
 
 
 def oscillator(m: int, f: BosonPolynomial) -> BosonPolynomial:
     """Action of the oscillator generator s_m: m*d/dp_m, p_{-m}, or q d/dq."""
     if m > 0:
-        terms: dict[BosonMonomial, Rational] = {}
-        for mono, coeff in f.terms.items():
-            exps = dict(mono.p_exps)
-            e = exps.get(m)
-            if not e:
-                continue
-            if e == 1:
-                del exps[m]
-            else:
-                exps[m] = e - 1
-            target = _mono(mono.q_power, exps)
-            s = terms.get(target, ZERO) + coeff * m * e
-            if s == 0:
-                terms.pop(target, None)
-            else:
-                terms[target] = s
-        return BosonPolynomial(terms)
+        def lowered():
+            for mono, coeff in f.terms.items():
+                exps = dict(mono.p_exps)
+                e = exps.pop(m, 0)
+                if e:
+                    if e > 1:
+                        exps[m] = e - 1
+                    yield _mono(mono.q_power, exps), coeff * m * e
+
+        return BosonPolynomial._make(accumulate(lowered()))
     if m < 0:
         return f * BosonPolynomial.p(-m)
-    return BosonPolynomial({mono: coeff * mono.q_power for mono, coeff in f.terms.items()})
+    return BosonPolynomial._make(
+        {mono: coeff * mono.q_power for mono, coeff in f.terms.items() if mono.q_power}
+    )
 
 
 @cache
@@ -250,10 +198,9 @@ def elementary_schur(n: int) -> BosonPolynomial:
         return BosonPolynomial.zero()
     if n == 0:
         return BosonPolynomial.one()
-    terms = {}
-    for mu in partitions_of(n):
-        terms[_mono(0, mu.multiplicities())] = Rational(1, z_factor(mu))
-    return BosonPolynomial(terms)
+    return BosonPolynomial._make(
+        {_mono(0, mu.multiplicities()): Rational(1, z_factor(mu)) for mu in partitions_of(n)}
+    )
 
 
 def _determinant(matrix: list[list[BosonPolynomial]]) -> BosonPolynomial:
@@ -306,7 +253,7 @@ def schur(shape: Partition) -> BosonPolynomial:
 
 def power_sum(shape: Partition) -> BosonPolynomial:
     """The monomial prod_i p_i^(m_i(shape)) at q^0."""
-    return BosonPolynomial({_mono(0, shape.multiplicities()): ONE})
+    return BosonPolynomial._make({_mono(0, shape.multiplicities()): ONE})
 
 
 def hall_form(f: BosonPolynomial, g: BosonPolynomial) -> Rational:
@@ -339,15 +286,11 @@ def schur_expand(f: BosonPolynomial) -> dict[Partition, Rational]:
         return {}
     n = f.p_degree()
     index = _mono_schur_index(n)
-    coords: dict[Partition, Rational] = {}
-    for mono, coeff in f.terms.items():
-        for shape, weight in index.get(mono, ()):
-            s = coords.get(shape, ZERO) + coeff * weight
-            if s == 0:
-                coords.pop(shape, None)
-            else:
-                coords[shape] = s
-    return coords
+    return accumulate(
+        (shape, coeff * weight)
+        for mono, coeff in f.terms.items()
+        for shape, weight in index.get(mono, ())
+    )
 
 
 # --- text form ---------------------------------------------------------------
@@ -388,136 +331,12 @@ def _format_boson_term(mono: BosonMonomial, coeff: Rational) -> str:
     return f"({coeff})*{body}"
 
 
-def _tokenize_boson(text: str) -> list:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j])))
-            i = j
-        elif ch == "p":
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise ValueError("p must be followed by a variable index")
-            tokens.append(("p", int(text[i + 1:j])))
-            i = j
-        elif ch == "q":
-            tokens.append(("q", None))
-            i += 1
-        elif ch in "+-*/^()":
-            tokens.append((ch, ch))
-            i += 1
-        else:
-            raise ValueError(f"unexpected character {ch!r} in polynomial {text!r}")
-    return tokens
-
-
-class _BosonParser:
-    _FACTOR_START = ("int", "p", "q", "(")
-
-    def __init__(self, tokens: list):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        if self.pos >= len(self.tokens):
-            raise ValueError("truncated polynomial literal")
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def parse(self) -> BosonPolynomial:
-        value = self.expr()
-        if self.pos != len(self.tokens):
-            raise ValueError("trailing input in polynomial literal")
-        return value
-
-    def expr(self) -> BosonPolynomial:
-        value = self.product()
-        while self.peek() in ("+", "-"):
-            op = self.take()[0]
-            rhs = self.product()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def product(self) -> BosonPolynomial:
-        value = self.factor()
-        while True:
-            nxt = self.peek()
-            if nxt in ("*", "/"):
-                op = self.take()[0]
-                rhs = self.factor()
-                if op == "*":
-                    value = value * rhs
-                else:
-                    value = value.scale(Rational(1) / _constant_of(rhs))
-            elif nxt in self._FACTOR_START:
-                value = value * self.factor()
-            else:
-                return value
-
-    def factor(self) -> BosonPolynomial:
-        if self.peek() in ("-", "+"):
-            op = self.take()[0]
-            inner = self.factor()
-            return -inner if op == "-" else inner
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            sign = 1
-            if self.peek() == "-":
-                self.take()
-                sign = -1
-            kind, value = self.take()
-            if kind != "int":
-                raise ValueError("expected integer exponent")
-            exponent = sign * value
-            if exponent < 0:
-                if len(base.terms) == 1 and next(iter(base.terms)) == _mono(1):
-                    return BosonPolynomial.q(exponent)
-                raise ValueError("negative exponents are only allowed on q")
-            return base**exponent
-        return base
-
-    def atom(self) -> BosonPolynomial:
-        if self.peek() is None:
-            raise ValueError("malformed polynomial literal")
-        kind, value = self.take()
-        if kind == "int":
-            return BosonPolynomial.constant(value)
-        if kind == "p":
-            return BosonPolynomial.p(value)
-        if kind == "q":
-            return BosonPolynomial.q()
-        if kind == "(":
-            inner = self.expr()
-            if self.peek() != ")":
-                raise ValueError("missing closing parenthesis")
-            self.take()
-            return inner
-        raise ValueError(f"unexpected token {kind!r} in polynomial literal")
-
-
-def _constant_of(poly: BosonPolynomial) -> Rational:
-    if list(poly.terms.keys()) != [_UNIT]:
-        raise ValueError("division is only supported by rational constants")
-    return poly.terms[_UNIT]
+_GRAMMAR = Grammar("polynomial", BosonPolynomial, BosonPolynomial.constant, {
+    "p": (r"p(?P<p_index>\d+)", lambda m: BosonPolynomial.p(int(m["p_index"]))),
+    "q": ("q", lambda m: BosonPolynomial.q()),
+})
 
 
 def parse_boson(text: str) -> BosonPolynomial:
     """Parse the printed polynomial form, e.g. "(1/3)*p1^3 + (-1/3)*p3"."""
-    text = text.strip()
-    if text == "0":
-        return BosonPolynomial.zero()
-    return _BosonParser(_tokenize_boson(text)).parse()
+    return parse(_GRAMMAR, text)

@@ -10,8 +10,10 @@ index) has sign +1, the unique extension keeping the Clifford relations exact.
 from functools import cache
 from typing import Iterable, NamedTuple
 
+from .linear import LinearCombination, accumulate
 from .partitions import Partition, parse_partition
 from .scalars import ONE, Rational, ZERO, parse_rational
+from .text import PARTITION, Grammar, join_terms, parse
 
 
 class ChargedMonomial(NamedTuple):
@@ -65,63 +67,11 @@ def _contract_out(j: int, mono: ChargedMonomial):
     return (-1) ** s, ChargedMonomial(m - 1, Partition(parts))
 
 
-class FermionState:
+class FermionState(LinearCombination):
     """Finite Q-linear combination of charged monomials."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[ChargedMonomial, Rational] | None = None):
-        self.terms: dict[ChargedMonomial, Rational] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = Rational(coeff)
-                if coeff != 0:
-                    self.terms[mono] = coeff
-
-    @classmethod
-    def zero(cls) -> "FermionState":
-        return cls()
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, mono: ChargedMonomial) -> Rational:
-        return self.terms.get(mono, ZERO)
-
-    def __add__(self, other: "FermionState") -> "FermionState":
-        merged = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            s = merged.get(mono, ZERO) + coeff
-            if s == 0:
-                merged.pop(mono, None)
-            else:
-                merged[mono] = s
-        out = FermionState()
-        out.terms = merged
-        return out
-
-    def __neg__(self) -> "FermionState":
-        return FermionState({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "FermionState") -> "FermionState":
-        return self + (-other)
-
-    def scale(self, factor) -> "FermionState":
-        factor = Rational(factor)
-        if factor == 0:
-            return FermionState()
-        return FermionState({m: c * factor for m, c in self.terms.items()})
-
-    def __rmul__(self, factor) -> "FermionState":
-        return self.scale(factor)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FermionState):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+    __slots__ = ()
+    _coerce = staticmethod(Rational)
 
     def charge(self) -> int:
         """Common charge of all monomials; error when mixed or zero."""
@@ -158,15 +108,17 @@ class FermionState:
 
     @classmethod
     def from_json(cls, data: Iterable[dict]) -> "FermionState":
-        terms: dict[ChargedMonomial, Rational] = {}
-        for item in data:
-            mono = ChargedMonomial(int(item.get("charge", 0)), Partition(item["partition"]))
-            terms[mono] = terms.get(mono, ZERO) + parse_rational(item["coeff"])
-        return cls(terms)
+        return cls._make(accumulate(
+            (
+                ChargedMonomial(int(item.get("charge", 0)), Partition(item["partition"])),
+                parse_rational(item["coeff"]),
+            )
+            for item in data
+        ))
 
 
 def basis_state(charge: int, shape: Partition) -> FermionState:
-    return FermionState({ChargedMonomial(charge, Partition(shape)): ONE})
+    return FermionState._make({ChargedMonomial(charge, Partition(shape)): ONE})
 
 
 def vacuum(charge: int = 0) -> FermionState:
@@ -174,18 +126,15 @@ def vacuum(charge: int = 0) -> FermionState:
 
 
 def _apply_monomial_op(op, state: FermionState) -> FermionState:
-    terms: dict[ChargedMonomial, Rational] = {}
-    for mono, coeff in state.terms.items():
-        hit = op(mono)
-        if hit is None:
-            continue
-        sign, target = hit
-        s = terms.get(target, ZERO) + (coeff if sign > 0 else -coeff)
-        if s == 0:
-            terms.pop(target, None)
-        else:
-            terms[target] = s
-    return FermionState(terms)
+    """Linear extension of op: monomial -> None | (sign, monomial)."""
+    def images():
+        for mono, coeff in state.terms.items():
+            hit = op(mono)
+            if hit is not None:
+                sign, target = hit
+                yield target, coeff if sign > 0 else -coeff
+
+    return FermionState._make(accumulate(images()))
 
 
 def psi(j: int, state: FermionState) -> FermionState:
@@ -235,19 +184,15 @@ def _unit_action(i: int, j: int, mono: ChargedMonomial):
 
 def gl_action(a: GlMatrix, state: FermionState) -> FermionState:
     """Infinite-wedge action: sum of a_ij psi_i psi*_j, charge preserving."""
-    terms: dict[ChargedMonomial, Rational] = {}
-    for (i, j), entry in a.entries.items():
-        for mono, coeff in state.terms.items():
-            hit = _unit_action(i, j, mono)
-            if hit is None:
-                continue
-            sign, target = hit
-            s = terms.get(target, ZERO) + entry * coeff * sign
-            if s == 0:
-                terms.pop(target, None)
-            else:
-                terms[target] = s
-    return FermionState(terms)
+    def images():
+        for (i, j), entry in a.entries.items():
+            for mono, coeff in state.terms.items():
+                hit = _unit_action(i, j, mono)
+                if hit is not None:
+                    sign, target = hit
+                    yield target, entry * coeff * sign
+
+    return FermionState._make(accumulate(images()))
 
 
 def chevalley_e(k: int, state: FermionState) -> FermionState:
@@ -278,16 +223,14 @@ def _alpha_moves(n: int, mono: ChargedMonomial) -> tuple[tuple[int, ChargedMonom
 def alpha(n: int, state: FermionState) -> FermionState:
     """Free boson alpha_n; alpha_0 multiplies each monomial by its charge."""
     if n == 0:
-        return FermionState({mono: coeff * mono.charge for mono, coeff in state.terms.items()})
-    terms: dict[ChargedMonomial, Rational] = {}
-    for mono, coeff in state.terms.items():
-        for sign, target in _alpha_moves(n, mono):
-            s = terms.get(target, ZERO) + (coeff if sign > 0 else -coeff)
-            if s == 0:
-                terms.pop(target, None)
-            else:
-                terms[target] = s
-    return FermionState(terms)
+        return FermionState._make(
+            {mono: coeff * mono.charge for mono, coeff in state.terms.items() if mono.charge}
+        )
+    return FermionState._make(accumulate(
+        (target, coeff if sign > 0 else -coeff)
+        for mono, coeff in state.terms.items()
+        for sign, target in _alpha_moves(n, mono)
+    ))
 
 
 def hermitian_form(s1: FermionState, s2: FermionState) -> Rational:
@@ -309,125 +252,32 @@ def _term_sort_key(mono: ChargedMonomial):
 
 def format_fermion(state: FermionState) -> str:
     """Terms ordered by charge, energy, then reverse-lexicographic partition."""
-    if state.is_zero():
-        return "0"
-    pieces = []
-    for mono in sorted(state.terms, key=_term_sort_key):
-        coeff = state.terms[mono]
-        negative = coeff < 0
-        mag = -coeff if negative else coeff
-        basis = f"phi{mono.shape}"
-        if mono.charge != 0:
-            basis += f"@{mono.charge}"
-        body = basis if mag == 1 else f"{mag}*{basis}"
-        if not pieces:
-            pieces.append(("-" if negative else "") + body)
-        else:
-            pieces.append(("- " if negative else "+ ") + body)
-    return " ".join(pieces)
+    return join_terms(
+        (state.terms[mono], f"phi{mono.shape}" + (f"@{mono.charge}" if mono.charge else ""))
+        for mono in sorted(state.terms, key=_term_sort_key)
+    )
 
 
-def _tokenize_fermion(text: str) -> list:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j])))
-            i = j
-        elif text.startswith("phi", i):
-            j = text.find("]", i)
-            if j < 0:
-                raise ValueError(f"unterminated partition in {text!r}")
-            tokens.append(("phi", parse_partition(text[i + 3:j + 1])))
-            i = j + 1
-        elif text.startswith("vac", i):
-            tokens.append(("vac", None))
-            i += 3
-        elif ch in "+-*/@()":
-            tokens.append((ch, ch))
-            i += 1
-        else:
-            raise ValueError(f"unexpected character {ch!r} in state {text!r}")
-    return tokens
+# a charge: an integer after any run of signs, e.g. "- -3"
+_SIGNED = r"(?:[+-]\s*)*\d+"
+
+
+def _signed_int(text: str) -> int:
+    return (-1) ** text.count("-") * int(text.replace("+", "").replace("-", ""))
+
+
+_GRAMMAR = Grammar("state", FermionState, Rational, {
+    "phi": (
+        rf"phi\s*(?P<phi_shape>{PARTITION})(?:\s*@\s*(?P<phi_charge>{_SIGNED}))?",
+        lambda m: basis_state(_signed_int(m["phi_charge"] or "0"), parse_partition(m["phi_shape"])),
+    ),
+    "vac": (
+        rf"vac\s*\(\s*(?P<vac_charge>{_SIGNED})\s*\)",
+        lambda m: vacuum(_signed_int(m["vac_charge"])),
+    ),
+})
 
 
 def parse_fermion(text: str) -> FermionState:
     """Parse printed states and literals like "vac(0)", "phi[2,1]@1", sums thereof."""
-    text = text.strip()
-    if text == "0":
-        return FermionState.zero()
-    tokens = _tokenize_fermion(text)
-    pos = 0
-
-    def peek():
-        return tokens[pos][0] if pos < len(tokens) else None
-
-    def take():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError(f"truncated state literal {text!r}")
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_int() -> int:
-        sign = 1
-        while peek() in ("+", "-"):
-            if take()[0] == "-":
-                sign = -sign
-        kind, value = take()
-        if kind != "int":
-            raise ValueError("expected an integer")
-        return sign * value
-
-    def parse_term() -> FermionState:
-        coeff = ONE
-        if peek() == "int":
-            value = take()[1]
-            if peek() == "/":
-                take()
-                kind, den = take()
-                if kind != "int":
-                    raise ValueError("expected a denominator")
-                coeff = Rational(value, den)
-            else:
-                coeff = Rational(value)
-            if peek() == "*":
-                take()
-        kind = peek()
-        if kind == "phi":
-            shape = take()[1]
-            charge = 0
-            if peek() == "@":
-                take()
-                charge = parse_int()
-            return basis_state(charge, shape).scale(coeff)
-        if kind == "vac":
-            take()
-            if take()[0] != "(":
-                raise ValueError("expected vac(<charge>)")
-            charge = parse_int()
-            if take()[0] != ")":
-                raise ValueError("expected vac(<charge>)")
-            return vacuum(charge).scale(coeff)
-        raise ValueError("expected a basis monomial phi[...] or vac(m)")
-
-    negative = False
-    if peek() in ("+", "-"):
-        negative = take()[0] == "-"
-    state = parse_term()
-    if negative:
-        state = -state
-    while peek() is not None:
-        op = take()[0]
-        if op not in ("+", "-"):
-            raise ValueError(f"unexpected token {op!r} in state literal")
-        term = parse_term()
-        state = state - term if op == "-" else state + term
-    return state
+    return parse(_GRAMMAR, text)

@@ -18,6 +18,7 @@ from functools import cache
 
 from .boson import BosonPolynomial, schur, schur_expand
 from .fermion import FermionState
+from .linear import LinearCombination, accumulate
 from .partitions import (
     Partition,
     add_box,
@@ -34,12 +35,16 @@ from .partitions import (
     ribbons,
 )
 from .scalars import (
+    ONE,
     Rational,
     TLaurent,
     TScalar,
     ZERO,
+    parse_tlaurent,
     parse_tscalar,
+    t_power,
 )
+from .text import PARTITION, Grammar, join_terms, parse
 
 
 class NonDivisibleCoefficient(ValueError):
@@ -50,43 +55,31 @@ class DegreeUnderflow(ValueError):
     """Raised when an annihilation operator would need a space of negative size."""
 
 
-class QuiverClass:
+def _polynomial(coeff) -> TLaurent:
+    """A fixed-point coefficient: a rational or TLaurent that lies in Q[t]."""
+    if not isinstance(coeff, TLaurent):
+        coeff = TLaurent.term(coeff)
+    if not coeff.is_polynomial():
+        raise ValueError(f"fixed-point coefficient {coeff} is not in Q[t]")
+    return coeff
+
+
+class QuiverClass(LinearCombination):
     """Q[t]-combination of fixed-point classes, one coefficient per partition."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[Partition, TLaurent] | None = None):
-        self.terms: dict[Partition, TLaurent] = {}
-        if terms:
-            for shape, coeff in terms.items():
-                if coeff.is_zero():
-                    continue
-                if not coeff.is_polynomial():
-                    raise ValueError(
-                        f"coefficient {coeff} of 1@{shape} is not in Q[t]"
-                    )
-                self.terms[shape] = coeff
-
-    @classmethod
-    def zero(cls) -> "QuiverClass":
-        return cls()
+    __slots__ = ()
+    _coerce = staticmethod(_polynomial)
 
     @classmethod
     def unit(cls, shape: Partition) -> "QuiverClass":
         """The class 1 on the point labeled by shape."""
-        return cls({Partition(shape): TLaurent.one()})
+        return cls._make({Partition(shape): TLaurent.one()})
 
     @classmethod
     def graded_unit(cls, shape: Partition) -> "QuiverClass":
         """The distinguished basis vector t^|shape| * 1_shape."""
         shape = Partition(shape)
-        return cls({shape: TLaurent.t(shape.size())})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, shape: Partition) -> TLaurent:
-        return self.terms.get(shape, TLaurent.zero())
+        return cls._make({shape: TLaurent.t(shape.size())})
 
     def sizes(self) -> set[int]:
         return {shape.size() for shape in self.terms}
@@ -97,27 +90,15 @@ class QuiverClass:
             raise ValueError("class mixes partitions of different sizes")
         return sizes.pop()
 
-    def __add__(self, other: "QuiverClass") -> "QuiverClass":
-        merged = dict(self.terms)
-        for shape, coeff in other.terms.items():
-            merged[shape] = merged.get(shape, TLaurent.zero()) + coeff
-        return QuiverClass(merged)
-
-    def __neg__(self) -> "QuiverClass":
-        return QuiverClass({s: -c for s, c in self.terms.items()})
-
-    def __sub__(self, other: "QuiverClass") -> "QuiverClass":
-        return self + (-other)
-
-    def scale(self, factor) -> "QuiverClass":
+    def __mul__(self, factor: TLaurent) -> "QuiverClass":
         if not isinstance(factor, TLaurent):
-            factor = TLaurent.term(factor)
-        return QuiverClass({s: c * factor for s, c in self.terms.items()})
+            return NotImplemented
+        return self.scale(factor)
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, QuiverClass):
-            return self.terms == other.terms
-        return NotImplemented
+    def __truediv__(self, divisor: TLaurent) -> "QuiverClass":
+        if not isinstance(divisor, TLaurent):
+            return NotImplemented
+        return self.scale(TLaurent.one() / divisor)
 
     def __str__(self) -> str:
         return format_quiver(self)
@@ -135,10 +116,14 @@ class QuiverClass:
 
     @classmethod
     def from_json(cls, data: dict) -> "QuiverClass":
-        terms = {}
-        for key, value in data.get("coefficients", {}).items():
-            terms[parse_partition(key)] = parse_tscalar(value).as_laurent()
-        return cls(terms)
+        """Read {"coefficients": {partition: polynomial}}; ValueError on any
+        other shape of input."""
+        if not isinstance(data, dict):
+            raise ValueError("a fixed-point class is a JSON object with key coefficients")
+        raw = data.get("coefficients", {})
+        if not isinstance(raw, dict) or not all(isinstance(v, str) for v in raw.values()):
+            raise ValueError("coefficients must map partition strings to polynomial strings")
+        return cls({parse_partition(key): parse_tlaurent(value) for key, value in raw.items()})
 
 
 class LocalizedClass:
@@ -173,10 +158,7 @@ class LocalizedClass:
 
     def __add__(self, other: "LocalizedClass") -> "LocalizedClass":
         self._check_same_space(other)
-        merged = dict(self.restrictions)
-        for shape, value in other.restrictions.items():
-            merged[shape] = merged.get(shape, TScalar.zero()) + value
-        return LocalizedClass(self.n, merged)
+        return LocalizedClass(self.n, accumulate(other.restrictions.items(), dict(self.restrictions)))
 
     def __neg__(self) -> "LocalizedClass":
         return LocalizedClass(self.n, {s: -v for s, v in self.restrictions.items()})
@@ -312,26 +294,27 @@ def bilinear_form(alpha: LocalizedClass, beta: LocalizedClass) -> TScalar:
 def hecke_e(k: int, c: QuiverClass) -> QuiverClass:
     """Remove the unique removable box of residue k (when present) and divide
     the coefficient by t; coefficients must stay in Q[t]."""
-    result = QuiverClass.zero()
-    for shape, coeff in c.terms.items():
-        for box in removable_boxes(shape, k):
-            lowered = coeff.shift(-1)
-            if not lowered.is_polynomial():
-                raise NonDivisibleCoefficient(
-                    f"coefficient {coeff} at {shape} is not divisible by t"
-                )
-            result = result + QuiverClass({remove_box(shape, box): lowered})
-    return result
+    def lowered():
+        for shape, coeff in c.terms.items():
+            for box in removable_boxes(shape, k):
+                divided = coeff.shift(-1)
+                if not divided.is_polynomial():
+                    raise NonDivisibleCoefficient(
+                        f"coefficient {coeff} at {shape} is not divisible by t"
+                    )
+                yield remove_box(shape, box), divided
+
+    return QuiverClass._make(accumulate(lowered()))
 
 
 def hecke_f(k: int, c: QuiverClass) -> QuiverClass:
     """Add the unique addable box of residue k (when present) and multiply
     the coefficient by t."""
-    result = QuiverClass.zero()
-    for shape, coeff in c.terms.items():
-        for box in addable_boxes(shape, k):
-            result = result + QuiverClass({add_box(shape, box): coeff.shift(1)})
-    return result
+    return QuiverClass._make(accumulate(
+        (add_box(shape, box), coeff.shift(1))
+        for shape, coeff in c.terms.items()
+        for box in addable_boxes(shape, k)
+    ))
 
 
 def point_variety_dimension(counts: dict[int, int]) -> int:
@@ -379,12 +362,13 @@ def _graded_coordinate(coeff: TLaurent, shape: Partition) -> Rational:
 
 def tau(state: FermionState) -> QuiverClass:
     """Charge-zero monomials map to the graded units t^|shape| 1_shape."""
-    result = QuiverClass.zero()
-    for mono, coeff in state.terms.items():
-        if mono.charge != 0:
-            raise ValueError("tau is defined on charge-zero states only")
-        result = result + QuiverClass.graded_unit(mono.shape).scale(coeff)
-    return result
+    def units():
+        for mono, coeff in state.terms.items():
+            if mono.charge != 0:
+                raise ValueError("tau is defined on charge-zero states only")
+            yield mono.shape, TLaurent._make({mono.shape.size(): coeff})
+
+    return QuiverClass._make(accumulate(units()))
 
 
 def eta(c: QuiverClass, n: int | None = None) -> LocalizedClass:
@@ -395,11 +379,12 @@ def eta(c: QuiverClass, n: int | None = None) -> LocalizedClass:
     size = c.homogeneous_size()
     if n is not None and n != size:
         raise ValueError(f"class has size {size}, expected {n}")
-    result = LocalizedClass.zero(size)
-    for shape, coeff in c.terms.items():
-        ratio = TScalar(coeff, TLaurent.t(size))
-        result = result + normalized_class(shape).scale(ratio)
-    return result
+    t_size = TLaurent.t(size)
+    return LocalizedClass(size, accumulate(
+        (point, value * TScalar(coeff, t_size))
+        for shape, coeff in c.terms.items()
+        for point, value in normalized_class(shape).restrictions.items()
+    ))
 
 
 def eta_raw(c: QuiverClass) -> LocalizedClass:
@@ -446,10 +431,11 @@ def _schur_coordinates(beta: LocalizedClass) -> dict[Partition, Rational]:
 
 def phi(beta: LocalizedClass) -> BosonPolynomial:
     """Expand in normalized point classes and send each to its Schur polynomial."""
-    result = BosonPolynomial.zero()
-    for shape, coeff in _schur_coordinates(beta).items():
-        result = result + schur(shape).scale(coeff)
-    return result
+    return BosonPolynomial._make(accumulate(
+        (mono, c * coeff)
+        for shape, coeff in _schur_coordinates(beta).items()
+        for mono, c in schur(shape).terms.items()
+    ))
 
 
 def phi_inverse(f: BosonPolynomial, n: int | None = None) -> LocalizedClass:
@@ -460,10 +446,11 @@ def phi_inverse(f: BosonPolynomial, n: int | None = None) -> LocalizedClass:
     degree = f.p_degree()
     if n is not None and n != degree:
         raise ValueError(f"polynomial has degree {degree}, expected {n}")
-    result = LocalizedClass.zero(degree)
-    for shape, coeff in schur_expand(f).items():
-        result = result + normalized_class(shape).scale(TScalar.monomial(coeff))
-    return result
+    return LocalizedClass(degree, accumulate(
+        (point, value * TScalar.monomial(coeff))
+        for shape, coeff in schur_expand(f).items()
+        for point, value in normalized_class(shape).restrictions.items()
+    ))
 
 
 # --- geometric bosons ----------------------------------------------------------
@@ -477,18 +464,15 @@ def geometric_boson(k: int, beta: LocalizedClass) -> LocalizedClass:
     if k > beta.n:
         raise DegreeUnderflow(f"cannot lower degree {beta.n} by {k}")
     target = beta.n - k
-    coords: dict[Partition, Rational] = {}
-    for shape, coeff in _schur_coordinates(beta).items():
-        for sign, out_shape in ribbons(shape, k):
-            s = coords.get(out_shape, ZERO) + (coeff if sign > 0 else -coeff)
-            if s == 0:
-                coords.pop(out_shape, None)
-            else:
-                coords[out_shape] = s
+    coords = accumulate(
+        (out_shape, coeff if sign > 0 else -coeff)
+        for shape, coeff in _schur_coordinates(beta).items()
+        for sign, out_shape in ribbons(shape, k)
+    )
     return LocalizedClass(
         target,
         {
-            shape: TScalar.monomial(coeff * hook_product(shape), target)
+            shape: TScalar(TLaurent._make({target: coeff * hook_product(shape)}))
             for shape, coeff in coords.items()
         },
     )
@@ -529,168 +513,28 @@ def c2_toy_check(curve_weight: int = -1) -> bool:
 # --- text form of fixed-point classes -------------------------------------------
 
 def format_quiver(c: QuiverClass) -> str:
-    if c.is_zero():
-        return "0"
-    pieces = []
-    for shape in sorted(c.terms, key=_shape_sort_key):
-        coeff = c.terms[shape]
-        basis = f"1@{shape}"
-        sign = ""
-        if len(coeff.terms) > 1:
-            body = f"({coeff})*{basis}"
-        else:
-            ((e, value),) = coeff.terms.items()
-            negative = value < 0
-            mag = -value if negative else value
-            sign = "-" if negative else ""
-            if e == 0:
-                body = basis if mag == 1 else f"{mag}*{basis}"
+    def terms():
+        for shape in sorted(c.terms, key=_shape_sort_key):
+            coeff, basis = c.terms[shape], f"1@{shape}"
+            if len(coeff.terms) > 1:
+                yield ONE, f"({coeff})*{basis}"
             else:
-                tpow = "t" if e == 1 else f"t^{e}"
-                body = f"{tpow}*{basis}" if mag == 1 else f"{mag}*{tpow}*{basis}"
-        if not pieces:
-            pieces.append(sign + body)
-        else:
-            pieces.append(("- " if sign == "-" else "+ ") + body)
-    return " ".join(pieces)
+                ((e, value),) = coeff.terms.items()
+                yield value, f"{t_power(e)}*{basis}" if e else basis
+
+    return join_terms(terms())
 
 
-def _tokenize_quiver(text: str) -> list:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j])))
-            i = j
-        elif ch == "@":
-            j = text.find("]", i)
-            if j < 0:
-                raise ValueError(f"unterminated partition in {text!r}")
-            tokens.append(("at", parse_partition(text[i + 1:j + 1])))
-            i = j + 1
-        elif ch in "+-*/^()t":
-            tokens.append((ch, ch))
-            i += 1
-        else:
-            raise ValueError(f"unexpected character {ch!r} in class {text!r}")
-    return tokens
+_GRAMMAR = Grammar("class", QuiverClass, TLaurent.term, {
+    # the point class "1@[..]"; its integer 1 may carry leading zeros ("01@[1]")
+    "unit": (
+        rf"0*1\s*@\s*(?P<unit_shape>{PARTITION})",
+        lambda m: QuiverClass.unit(parse_partition(m["unit_shape"])),
+    ),
+    "t": ("t", lambda m: TLaurent.t()),
+})
 
 
 def parse_quiver(text: str) -> QuiverClass:
     """Parse printed fixed-point classes like "t*1@[1] + 2*t^2*1@[2]"."""
-    text = text.strip()
-    if text == "0":
-        return QuiverClass.zero()
-    tokens = _tokenize_quiver(text)
-    pos = 0
-
-    def peek():
-        return tokens[pos][0] if pos < len(tokens) else None
-
-    def take():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError(f"truncated class literal {text!r}")
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_scalar_factor() -> TLaurent:
-        kind, value = take()
-        if kind == "int":
-            base = TLaurent.term(value)
-        elif kind == "t":
-            base = TLaurent.t()
-        elif kind == "(":
-            base = parse_sum_laurent()
-            if take()[0] != ")":
-                raise ValueError("missing closing parenthesis")
-        else:
-            raise ValueError(f"unexpected token {kind!r} in class literal")
-        if peek() == "^":
-            take()
-            sign = 1
-            if peek() == "-":
-                take()
-                sign = -1
-            kind, value = take()
-            if kind != "int":
-                raise ValueError("expected integer exponent")
-            if sign < 0:
-                raise ValueError("fixed-point coefficients live in Q[t]")
-            base = base**value
-        while peek() == "/":
-            take()
-            kind, value = take()
-            if kind != "int" or value == 0:
-                raise ValueError("expected a nonzero integer divisor")
-            base = base.scale(Rational(1, value))
-        return base
-
-    def parse_sum_laurent() -> TLaurent:
-        value = parse_product_laurent()
-        while peek() in ("+", "-"):
-            op = take()[0]
-            rhs = parse_product_laurent()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def parse_product_laurent() -> TLaurent:
-        negative = False
-        while peek() in ("+", "-"):
-            if take()[0] == "-":
-                negative = not negative
-        value = parse_scalar_factor()
-        while peek() == "*" and pos + 1 < len(tokens) and tokens[pos + 1][0] != "at":
-            take()
-            value = value * parse_scalar_factor()
-        return -value if negative else value
-
-    def parse_term() -> QuiverClass:
-        negative = False
-        while peek() in ("+", "-"):
-            if take()[0] == "-":
-                negative = not negative
-        coeff = TLaurent.one()
-        seen_basis = None
-        while True:
-            nxt = peek()
-            if nxt is None:
-                break
-            if nxt == "at":
-                raise ValueError("misplaced @ in class literal")
-            if nxt in ("+", "-") and seen_basis is not None:
-                break
-            factor_is_basis = False
-            if nxt == "int" and tokens[pos][1] == 1 and pos + 1 < len(tokens) and tokens[pos + 1][0] == "at":
-                take()
-                shape = take()[1]
-                seen_basis = shape
-                factor_is_basis = True
-            else:
-                coeff = coeff * parse_scalar_factor()
-            if peek() == "*":
-                take()
-                continue
-            if factor_is_basis:
-                break
-        if seen_basis is None:
-            raise ValueError("each term needs a basis factor 1@[...]")
-        if negative:
-            coeff = -coeff
-        return QuiverClass({seen_basis: coeff})
-
-    result = parse_term()
-    while peek() is not None:
-        op = take()[0]
-        if op not in ("+", "-"):
-            raise ValueError(f"unexpected token {op!r} in class literal")
-        term = parse_term()
-        result = result - term if op == "-" else result + term
-    return result
+    return parse(_GRAMMAR, text)

@@ -1,0 +1,109 @@
+"""Finite linear combinations over a basis: the one sparse-vector core.
+
+Laurent polynomials, bosonic polynomials, fermionic states and fixed-point
+classes are all dicts from a basis key to a nonzero coefficient.  They share
+this base class, and every operator that builds such a dict sums its
+(key, coefficient) contributions through ``accumulate``.  A coefficient is
+zero exactly when it is falsy, so the same test serves rationals and Laurent
+polynomials.
+"""
+
+from typing import Iterable
+
+
+def accumulate(pairs: Iterable[tuple], into: dict | None = None) -> dict:
+    """Sum (key, coefficient) pairs into ``into`` (a new dict when omitted),
+    dropping every key whose coefficient sums to zero."""
+    out = {} if into is None else into
+    get = out.get
+    for key, c in pairs:
+        prev = get(key)
+        if prev is not None:
+            c = prev + c
+            if not c:
+                del out[key]
+                continue
+        elif not c:
+            continue
+        out[key] = c
+    return out
+
+
+def power(base, n: int):
+    """base**n for n >= 0 by repeated squaring: O(log n) products."""
+    result = base.one()
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+class LinearCombination:
+    """Sparse combination {basis key: nonzero coefficient}.
+
+    Subclasses set ``_coerce``, which turns a user-supplied coefficient into
+    the coefficient type (and may reject it).  ``_make`` adopts a dict that is
+    already coerced and zero-free without touching it; operators use it on
+    the output of ``accumulate``.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict | None = None):
+        coerce = self._coerce
+        self.terms = {}
+        for key, c in (terms or {}).items():
+            c = coerce(c)
+            if c:
+                self.terms[key] = c
+
+    @classmethod
+    def _make(cls, terms: dict):
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
+
+    @classmethod
+    def zero(cls):
+        return cls._make({})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def coefficient(self, key):
+        c = self.terms.get(key)
+        return self._coerce(0) if c is None else c
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._make(accumulate(other.terms.items(), dict(self.terms)))
+
+    def __neg__(self):
+        return self._make({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        negated = ((key, -c) for key, c in other.terms.items())
+        return self._make(accumulate(negated, dict(self.terms)))
+
+    def scale(self, factor):
+        factor = self._coerce(factor)
+        if not factor:
+            return self._make({})
+        return self._make({key: c * factor for key, c in self.terms.items()})
+
+    def __rmul__(self, factor):
+        return self.scale(factor)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is type(self):
+            return self.terms == other.terms
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.terms.items()))

@@ -8,6 +8,9 @@ integers.
 from math import gcd, lcm
 from typing import Union
 
+from .linear import LinearCombination, accumulate, power
+from .text import Grammar, join_terms, parse
+
 try:
     from gmpy2 import mpq as Rational
 except ImportError:  # pragma: no cover
@@ -30,41 +33,28 @@ def parse_rational(text: str) -> Rational:
         raise ValueError(f"invalid rational literal {text!r}") from None
 
 
-def format_rational(value: Rational) -> str:
-    return str(value)
+class TLaurent(LinearCombination):
+    """Laurent polynomial in t with rational coefficients, stored sparsely
+    as {exponent: coefficient}."""
 
-
-class TLaurent:
-    """Laurent polynomial in t with rational coefficients, stored sparsely."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[int, Rational] | None = None):
-        self.terms: dict[int, Rational] = {}
-        if terms:
-            for e, c in terms.items():
-                c = Rational(c)
-                if c != 0:
-                    self.terms[int(e)] = c
-
-    @classmethod
-    def zero(cls) -> "TLaurent":
-        return cls()
+    __slots__ = ()
+    _coerce = staticmethod(Rational)
 
     @classmethod
     def one(cls) -> "TLaurent":
-        return cls({0: ONE})
+        return cls._make({0: ONE})
 
     @classmethod
     def term(cls, coeff: RationalLike, exponent: int = 0) -> "TLaurent":
-        return cls({exponent: Rational(coeff)})
+        coeff = Rational(coeff)
+        return cls._make({exponent: coeff} if coeff else {})
 
     @classmethod
     def t(cls, exponent: int = 1) -> "TLaurent":
-        return cls({exponent: ONE})
+        return cls._make({exponent: ONE})
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def min_exp(self) -> int:
         if not self.terms:
@@ -75,9 +65,6 @@ class TLaurent:
         if not self.terms:
             raise ValueError("zero Laurent polynomial has no exponents")
         return max(self.terms)
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
 
     def is_polynomial(self) -> bool:
         return all(e >= 0 for e in self.terms)
@@ -90,67 +77,37 @@ class TLaurent:
             raise ValueError(f"{self} is not a constant")
         return self.terms[0]
 
-    def coefficient(self, exponent: int) -> Rational:
-        return self.terms.get(exponent, ZERO)
-
     def shift(self, k: int) -> "TLaurent":
-        return TLaurent({e + k: c for e, c in self.terms.items()})
-
-    def scale(self, factor: RationalLike) -> "TLaurent":
-        factor = Rational(factor)
-        if factor == 0:
-            return TLaurent()
-        return TLaurent({e: c * factor for e, c in self.terms.items()})
-
-    def __add__(self, other: "TLaurent") -> "TLaurent":
-        merged = dict(self.terms)
-        for e, c in other.terms.items():
-            s = merged.get(e, ZERO) + c
-            if s == 0:
-                merged.pop(e, None)
-            else:
-                merged[e] = s
-        out = TLaurent()
-        out.terms = merged
-        return out
-
-    def __neg__(self) -> "TLaurent":
-        return TLaurent({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "TLaurent") -> "TLaurent":
-        return self + (-other)
+        return TLaurent._make({e + k: c for e, c in self.terms.items()})
 
     def __mul__(self, other: "TLaurent") -> "TLaurent":
-        product: dict[int, Rational] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                s = product.get(e, ZERO) + c1 * c2
-                if s == 0:
-                    product.pop(e, None)
-                else:
-                    product[e] = s
-        out = TLaurent()
-        out.terms = product
-        return out
+        if type(other) is not TLaurent:
+            return NotImplemented
+        return TLaurent._make(accumulate(
+            (e1 + e2, c1 * c2)
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items()
+        ))
+
+    def __truediv__(self, other: "TLaurent") -> "TLaurent":
+        """Division by a nonzero rational constant; Q(t) lives in TScalar."""
+        if type(other) is not TLaurent:
+            return NotImplemented
+        if list(other.terms) != [0]:
+            raise ValueError(f"a Laurent polynomial divides only by a nonzero rational, not {other}")
+        return self.scale(ONE / other.terms[0])
 
     def __pow__(self, n: int) -> "TLaurent":
         if n < 0:
             raise ValueError("negative powers live in TScalar")
-        result = TLaurent.one()
-        for _ in range(n):
-            result = result * self
-        return result
+        return power(self, n)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, TLaurent):
-            return self.terms == other.terms
         if isinstance(other, int):
-            return self == TLaurent.term(other)
-        return NotImplemented
+            other = TLaurent.term(other)
+        return super().__eq__(other)
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+    __hash__ = LinearCombination.__hash__
 
     def __str__(self) -> str:
         return format_tlaurent(self)
@@ -162,24 +119,14 @@ class TLaurent:
 _LAURENT_ONE = TLaurent.one()
 
 
+def t_power(exponent: int) -> str:
+    return "t" if exponent == 1 else f"t^{exponent}"
+
+
 def format_tlaurent(value: TLaurent) -> str:
-    if value.is_zero():
-        return "0"
-    pieces = []
-    for e in sorted(value.terms, reverse=True):
-        c = value.terms[e]
-        negative = c < 0
-        mag = -c if negative else c
-        if e == 0:
-            body = str(mag)
-        else:
-            tpow = "t" if e == 1 else f"t^{e}"
-            body = tpow if mag == 1 else f"{mag}*{tpow}"
-        if not pieces:
-            pieces.append(("-" if negative else "") + body)
-        else:
-            pieces.append(("- " if negative else "+ ") + body)
-    return " ".join(pieces)
+    return join_terms(
+        (value.terms[e], t_power(e) if e else "") for e in sorted(value.terms, reverse=True)
+    )
 
 
 def _dense(poly: TLaurent) -> list[Rational]:
@@ -192,7 +139,7 @@ def _dense(poly: TLaurent) -> list[Rational]:
 
 
 def _from_dense(coeffs: list[Rational]) -> TLaurent:
-    return TLaurent({e: c for e, c in enumerate(coeffs) if c != 0})
+    return TLaurent._make({e: c for e, c in enumerate(coeffs) if c})
 
 
 def _dense_divmod(num: list[Rational], den: list[Rational]):
@@ -334,12 +281,11 @@ class TScalar:
     def monomial(cls, coeff: RationalLike, exponent: int = 0) -> "TScalar":
         return cls(TLaurent.term(coeff, exponent))
 
-    @classmethod
-    def from_rational(cls, value: RationalLike) -> "TScalar":
-        return cls(TLaurent.term(value))
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
+
+    def __bool__(self) -> bool:
+        return bool(self.num.terms)
 
     def is_polynomial(self) -> bool:
         """True when the value lies in Q[t]."""
@@ -388,14 +334,9 @@ class TScalar:
         return TScalar(self.num * other.den, self.den * other.num)
 
     def __pow__(self, n: int) -> "TScalar":
-        result = TScalar.one()
-        base = self
         if n < 0:
-            base = TScalar.one() / self
-            n = -n
-        for _ in range(n):
-            result = result * base
-        return result
+            return power(TScalar.one() / self, -n)
+        return power(self, n)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TScalar):
@@ -444,104 +385,13 @@ def _canonical(num: TLaurent, den: TLaurent) -> tuple[TLaurent, TLaurent]:
 
 # --- parsing ---------------------------------------------------------------
 
-def _tokenize_scalar(text: str) -> list:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j])))
-            i = j
-        elif ch in "+-*/^()t":
-            tokens.append((ch, ch))
-            i += 1
-        else:
-            raise ValueError(f"unexpected character {ch!r} in scalar {text!r}")
-    return tokens
-
-
-class _ScalarParser:
-    def __init__(self, tokens: list):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        if self.pos >= len(self.tokens):
-            raise ValueError("truncated scalar literal")
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def parse(self) -> TScalar:
-        value = self.expr()
-        if self.pos != len(self.tokens):
-            raise ValueError("trailing input in scalar literal")
-        return value
-
-    def expr(self) -> TScalar:
-        value = self.product()
-        while self.peek() in ("+", "-"):
-            op = self.take()[0]
-            rhs = self.product()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def product(self) -> TScalar:
-        value = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.take()[0]
-            rhs = self.factor()
-            value = value * rhs if op == "*" else value / rhs
-        return value
-
-    def factor(self) -> TScalar:
-        if self.peek() == "-":
-            self.take()
-            return -self.factor()
-        if self.peek() == "+":
-            self.take()
-            return self.factor()
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            sign = 1
-            if self.peek() == "-":
-                self.take()
-                sign = -1
-            kind, value = self.take()
-            if kind != "int":
-                raise ValueError("expected integer exponent")
-            return base ** (sign * value)
-        return base
-
-    def atom(self) -> TScalar:
-        if self.peek() is None:
-            raise ValueError("malformed scalar literal")
-        kind, value = self.take()
-        if kind == "int":
-            return TScalar.monomial(value)
-        if kind == "t":
-            return TScalar.monomial(1, 1)
-        if kind == "(":
-            inner = self.expr()
-            if self.peek() != ")":
-                raise ValueError("missing closing parenthesis")
-            self.take()
-            return inner
-        raise ValueError("malformed scalar literal")
+_T = TScalar.monomial(1, 1)
+_GRAMMAR = Grammar("scalar", TScalar, TScalar.monomial, {"t": ("t", lambda m: _T)}, juxtapose=False)
 
 
 def parse_tscalar(text: str) -> TScalar:
     """Parse any printed TScalar/TLaurent form, e.g. "-9*t^6" or "(t^2 + 1) / t"."""
-    return _ScalarParser(_tokenize_scalar(text)).parse()
+    return parse(_GRAMMAR, text)
 
 
 def parse_tlaurent(text: str) -> TLaurent:

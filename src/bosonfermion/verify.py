@@ -4,7 +4,7 @@ check carries a witness describing the first counterexample."""
 
 from dataclasses import dataclass
 
-from . import correspondence, fermion, geometry
+from . import fermion, geometry
 from .boson import (
     BosonPolynomial,
     hall_form,
@@ -349,26 +349,44 @@ def orthonormality_suite(max_size: int = 8, max_index: int = 4) -> list[CheckRes
 
 
 def correspondence_suite(max_size: int = 8, max_index: int = 4, charge_bound: int = 2) -> list[CheckResult]:
-    """The dictionary: two-route Schur values plus the intertwining report."""
+    """The dictionary: two-route Schur values, the Schur-expansion rebuild,
+    intertwining of alpha_n with the oscillators, and form preservation."""
+    shapes = partitions_up_to(max_size)
     two_route = _Check("schur-two-determinants")
-    for shape in partitions_up_to(max_size):
+    for shape in shapes:
         narrow = schur_jacobi_trudi(shape, len(shape))
         wide = schur_jacobi_trudi(shape, shape.size()) if shape.size() else narrow
         two_route.record(narrow == wide, "shape={}", shape)
     rebuild = _Check("schur-expand-rebuild")
-    for shape in partitions_up_to(max_size):
+    for shape in shapes:
         f = power_sum(shape)
         rebuilt = BosonPolynomial.zero()
         for out_shape, coeff in schur_expand(f).items():
             rebuilt = rebuilt + schur(out_shape).scale(coeff)
         rebuild.record(rebuilt == f, "shape={}", shape)
-    report = correspondence.verify_intertwining(
-        max_size, tuple(_charges(charge_bound)), max_index
-    )
-    results = [two_route.result(), rebuild.result()]
-    for check in report.checks:
-        results.append(CheckResult(check.name, check.passed, check.checked, check.witness))
-    return results
+    intertwine = _Check("oscillator-intertwining")
+    for m in _charges(charge_bound):
+        for shape in shapes:
+            state = basis_state(m, shape)
+            image = sigma(state)
+            for n in range(-max_index, max_index + 1):
+                intertwine.record(
+                    sigma(alpha(n, state)) == oscillator(n, image),
+                    "n={}, state=phi{}@{}", n, shape, m,
+                )
+    bijection = _Check("schur-basis-bijection")
+    for shape in shapes:
+        bijection.record(schur_expand(schur(shape)) == {shape: 1}, "shape={}", shape)
+    forms = _Check("form-preservation")
+    states = {shape: basis_state(0, shape) for shape in shapes}
+    images = {shape: sigma(state) for shape, state in states.items()}
+    for a in shapes:
+        for b in shapes:
+            forms.record(
+                fermion.hermitian_form(states[a], states[b]) == hall_form(images[a], images[b]),
+                "pair=({}, {})", a, b,
+            )
+    return [two_route.result(), rebuild.result(), intertwine.result(), bijection.result(), forms.result()]
 
 
 def commuting_square_suite(max_size: int = 8, max_index: int = 4) -> list[CheckResult]:

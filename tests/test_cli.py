@@ -185,3 +185,15 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_hostile_exponent_on_a_monomial_returns_fast():
+    proc = subprocess.run(
+        [sys.executable, "-m", "bosonfermion.cli", "localize", "integrate",
+         '{"n":0,"restrictions":{"[]":"t^3000000"}}'],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "t^3000000\n"

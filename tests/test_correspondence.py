@@ -1,10 +1,11 @@
 from hypothesis import given, settings, strategies as st
 
 from bosonfermion.boson import BosonPolynomial, parse_boson, power_sum
-from bosonfermion.correspondence import sigma, sigma_inverse, verify_intertwining
+from bosonfermion.correspondence import sigma, sigma_inverse
 from bosonfermion.fermion import basis_state, vacuum
 from bosonfermion.partitions import Partition, partitions_of, partitions_up_to
 from bosonfermion.scalars import rat
+from bosonfermion.verify import CheckResult, correspondence_suite, report_json
 
 
 def P(*parts) -> Partition:
@@ -61,25 +62,22 @@ def test_dimension_counts():
 
 
 def test_intertwining_report_passes():
-    report = verify_intertwining(5, (-1, 0, 1), 3)
-    assert report.passed
-    assert report.max_energy == 5 and report.max_index == 3
-    names = [check.name for check in report.checks]
+    # max size 5, max index 3, charges -1..1
+    results = correspondence_suite(5, 3, 1)
+    assert all(check.passed for check in results)
+    names = [check.name for check in results]
     assert "oscillator-intertwining" in names
     assert "form-preservation" in names
-    data = report.to_json()
+    data = report_json(results)
     assert data["passed"] is True
     assert all("name" in c and "checked" in c for c in data["checks"])
 
 
 def test_report_failure_carries_witness():
-    # a deliberately broken comparison: reuse the machinery on an impossible grid
-    # by checking that a fabricated failing check serializes with its witness
-    from bosonfermion.correspondence import CorrespondenceCheck, CorrespondenceReport
-
-    report = CorrespondenceReport(2, (0,), 2, [CorrespondenceCheck("x", False, 1, "w")])
-    assert not report.passed
-    assert report.to_json()["checks"][0]["witness"] == "w"
+    # a fabricated failing check serializes with its witness
+    data = report_json([CheckResult("x", False, 1, "w")])
+    assert data["passed"] is False
+    assert data["checks"][0]["counterexample"] == "w"
 
 
 def test_smallest_intertwining_instances():

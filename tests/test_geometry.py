@@ -293,3 +293,9 @@ def test_localized_json_round_trip():
     assert set(data["restrictions"]) == {str(s) for s in partitions_of(3)}
     assert LocalizedClass.from_json(data) == beta
     assert LocalizedClass.from_json(json.loads(json.dumps(data))) == beta
+
+
+def test_quiver_json_rejects_malformed_input():
+    for data in ({"coefficients": {"[1]": 7}}, []):
+        with pytest.raises(ValueError):
+            QuiverClass.from_json(data)
