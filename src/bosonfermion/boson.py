@@ -1,82 +1,46 @@
 """The bosonic Fock space Q[p1, p2, ...; q, q^-1].
 
-Monomials are stored sparsely; p_i has degree i, so Schur and power-sum
-polynomials of a partition of n are homogeneous of degree n.
+Monomials are stored sparsely and keyed, like every basis in the package, by
+a partition: q^m p_mu is the pair (m, mu).  p_i has degree i, so Schur and
+power-sum polynomials of a partition of n are homogeneous of degree n.
 """
 
 from functools import cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .linear import LinearCombination, accumulate, power
 from .partitions import Partition, partitions_of, z_factor
-from .scalars import ONE, Rational, ZERO, parse_rational
+from .scalars import ONE, Rational, ZERO, is_integer, read_terms
 from .text import Grammar, parse
 
 
 class BosonMonomial(NamedTuple):
+    """The monomial q^q_power * p_shape, where p_shape = p_{shape_1} p_{shape_2} ..."""
     q_power: int
-    p_exps: tuple[tuple[int, int], ...]  # (variable index, exponent), index-sorted
-
-    def degree(self) -> int:
-        return sum(i * e for i, e in self.p_exps)
-
-    def z(self) -> int:
-        """Symmetriser order of the matching power-sum: prod i^e * e!."""
-        result = 1
-        for i, e in self.p_exps:
-            result *= i**e
-            for j in range(2, e + 1):
-                result *= j
-        return result
-
-    def shape(self) -> Partition:
-        """Partition with multiplicity m_i equal to the exponent of p_i."""
-        parts = []
-        for i, e in sorted(self.p_exps, reverse=True):
-            parts.extend([i] * e)
-        return Partition(parts)
+    shape: Partition
 
 
-_UNIT = BosonMonomial(0, ())
-
-
-def _mono(q_power: int = 0, exps: dict[int, int] | None = None) -> BosonMonomial:
-    items = tuple(sorted((i, e) for i, e in (exps or {}).items() if e))
-    return BosonMonomial(q_power, items)
-
-
-def _merge_exps(a: tuple, b: tuple) -> tuple:
-    """Merge two index-sorted exponent tuples, adding exponents."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        ia, ea = a[i]
-        ib, eb = b[j]
-        if ia < ib:
-            out.append(a[i])
-            i += 1
-        elif ia > ib:
-            out.append(b[j])
-            j += 1
-        else:
-            out.append((ia, ea + eb))
-            i += 1
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+_UNIT = BosonMonomial(0, Partition())
+_MAX_PARTS = 10**6  # factors of one p-monomial built by a power or read from JSON
 
 
 def _mono_mul(a: BosonMonomial, b: BosonMonomial) -> BosonMonomial:
-    return BosonMonomial(a.q_power + b.q_power, _merge_exps(a.p_exps, b.p_exps))
+    """Concatenate the parts; both are partitions, so sorting needs no re-check.
+    A side without parts shares the other's partition, which saves memory."""
+    shape = a.shape or b.shape
+    if a.shape and b.shape:
+        shape = tuple.__new__(Partition, sorted(a.shape + b.shape, reverse=True))
+    return BosonMonomial(a.q_power + b.q_power, shape)
+
+
+def _exponents(shape: Partition) -> list[tuple[int, int]]:
+    """(index i, exponent of p_i) pairs of p_shape, smallest index first."""
+    return sorted(shape.multiplicities().items())
 
 
 def _mono_sort_key(mono: BosonMonomial):
-    return (mono.q_power, -mono.degree(), tuple((i, -e) for i, e in mono.p_exps))
+    """q power, higher degree, then smallest parts first (p1^2 p3 before p1 p2^2)."""
+    return (mono.q_power, -mono.shape.size(), mono.shape[::-1])
 
 
 class BosonPolynomial(LinearCombination):
@@ -97,11 +61,11 @@ class BosonPolynomial(LinearCombination):
     def p(cls, index: int) -> "BosonPolynomial":
         if index < 1:
             raise ValueError("p-variables are indexed from 1")
-        return cls._make({_mono(0, {index: 1}): ONE})
+        return cls._make({BosonMonomial(0, Partition((index,))): ONE})
 
     @classmethod
     def q(cls, power: int = 1) -> "BosonPolynomial":
-        return cls._make({_mono(power): ONE})
+        return cls._make({BosonMonomial(power, Partition()): ONE})
 
     def __mul__(self, other: "BosonPolynomial") -> "BosonPolynomial":
         if type(other) is not BosonPolynomial:
@@ -121,6 +85,9 @@ class BosonPolynomial(LinearCombination):
 
     def __pow__(self, n: int) -> "BosonPolynomial":
         if n >= 0:
+            longest = max((len(mono.shape) for mono in self.terms), default=0)
+            if longest * n > _MAX_PARTS:
+                raise ValueError(f"a p-monomial may have at most {_MAX_PARTS} factors")
             return power(self, n)
         if self != BosonPolynomial.q():
             raise ValueError("negative exponents are only allowed on q")
@@ -130,12 +97,12 @@ class BosonPolynomial(LinearCombination):
         """Split into pieces of fixed q-power, with the q-factor removed."""
         pieces: dict[int, dict[BosonMonomial, Rational]] = {}
         for mono, coeff in self.terms.items():
-            pieces.setdefault(mono.q_power, {})[_mono(0, dict(mono.p_exps))] = coeff
+            pieces.setdefault(mono.q_power, {})[BosonMonomial(0, mono.shape)] = coeff
         return {m: BosonPolynomial._make(t) for m, t in sorted(pieces.items())}
 
     def p_degree(self) -> int:
         """Common p-degree of all terms; error when inhomogeneous or zero."""
-        degrees = {mono.degree() for mono in self.terms}
+        degrees = {mono.shape.size() for mono in self.terms}
         if len(degrees) != 1:
             raise ValueError("polynomial is not homogeneous in p-degree")
         return degrees.pop()
@@ -151,24 +118,27 @@ class BosonPolynomial(LinearCombination):
         return f"BosonPolynomial<{self}>"
 
     def to_json(self) -> list[dict]:
-        out = []
-        for mono in sorted(self.terms, key=_mono_sort_key):
-            out.append({
-                "q": mono.q_power,
-                "p": [[i, e] for i, e in mono.p_exps],
-                "coeff": str(self.terms[mono]),
-            })
-        return out
+        return [
+            {"q": mono.q_power, "p": [[i, e] for i, e in _exponents(mono.shape)], "coeff": str(c)}
+            for mono, c in sorted(self.terms.items(), key=lambda term: _mono_sort_key(term[0]))
+        ]
 
     @classmethod
-    def from_json(cls, data: Iterable[dict]) -> "BosonPolynomial":
-        return cls._make(accumulate(
-            (
-                _mono(int(item.get("q", 0)), {int(i): int(e) for i, e in item.get("p", [])}),
-                parse_rational(item["coeff"]),
-            )
-            for item in data
-        ))
+    def from_json(cls, data: list) -> "BosonPolynomial":
+        """Read the list written by to_json; ValueError on any other shape of
+        input, including an index repeated within one term."""
+        return cls._make(read_terms(data, _monomial_from_json))
+
+
+def _monomial_from_json(item: dict) -> BosonMonomial:
+    q_power, exps = item.get("q", 0), item.get("p", [])
+    if not is_integer(q_power) or not isinstance(exps, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 and all(is_integer(x) and x > 0 for x in pair)
+        for pair in exps
+    ) or len({i for i, _ in exps}) != len(exps) or sum(e for _, e in exps) > _MAX_PARTS:
+        raise ValueError("a term has an integer q and p = [[index, exponent], ...] with distinct "
+                         f"positive indices, positive exponents and at most {_MAX_PARTS} factors")
+    return BosonMonomial(q_power, Partition(sorted((i for i, e in exps for _ in range(e)), reverse=True)))
 
 
 def oscillator(m: int, f: BosonPolynomial) -> BosonPolynomial:
@@ -176,12 +146,11 @@ def oscillator(m: int, f: BosonPolynomial) -> BosonPolynomial:
     if m > 0:
         def lowered():
             for mono, coeff in f.terms.items():
-                exps = dict(mono.p_exps)
-                e = exps.pop(m, 0)
-                if e:
-                    if e > 1:
-                        exps[m] = e - 1
-                    yield _mono(mono.q_power, exps), coeff * m * e
+                shape = mono.shape
+                if m in shape:
+                    i = shape.index(m)
+                    rest = tuple.__new__(Partition, shape[:i] + shape[i + 1:])
+                    yield BosonMonomial(mono.q_power, rest), coeff * m * shape.count(m)
 
         return BosonPolynomial._make(accumulate(lowered()))
     if m < 0:
@@ -199,7 +168,7 @@ def elementary_schur(n: int) -> BosonPolynomial:
     if n == 0:
         return BosonPolynomial.one()
     return BosonPolynomial._make(
-        {_mono(0, mu.multiplicities()): Rational(1, z_factor(mu)) for mu in partitions_of(n)}
+        {BosonMonomial(0, mu): Rational(1, z_factor(mu)) for mu in partitions_of(n)}
     )
 
 
@@ -252,8 +221,8 @@ def schur(shape: Partition) -> BosonPolynomial:
 
 
 def power_sum(shape: Partition) -> BosonPolynomial:
-    """The monomial prod_i p_i^(m_i(shape)) at q^0."""
-    return BosonPolynomial._make({_mono(0, shape.multiplicities()): ONE})
+    """The monomial p_shape = prod_i p_(shape_i) at q^0."""
+    return BosonPolynomial._make({BosonMonomial(0, shape): ONE})
 
 
 def hall_form(f: BosonPolynomial, g: BosonPolynomial) -> Rational:
@@ -265,7 +234,7 @@ def hall_form(f: BosonPolynomial, g: BosonPolynomial) -> Rational:
     for mono, coeff in small.items():
         other = large.get(mono)
         if other is not None:
-            total += coeff * other * mono.z()
+            total += coeff * other * z_factor(mono.shape)
     return total
 
 
@@ -275,7 +244,7 @@ def _mono_schur_index(n: int) -> dict[BosonMonomial, tuple[tuple[Partition, Rati
     index: dict[BosonMonomial, list[tuple[Partition, Rational]]] = {}
     for shape in partitions_of(n):
         for mono, coeff in schur(shape).terms.items():
-            index.setdefault(mono, []).append((shape, coeff * mono.z()))
+            index.setdefault(mono, []).append((shape, coeff * z_factor(mono.shape)))
     return {mono: tuple(entries) for mono, entries in index.items()}
 
 
@@ -323,9 +292,9 @@ def _q_str(power: int) -> str:
 
 
 def _format_boson_term(mono: BosonMonomial, coeff: Rational) -> str:
-    if not mono.p_exps:
+    if not mono.shape:
         return str(coeff)
-    body = " ".join(f"p{i}" if e == 1 else f"p{i}^{e}" for i, e in mono.p_exps)
+    body = " ".join(f"p{i}" if e == 1 else f"p{i}^{e}" for i, e in _exponents(mono.shape))
     if coeff == 1:
         return body
     return f"({coeff})*{body}"

@@ -8,7 +8,7 @@ from .linear import accumulate
 def sigma(state: FermionState) -> BosonPolynomial:
     """Linear extension of (charge m, shape) -> q^m * S_shape."""
     return BosonPolynomial._make(accumulate(
-        (BosonMonomial(s_mono.q_power + mono.charge, s_mono.p_exps), coeff * s_coeff)
+        (BosonMonomial(s_mono.q_power + mono.charge, s_mono.shape), coeff * s_coeff)
         for mono, coeff in state.terms.items()
         for s_mono, s_coeff in schur(mono.shape).terms.items()
     ))
@@ -20,7 +20,7 @@ def sigma_inverse(f: BosonPolynomial) -> FermionState:
         for charge, component in f.q_components().items():
             by_degree: dict[int, dict] = {}
             for mono, coeff in component.terms.items():
-                by_degree.setdefault(mono.degree(), {})[mono] = coeff
+                by_degree.setdefault(mono.shape.size(), {})[mono] = coeff
             for piece in by_degree.values():
                 for shape, coeff in schur_expand(BosonPolynomial._make(piece)).items():
                     yield ChargedMonomial(charge, shape), coeff

@@ -8,11 +8,11 @@ index) has sign +1, the unique extension keeping the Clifford relations exact.
 """
 
 from functools import cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .linear import LinearCombination, accumulate
 from .partitions import Partition, parse_partition
-from .scalars import ONE, Rational, ZERO, parse_rational
+from .scalars import ONE, Rational, ZERO, is_integer, read_terms
 from .text import PARTITION, Grammar, join_terms, parse
 
 
@@ -107,14 +107,16 @@ class FermionState(LinearCombination):
         return out
 
     @classmethod
-    def from_json(cls, data: Iterable[dict]) -> "FermionState":
-        return cls._make(accumulate(
-            (
-                ChargedMonomial(int(item.get("charge", 0)), Partition(item["partition"])),
-                parse_rational(item["coeff"]),
-            )
-            for item in data
-        ))
+    def from_json(cls, data: list) -> "FermionState":
+        """Read the list written by to_json; ValueError on any other shape of input."""
+        return cls._make(read_terms(data, _monomial_from_json))
+
+
+def _monomial_from_json(item: dict) -> ChargedMonomial:
+    charge, parts = item.get("charge", 0), item.get("partition")
+    if not is_integer(charge) or not isinstance(parts, list) or not all(map(is_integer, parts)):
+        raise ValueError("a term has an integer charge and a partition list of integers")
+    return ChargedMonomial(charge, Partition(parts))
 
 
 def basis_state(charge: int, shape: Partition) -> FermionState:

@@ -3,9 +3,7 @@
 The fixed points of the n-th space are labeled by partitions of n.  A class on
 the fixed-point side (QuiverClass) is a Q[t]-combination of point classes
 1_shape; a class on the ambient side (LocalizedClass) is stored through its
-restrictions to the fixed points, one Q(t) value per partition of n, so that
-pullback-of-pushforward multiplies by the tangent Euler class as an identity
-of stored values.
+restrictions to the fixed points, one Q(t) value per partition of n.
 
 Weight convention: a one-dimensional module of weight a has Euler class a*t,
 and the distinguished curve direction in the plane carries weight -1.  This is
@@ -23,10 +21,8 @@ from .partitions import (
     Partition,
     add_box,
     addable_boxes,
-    boxes,
     cartan_apply,
     dimension_vector,
-    hook,
     hook_product,
     parse_partition,
     partitions_of,
@@ -40,6 +36,7 @@ from .scalars import (
     TLaurent,
     TScalar,
     ZERO,
+    is_integer,
     parse_tlaurent,
     parse_tscalar,
     t_power,
@@ -197,7 +194,7 @@ class LocalizedClass:
         if not isinstance(data, dict):
             raise ValueError("a localized class is a JSON object with keys n and restrictions")
         n = data.get("n")
-        if not isinstance(n, int) or isinstance(n, bool):
+        if not is_integer(n):
             raise ValueError(f"n must be an integer, got {n!r}")
         raw = data.get("restrictions", {})
         if not isinstance(raw, dict) or not all(isinstance(v, str) for v in raw.values()):
@@ -214,28 +211,17 @@ def _shape_sort_key(shape: Partition):
 
 @cache
 def euler_class(shape: Partition) -> TScalar:
-    """Tangent Euler class at a fixed point: the box-by-box product of
-    (hook * t)(-hook * t), cross-checked against (-1)^n h^2 t^(2n)."""
-    product = TScalar.one()
-    for box in boxes(shape):
-        h = hook(shape, box)
-        product = product * TScalar.monomial(h, 1) * TScalar.monomial(-h, 1)
+    """Tangent Euler class at a fixed point: (-1)^n h(shape)^2 t^(2n), the
+    product over the boxes of (hook * t)(-hook * t)."""
     n = shape.size()
-    closed = TScalar.monomial((-1) ** n * hook_product(shape) ** 2, 2 * n)
-    if product != closed:
-        raise AssertionError(f"Euler class mismatch at {shape}")
-    return product
+    return TScalar.monomial((-1) ** n * hook_product(shape) ** 2, 2 * n)
 
 
-def pushforward(shape: Partition, value: TScalar, n: int | None = None) -> LocalizedClass:
+def pushforward(shape: Partition, value: TScalar) -> LocalizedClass:
     """Image of a fixed-point class in the ambient space: restriction
     value * e_T at its own point, zero at every other fixed point."""
     shape = Partition(shape)
-    if n is None:
-        n = shape.size()
-    if shape.size() != n:
-        raise ValueError(f"partition {shape} does not have size {n}")
-    return LocalizedClass(n, {shape: value * euler_class(shape)})
+    return LocalizedClass(shape.size(), {shape: value * euler_class(shape)})
 
 
 def pullback(alpha: LocalizedClass, shape: Partition) -> TScalar:
@@ -269,17 +255,11 @@ def fundamental_class(shape: Partition) -> LocalizedClass:
 
 @cache
 def normalized_class(shape: Partition) -> LocalizedClass:
-    """Sign-and-hook normalized point class; these are orthonormal for the
-    bilinear form below and correspond to Schur polynomials."""
+    """Sign-and-hook normalized point class (-1)^n t^-n / h(shape) times the
+    fundamental class, with restriction h(shape) t^n; these are orthonormal
+    for the bilinear form below and correspond to Schur polynomials."""
     shape = Partition(shape)
-    n = shape.size()
-    h = hook_product(shape)
-    scale = TScalar.monomial(Rational((-1) ** n, h), -n)
-    result = fundamental_class(shape).scale(scale)
-    expected = TScalar.monomial(h, n)
-    if pullback(result, shape) != expected:
-        raise AssertionError(f"normalized class mismatch at {shape}")
-    return result
+    return _from_schur_coordinates(shape.size(), {shape: ONE})
 
 
 def bilinear_form(alpha: LocalizedClass, beta: LocalizedClass) -> TScalar:
@@ -379,12 +359,10 @@ def eta(c: QuiverClass, n: int | None = None) -> LocalizedClass:
     size = c.homogeneous_size()
     if n is not None and n != size:
         raise ValueError(f"class has size {size}, expected {n}")
-    t_size = TLaurent.t(size)
-    return LocalizedClass(size, accumulate(
-        (point, value * TScalar(coeff, t_size))
-        for shape, coeff in c.terms.items()
-        for point, value in normalized_class(shape).restrictions.items()
-    ))
+    # coeff * t^-n times the restriction h(shape) t^n of the normalized class
+    return LocalizedClass(size, {
+        shape: TScalar(coeff.scale(hook_product(shape))) for shape, coeff in c.terms.items()
+    })
 
 
 def eta_raw(c: QuiverClass) -> LocalizedClass:
@@ -411,6 +389,15 @@ def eta_inverse(beta: LocalizedClass) -> QuiverClass:
             )
         terms[shape] = coeff.as_laurent()
     return QuiverClass(terms)
+
+
+def _from_schur_coordinates(n: int, coords: dict[Partition, Rational]) -> LocalizedClass:
+    """The class on X_n with the given nonzero coordinates in the normalized
+    point basis: coordinate c at shape is the restriction c * h(shape) * t^n."""
+    return LocalizedClass(n, {
+        shape: TScalar(TLaurent._make({n: c * hook_product(shape)}))
+        for shape, c in coords.items()
+    })
 
 
 def _schur_coordinates(beta: LocalizedClass) -> dict[Partition, Rational]:
@@ -446,11 +433,7 @@ def phi_inverse(f: BosonPolynomial, n: int | None = None) -> LocalizedClass:
     degree = f.p_degree()
     if n is not None and n != degree:
         raise ValueError(f"polynomial has degree {degree}, expected {n}")
-    return LocalizedClass(degree, accumulate(
-        (point, value * TScalar.monomial(coeff))
-        for shape, coeff in schur_expand(f).items()
-        for point, value in normalized_class(shape).restrictions.items()
-    ))
+    return _from_schur_coordinates(degree, schur_expand(f))
 
 
 # --- geometric bosons ----------------------------------------------------------
@@ -469,13 +452,7 @@ def geometric_boson(k: int, beta: LocalizedClass) -> LocalizedClass:
         for shape, coeff in _schur_coordinates(beta).items()
         for sign, out_shape in ribbons(shape, k)
     )
-    return LocalizedClass(
-        target,
-        {
-            shape: TScalar(TLaurent._make({target: coeff * hook_product(shape)}))
-            for shape, coeff in coords.items()
-        },
-    )
+    return _from_schur_coordinates(target, coords)
 
 
 def power_sum_class(shape: Partition) -> LocalizedClass:

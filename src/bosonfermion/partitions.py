@@ -20,6 +20,7 @@ class Box(NamedTuple):
 
 class Partition(tuple):
     """Weakly decreasing tuple of positive integers; ``Partition()`` is empty."""
+    __slots__ = ()  # no per-instance dict: monomials hold many partitions
 
     def __new__(cls, parts: Iterable[int] = ()):
         parts = tuple(int(p) for p in parts)

@@ -33,6 +33,21 @@ def parse_rational(text: str) -> Rational:
         raise ValueError(f"invalid rational literal {text!r}") from None
 
 
+def is_integer(value) -> bool:
+    """Is a decoded JSON value an integer (and not a boolean)?"""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def read_terms(data, read_key) -> dict:
+    """Sum the JSON terms [{..., "coeff": rational string}, ...] of a
+    rational linear combination; read_key reads the basis key of one term."""
+    if not isinstance(data, list) or not all(
+        isinstance(item, dict) and isinstance(item.get("coeff"), str) for item in data
+    ):
+        raise ValueError("expected a JSON list of terms, each with a string coeff")
+    return accumulate((read_key(item), parse_rational(item["coeff"])) for item in data)
+
+
 class TLaurent(LinearCombination):
     """Laurent polynomial in t with rational coefficients, stored sparsely
     as {exponent: coefficient}."""

@@ -107,6 +107,8 @@ class _Parser:
             return op(*args)
         except TypeError:
             raise self._error("unsupported operation") from None
+        except ZeroDivisionError:
+            raise self._error("division by zero") from None
 
     def parse(self):
         value = self.expr(1)

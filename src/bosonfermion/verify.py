@@ -48,9 +48,10 @@ from .geometry import (
 from .partitions import (
     Partition,
     addable_boxes,
+    boxes,
     cartan_apply,
     dimension_vector,
-    hook_product,
+    hook,
     partitions_of,
     partitions_up_to,
     removable_boxes,
@@ -436,18 +437,21 @@ def c2_toy_suite(max_size: int = 8, max_index: int = 4) -> list[CheckResult]:
 
 
 def euler_suite(max_size: int = 10, max_index: int = 4) -> list[CheckResult]:
-    """Box-by-box Euler classes against the closed hook form, plus push/pull."""
+    """The closed-form Euler classes and push/pull against the product over
+    the boxes of the tangent weights (hook * t)(-hook * t)."""
     closed = _Check("euler-closed-form")
     pushpull = _Check("pullback-of-pushforward")
     for shape in partitions_up_to(max_size):
-        n = shape.size()
-        expected = TScalar.monomial((-1) ** n * hook_product(shape) ** 2, 2 * n)
-        closed.record(euler_class(shape) == expected, "shape={}", shape)
-    for shape in partitions_up_to(min(max_size, 8)):
-        pushed = geometry.pushforward(shape, TScalar.one())
-        ok = geometry.pullback(pushed, shape) == euler_class(shape)
-        ok = ok and geometry.integrate(pushed) == TScalar.one()
-        pushpull.record(ok, "shape={}", shape)
+        by_boxes = TScalar.one()
+        for box in boxes(shape):
+            h = hook(shape, box)
+            by_boxes = by_boxes * TScalar.monomial(h, 1) * TScalar.monomial(-h, 1)
+        closed.record(euler_class(shape) == by_boxes, "shape={}", shape)
+        if shape.size() <= 8:
+            pushed = geometry.pushforward(shape, TScalar.one())
+            ok = geometry.pullback(pushed, shape) == by_boxes
+            ok = ok and geometry.integrate(pushed) == TScalar.one()
+            pushpull.record(ok, "shape={}", shape)
     return [closed.result(), pushpull.result()]
 
 
@@ -464,13 +468,6 @@ SUITES = {
     "euler": euler_suite,
 }
 
-_DEFAULT_SIZES = {
-    "clifford": 6,
-    "euler": 10,
-}
-_DEFAULT_INDICES = {
-    "clifford": 5,
-}
 _CHARGE_SUITES = {"clifford", "heisenberg-fermion", "correspondence"}
 
 
@@ -487,11 +484,11 @@ def run_suite(
         return results
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join([*SUITES, 'all'])}")
-    size = max_size if max_size is not None else _DEFAULT_SIZES.get(name, 8)
-    index = max_index if max_index is not None else _DEFAULT_INDICES.get(name, 4)
+    given = {"max_size": max_size, "max_index": max_index}
     if name in _CHARGE_SUITES:
-        return SUITES[name](size, index, charge_bound if charge_bound is not None else 2)
-    return SUITES[name](size, index)
+        given["charge_bound"] = charge_bound
+    # an argument left out takes the suite's own default
+    return SUITES[name](**{key: value for key, value in given.items() if value is not None})
 
 
 def report_json(results: list[CheckResult]) -> dict:

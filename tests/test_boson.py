@@ -204,3 +204,45 @@ def test_parse_round_trip_with_q():
 def test_json_round_trip():
     f = schur(P(2, 1)) + BosonPolynomial.q(2) * poly("p1")
     assert BosonPolynomial.from_json(f.to_json()) == f
+
+
+@pytest.mark.parametrize("data", [
+    [{"p": [[0, 1]], "coeff": "1"}],
+    [{"p": [[1, -1]], "coeff": "1"}],
+    [{"p": [[1, 0]], "coeff": "1"}],
+    [{"p": [[2, 1], [2, 1]], "coeff": "1"}],
+    [{"p": [[1]], "coeff": "1"}],
+    [{"p": [[1, True]], "coeff": "1"}],
+    [{"p": [1], "coeff": "1"}],
+    [{"p": "p1", "coeff": "1"}],
+    [{"q": "1", "coeff": "1"}],
+    [{"p": [[1, 1]]}],
+    [{"p": [[1, 1]], "coeff": 1}],
+    [{"p": [[1, 1]], "coeff": "1/0"}],
+    [[[1, 1]]],
+    {"p": [[1, 1]], "coeff": "1"},
+    "p1",
+    None,
+])
+def test_from_json_rejects_malformed_input(data):
+    with pytest.raises(ValueError):
+        BosonPolynomial.from_json(data)
+
+
+def test_from_json_reads_what_to_json_writes():
+    data = [{"q": -1, "p": [[1, 2], [3, 1]], "coeff": "-1/2"}, {"coeff": "3"}]
+    f = BosonPolynomial.from_json(data)
+    assert str(f) == "q^-1 * ((-1/2)*p1^2 p3) + 3"
+    assert f.to_json() == [data[0], {"q": 0, "p": [], "coeff": "3"}]
+
+
+def test_hostile_p_exponents_are_rejected_before_any_work():
+    # a p-monomial stores one part per factor, so its factor count is bounded
+    with pytest.raises(ValueError):
+        parse_boson("p1^1000000001")
+    with pytest.raises(ValueError):
+        parse_boson("(p1^1000)^1001")
+    with pytest.raises(ValueError):
+        BosonPolynomial.from_json([{"p": [[1, 10**9]], "coeff": "1"}])
+    assert str(parse_boson("q^1000000001")) == "q^1000000001"
+    assert str(parse_boson("p2^3 p1^1000")) == "p1^1000 p2^3"

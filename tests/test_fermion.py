@@ -283,3 +283,23 @@ def test_state_round_trips(state):
 @given(fermion_states(), fermion_states(), st.integers(-4, 4))
 def test_psi_adjointness_random(left, right, j):
     assert hermitian_form(psi(j, left), right) == hermitian_form(left, psi_star(j, right))
+
+
+@pytest.mark.parametrize("data", [
+    [{"charge": 0, "partition": [1]}],
+    [{"charge": 0, "partition": [1], "coeff": 1}],
+    [{"charge": "0", "partition": [1], "coeff": "1"}],
+    [{"charge": True, "partition": [1], "coeff": "1"}],
+    [{"charge": 0, "coeff": "1"}],
+    [{"charge": 0, "partition": [1.0], "coeff": "1"}],
+    [{"charge": 0, "partition": "[1]", "coeff": "1"}],
+    [{"charge": 0, "partition": [1, 2], "coeff": "1"}],
+    [{"charge": 0, "partition": [0], "coeff": "1"}],
+    [{"charge": 0, "partition": [1], "coeff": "x"}],
+    [[0, [1], "1"]],
+    {"charge": 0, "partition": [1], "coeff": "1"},
+    None,
+])
+def test_from_json_rejects_malformed_input(data):
+    with pytest.raises(ValueError):
+        FermionState.from_json(data)

@@ -75,9 +75,7 @@ def test_pushforward_pullback():
     for shape in partitions_up_to(6):
         pushed = pushforward(shape, TScalar.one())
         assert pullback(pushed, shape) == euler_class(shape)
-    assert pushforward(P(1), TScalar.one(), 1).restrictions == {P(1): ts("-t^2")}
-    with pytest.raises(ValueError):
-        pushforward(P(1), TScalar.one(), 2)
+    assert pushforward(P(1), TScalar.one()).restrictions == {P(1): ts("-t^2")}
 
 
 def test_cup_disjoint_supports():

@@ -213,3 +213,25 @@ def test_shared_grammar_forms(parse, literal, printed):
 def test_malformed_products_are_rejected(parse, literal):
     with pytest.raises(ValueError):
         parse(literal)
+
+
+@pytest.mark.parametrize("parse, literal", [
+    (parse_tscalar, "1/0"),
+    (parse_fermion, "1/0*phi[1]"),
+    (parse_boson, "p1/0"),
+    (parse_quiver, "1/0*1@[1]"),
+])
+def test_zero_divisor_is_a_value_error(parse, literal):
+    with pytest.raises(ValueError):
+        parse(literal)
+
+
+def test_zero_divisor_message_names_the_literal():
+    with pytest.raises(ValueError, match=r"division by zero in state literal '1/0\*phi\[1\]'"):
+        parse_fermion("1/0*phi[1]")
+
+
+def test_zero_divisor_exits_2_with_a_message(capsys):
+    assert main(["correspond", "tau", "1/0*phi[1]"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: division by zero in state literal")

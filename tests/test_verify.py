@@ -1,6 +1,13 @@
+from bosonfermion import geometry, partitions
 from bosonfermion.fermion import basis_state
 from bosonfermion.partitions import Partition
-from bosonfermion.verify import _Check, correspondence_suite, heisenberg_geometric_suite
+from bosonfermion.verify import (
+    _Check,
+    correspondence_suite,
+    euler_suite,
+    heisenberg_geometric_suite,
+    run_suite,
+)
 
 
 class _Unprintable:
@@ -23,3 +30,67 @@ def test_cross_checks_run_and_pass():
     results = {r.name: r for r in heisenberg_geometric_suite(5, 3) + correspondence_suite(4, 2, 1)}
     for name in ("geometric-boson-transport", "schur-expand-rebuild"):
         assert results[name].passed and results[name].checked > 0
+
+
+# (name, checked, passed) of every check of `verify all --max-size 4`, in
+# order; the defaults each suite applies to the index and charge bound are
+# part of what this pins (clifford sweeps indices up to 5).
+ALL_AT_SIZE_4 = [
+    ("clifford-anticommutators", 7260, True),
+    ("psi-adjointness", 6336, True),
+    ("charge-shift", 660, True),
+    ("vacuum-annihilation", 55, True),
+    ("alpha-commutators", 972, True),
+    ("alpha0-charge", 60, True),
+    ("alpha-adjointness", 576, True),
+    ("oscillator-commutators", 972, True),
+    ("geometric-boson-commutators", 972, True),
+    ("geometric-boson-adjointness", 52, True),
+    ("geometric-boson-transport", 108, True),
+    ("ef-commutators", 864, True),
+    ("cartan-eigenvalues", 108, True),
+    ("serre-relations", 216, True),
+    ("distant-commutation", 672, True),
+    ("highest-weight", 9, True),
+    ("point-dimension-formula", 139, True),
+    ("schur-orthonormality", 40, True),
+    ("power-sum-pairing", 40, True),
+    ("point-class-orthonormality", 40, True),
+    ("geometric-power-sum-pairing", 40, True),
+    ("schur-two-determinants", 12, True),
+    ("schur-expand-rebuild", 12, True),
+    ("oscillator-intertwining", 540, True),
+    ("schur-basis-bijection", 12, True),
+    ("form-preservation", 144, True),
+    ("full-square", 12, True),
+    ("tau-intertwining", 108, True),
+    ("eta-isometry", 40, True),
+    ("eta-inverse", 12, True),
+    ("tau-energy-grading", 12, True),
+    ("c2-toy", 3, True),
+    ("euler-closed-form", 12, True),
+    ("pullback-of-pushforward", 12, True),
+]
+
+
+def test_run_suite_all_at_size_4_is_pinned():
+    results = run_suite("all", 4)
+    assert [(r.name, r.checked, r.passed) for r in results] == ALL_AT_SIZE_4
+
+
+def test_run_suite_takes_every_argument_positionally():
+    assert [r.checked for r in run_suite("euler", 4, 4, 2)] == [12, 12]
+    assert [r.checked for r in run_suite("c2-toy", 8, 4, 2)] == [3]
+
+
+def test_corrupt_closed_form_euler_class_fails_with_a_witness(monkeypatch):
+    monkeypatch.setattr(geometry, "hook_product", lambda shape: partitions.hook_product(shape) + 1)
+    geometry.euler_class.cache_clear()
+    try:
+        results = {r.name: r for r in euler_suite(4)}
+    finally:
+        geometry.euler_class.cache_clear()
+    closed = results["euler-closed-form"]
+    assert not closed.passed and closed.checked == 12
+    assert closed.counterexample == "shape=[]"
+    assert not results["pullback-of-pushforward"].passed
