@@ -9,6 +9,7 @@ sigma.
 
 from .boson import (
     BosonPolynomial,
+    characters,
     elementary_schur,
     hall_form,
     oscillator,

@@ -6,10 +6,11 @@ power-sum polynomials of a partition of n are homogeneous of degree n.
 """
 
 from functools import cache
+from math import lcm
 from typing import NamedTuple
 
 from .linear import LinearCombination, accumulate, power
-from .partitions import Partition, partitions_of, z_factor
+from .partitions import Partition, partitions_of, ribbons, z_factor
 from .scalars import ONE, Rational, ZERO, is_integer, read_terms
 from .text import Grammar, parse
 
@@ -216,8 +217,41 @@ def schur_jacobi_trudi(shape: Partition, order: int) -> BosonPolynomial:
     return _determinant(matrix)
 
 
+# The largest degree of the character table, so that the memo tables of
+# `characters` and `schur` stay finite; degree 20 builds in about 2 s.
+MAX_SCHUR_DEGREE = 20
+
+
+@cache
+def characters(n: int) -> dict[Partition, dict[Partition, int]]:
+    """Character table of S_n as {shape: {cycle type mu: chi^shape(mu) != 0}}.
+
+    Murnaghan-Nakayama: chi^shape(mu) is the sum of sign * chi^rho(mu_2, ...)
+    over the border strips (sign, rho) of size mu_1 in ribbons(shape, mu_1).
+    """
+    if not 0 <= n <= MAX_SCHUR_DEGREE:
+        raise ValueError(f"Schur data is available for degrees 0 to {MAX_SCHUR_DEGREE}, got {n}")
+    if n == 0:
+        return {Partition(): {Partition(): 1}}
+    columns = [(mu, mu[0], mu[1:], characters(n - mu[0])) for mu in partitions_of(n)]
+    table = {}
+    for shape in partitions_of(n):
+        row = {}
+        for mu, first, rest, smaller in columns:
+            value = sum(sign * smaller[rho].get(rest, 0) for sign, rho in ribbons(shape, first))
+            if value:
+                row[mu] = value
+        table[shape] = row
+    return table
+
+
+@cache
 def schur(shape: Partition) -> BosonPolynomial:
-    return schur_jacobi_trudi(shape, len(shape))
+    """S_shape = sum over mu of chi^shape(mu) / z_mu * p_mu."""
+    return BosonPolynomial._make({
+        BosonMonomial(0, mu): Rational(chi, z_factor(mu))
+        for mu, chi in characters(shape.size())[shape].items()
+    })
 
 
 def power_sum(shape: Partition) -> BosonPolynomial:
@@ -238,28 +272,18 @@ def hall_form(f: BosonPolynomial, g: BosonPolynomial) -> Rational:
     return total
 
 
-@cache
-def _mono_schur_index(n: int) -> dict[BosonMonomial, tuple[tuple[Partition, Rational], ...]]:
-    """For degree n, map each monomial to its Hall pairings with every S_shape."""
-    index: dict[BosonMonomial, list[tuple[Partition, Rational]]] = {}
-    for shape in partitions_of(n):
-        for mono, coeff in schur(shape).terms.items():
-            index.setdefault(mono, []).append((shape, coeff * z_factor(mono.shape)))
-    return {mono: tuple(entries) for mono, entries in index.items()}
-
-
 def schur_expand(f: BosonPolynomial) -> dict[Partition, Rational]:
-    """Coefficients of a homogeneous q^0 polynomial in the Schur basis."""
+    """Coefficients of a homogeneous q^0 polynomial in the Schur basis: p_mu
+    is the sum over shapes of chi^shape(mu) * S_shape."""
     f.require_q0()
     if f.is_zero():
         return {}
-    n = f.p_degree()
-    index = _mono_schur_index(n)
-    return accumulate(
-        (shape, coeff * weight)
-        for mono, coeff in f.terms.items()
-        for shape, weight in index.get(mono, ())
-    )
+    table = characters(f.p_degree())
+    # Integer numerators over one common denominator: a single division per shape.
+    common = lcm(*(c.denominator for c in f.terms.values()))
+    numerators = [(mono.shape, c.numerator * (common // c.denominator)) for mono, c in f.terms.items()]
+    totals = ((shape, sum(a * row.get(mu, 0) for mu, a in numerators)) for shape, row in table.items())
+    return {shape: Rational(total, common) for shape, total in totals if total}
 
 
 # --- text form ---------------------------------------------------------------

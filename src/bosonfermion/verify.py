@@ -350,14 +350,15 @@ def orthonormality_suite(max_size: int = 8, max_index: int = 4) -> list[CheckRes
 
 
 def correspondence_suite(max_size: int = 8, max_index: int = 4, charge_bound: int = 2) -> list[CheckResult]:
-    """The dictionary: two-route Schur values, the Schur-expansion rebuild,
+    """The dictionary: Schur values from the character table against both
+    Jacobi-Trudi determinants, the Schur-expansion rebuild,
     intertwining of alpha_n with the oscillators, and form preservation."""
     shapes = partitions_up_to(max_size)
     two_route = _Check("schur-two-determinants")
     for shape in shapes:
         narrow = schur_jacobi_trudi(shape, len(shape))
         wide = schur_jacobi_trudi(shape, shape.size()) if shape.size() else narrow
-        two_route.record(narrow == wide, "shape={}", shape)
+        two_route.record(schur(shape) == narrow == wide, "shape={}", shape)
     rebuild = _Check("schur-expand-rebuild")
     for shape in shapes:
         f = power_sum(shape)
@@ -493,6 +494,7 @@ def run_suite(
 
 def report_json(results: list[CheckResult]) -> dict:
     return {
+        "backend": Rational.__module__,
         "passed": all(r.passed for r in results),
         "checks": [r.to_json() for r in results],
     }

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bosonfermion.boson import (
+    MAX_SCHUR_DEGREE,
     BosonPolynomial,
+    characters,
     elementary_schur,
     hall_form,
     oscillator,
@@ -107,6 +109,54 @@ def test_schur_homogeneous():
             assert s == BosonPolynomial.one()
         else:
             assert s.p_degree() == shape.size()
+
+
+def _dense_table(n: int) -> list[list[int]]:
+    """chi^shape(mu) for shapes (rows) and cycle types (columns) in partitions_of order."""
+    table = characters(n)
+    assert all(0 not in row.values() for row in table.values())
+    return [[table[shape].get(mu, 0) for mu in partitions_of(n)] for shape in partitions_of(n)]
+
+
+def test_character_tables_of_s3_and_s4():
+    # rows and columns in the order [n], ..., [1^n]
+    assert _dense_table(3) == [
+        [1, 1, 1],
+        [-1, 0, 2],
+        [1, -1, 1],
+    ]
+    assert _dense_table(4) == [
+        [1, 1, 1, 1, 1],
+        [-1, 0, -1, 1, 3],
+        [0, -1, 2, 0, 2],
+        [1, 0, -1, -1, 3],
+        [-1, 1, 1, -1, 1],
+    ]
+    assert characters(0) == {P(): {P(): 1}}
+
+
+def test_character_columns_are_orthogonal():
+    for n in range(11):
+        table = characters(n)
+        for mu in partitions_of(n):
+            for nu in partitions_of(n):
+                total = sum(row.get(mu, 0) * row.get(nu, 0) for row in table.values())
+                assert total == (z_factor(mu) if mu == nu else 0)
+
+
+def test_schur_matches_jacobi_trudi():
+    for shape in partitions_up_to(9):
+        assert schur(shape) == schur_jacobi_trudi(shape, len(shape))
+
+
+def test_schur_degree_limit():
+    assert MAX_SCHUR_DEGREE == 20
+    with pytest.raises(ValueError):
+        characters(MAX_SCHUR_DEGREE + 1)
+    with pytest.raises(ValueError):
+        schur(P(MAX_SCHUR_DEGREE + 1))
+    with pytest.raises(ValueError):
+        schur_expand(poly("p7^3"))
 
 
 # --- power sums and the Hall form ------------------------------------------------------

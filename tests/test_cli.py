@@ -127,6 +127,14 @@ def test_verify_small(capsys):
     assert all(c["passed"] for c in report["checks"])
 
 
+def test_verify_json_reports_the_rational_backend(capsys):
+    from bosonfermion.scalars import Rational
+
+    code, out, _ = run_cli(capsys, "verify", "c2-toy", "--json")
+    assert code == 0
+    assert json.loads(out)["backend"] == Rational.__module__ in ("fractions", "gmpy2")
+
+
 def test_verify_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "bogus"])
@@ -197,3 +205,20 @@ def test_hostile_exponent_on_a_monomial_returns_fast():
     )
     assert proc.returncode == 0
     assert proc.stdout == "t^3000000\n"
+
+
+def test_schur_data_of_high_degree_returns_or_fails_fast():
+    def correspond(literal):
+        return subprocess.run(
+            [sys.executable, "-m", "bosonfermion.cli", "correspond", "sigma-inverse", literal],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+
+    proc = correspond("p6^3")  # degree 18
+    assert proc.returncode == 0
+    assert str(parse_fermion(proc.stdout.strip())) == proc.stdout.strip()
+    proc = correspond("p7^3")  # degree 21, above the limit
+    assert proc.returncode == 2
+    assert proc.stdout == "" and proc.stderr.startswith("error:")

@@ -1,4 +1,4 @@
-from bosonfermion import geometry, partitions
+from bosonfermion import boson, geometry, partitions
 from bosonfermion.fermion import basis_state
 from bosonfermion.partitions import Partition
 from bosonfermion.verify import (
@@ -94,3 +94,23 @@ def test_corrupt_closed_form_euler_class_fails_with_a_witness(monkeypatch):
     assert not closed.passed and closed.checked == 12
     assert closed.counterexample == "shape=[]"
     assert not results["pullback-of-pushforward"].passed
+
+
+def test_flipped_ribbon_sign_in_the_character_table_fails_two_determinants(monkeypatch):
+    def flipped(shape, k):
+        strips = partitions.ribbons(shape, k)
+        if (shape, k) == ((3, 1), 2):
+            return tuple((-sign, rho) for sign, rho in strips)
+        return strips
+
+    monkeypatch.setattr(boson, "ribbons", flipped)
+    boson.characters.cache_clear()
+    boson.schur.cache_clear()
+    try:
+        results = {r.name: r for r in correspondence_suite(4, 1, 0)}
+    finally:
+        boson.characters.cache_clear()
+        boson.schur.cache_clear()
+    two_route = results["schur-two-determinants"]
+    assert not two_route.passed and two_route.checked == 12
+    assert two_route.counterexample == "shape=[3,1]"
