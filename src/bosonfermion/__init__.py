@@ -72,12 +72,10 @@ from .partitions import (
     dimension_vector,
     hook,
     hook_product,
-    monomial_indices,
     parse_partition,
     partitions_of,
     removable_boxes,
     residue,
-    shape_from_indices,
     z_factor,
 )
 from .scalars import Rational, TLaurent, TScalar, parse_tscalar, rat

@@ -16,11 +16,12 @@ State literals: "vac(m)", "phi[2,1]", "phi[2,1]@m" and sums such as
 classes, JSON).  Operator tokens: psi(j), psi*(j), alpha(n), e(k), f(k) on
 fermionic states; E(k), F(k) (or e/f) on fixed-point classes; p(k) on bosonic
 polynomials and localized classes.  Operator words act right-to-left.
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error, 141 stdout closed early.
 """
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -302,10 +303,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed the pipe makes this raise here, not at exit
+        return code
     except (ValueError, ZeroDivisionError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # e.g. `| head`; stdout goes to devnull so the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, the status a shell reports for a writer killed by a closed pipe
 
 
 if __name__ == "__main__":

@@ -7,7 +7,6 @@ the index at position s carries (-1)^s.  Insertion in front (j above every
 index) has sign +1, the unique extension keeping the Clifford relations exact.
 """
 
-from functools import cache
 from typing import NamedTuple
 
 from .linear import LinearCombination, accumulate
@@ -23,48 +22,53 @@ class ChargedMonomial(NamedTuple):
     def energy(self) -> int:
         return self.shape.size()
 
-    def index(self, k: int) -> int:
-        return self.charge - k + self.shape.part(k)
 
-    def occupied(self, j: int) -> bool:
-        if j <= self.charge - len(self.shape):
-            return True
-        return any(self.index(k) == j for k in range(len(self.shape)))
-
+# Both kernels walk the beads i_k = m - k + shape_k (k < len(shape)) from the
+# top until they reach j; below them every position <= m - len(shape) is filled.
+# The parts they build are weakly decreasing by construction, so the shape
+# skips Partition's validation.
 
 def _wedge_in(j: int, mono: ChargedMonomial):
     """Insert index j; None when occupied, else (sign, monomial)."""
-    if mono.occupied(j):
-        return None
     m, shape = mono
     s = 0
-    while mono.index(s) > j:
+    for part in shape:
+        bead = m - s + part
+        if bead <= j:
+            if bead == j:
+                return None
+            break
         s += 1
-    parts = [shape.part(k) - 1 for k in range(s)]
-    parts.append(j - (m + 1) + s)
+    else:
+        if j <= m - s:
+            return None
+    parts = [p - 1 for p in shape[:s]]
+    parts.append(j - m - 1 + s)
     parts.extend(shape[s:])
-    while parts and parts[-1] == 0:
+    while parts and not parts[-1]:
         parts.pop()
-    return (-1) ** s, ChargedMonomial(m + 1, Partition(parts))
+    return -1 if s & 1 else 1, ChargedMonomial(m + 1, tuple.__new__(Partition, parts))
 
 
 def _contract_out(j: int, mono: ChargedMonomial):
     """Delete index j; None when absent, else (sign, monomial)."""
     m, shape = mono
-    if j <= m - len(shape):
-        s = m - j
+    s = 0
+    for part in shape:
+        bead = m - s + part
+        if bead <= j:
+            if bead < j:
+                return None
+            break
+        s += 1
     else:
-        for k in range(len(shape)):
-            if mono.index(k) == j:
-                s = k
-                break
-        else:
+        if j > m - s:
             return None
-    parts = [shape.part(k) + 1 for k in range(s)]
-    parts.extend(shape[s + 1:])
-    while parts and parts[-1] == 0:
-        parts.pop()
-    return (-1) ** s, ChargedMonomial(m - 1, Partition(parts))
+        s = m - j
+    parts = [p + 1 for p in shape[:s]]
+    parts += [1] * (s - len(shape))  # a slot in the tail: the empty rows above it become 1s
+    parts += shape[s + 1:]
+    return -1 if s & 1 else 1, ChargedMonomial(m - 1, tuple.__new__(Partition, parts))
 
 
 class FermionState(LinearCombination):
@@ -127,26 +131,26 @@ def vacuum(charge: int = 0) -> FermionState:
     return basis_state(charge, Partition())
 
 
-def _apply_monomial_op(op, state: FermionState) -> FermionState:
-    """Linear extension of op: monomial -> None | (sign, monomial)."""
-    def images():
-        for mono, coeff in state.terms.items():
-            hit = op(mono)
-            if hit is not None:
-                sign, target = hit
-                yield target, coeff if sign > 0 else -coeff
-
-    return FermionState._make(accumulate(images()))
+def _apply_monomial_op(op, j: int, state: FermionState) -> FermionState:
+    """Linear extension of op(j, monomial) -> None | (sign, monomial).  Both
+    ops are injective on monomials, so no two terms land on one monomial."""
+    images = {}
+    for mono, coeff in state.terms.items():
+        hit = op(j, mono)
+        if hit is not None:
+            sign, target = hit
+            images[target] = coeff if sign > 0 else -coeff
+    return FermionState._make(images)
 
 
 def psi(j: int, state: FermionState) -> FermionState:
     """Wedging operator: creates a particle in state j, raising charge by one."""
-    return _apply_monomial_op(lambda mono: _wedge_in(j, mono), state)
+    return _apply_monomial_op(_wedge_in, j, state)
 
 
 def psi_star(j: int, state: FermionState) -> FermionState:
     """Contracting operator: annihilates the particle in state j, lowering charge."""
-    return _apply_monomial_op(lambda mono: _contract_out(j, mono), state)
+    return _apply_monomial_op(_contract_out, j, state)
 
 
 class GlMatrix:
@@ -170,7 +174,6 @@ class GlMatrix:
         return f"GlMatrix({self.entries!r})"
 
 
-@cache
 def _unit_action(i: int, j: int, mono: ChargedMonomial):
     """psi_i psi*_j on a monomial: None or (sign, monomial)."""
     removed = _contract_out(j, mono)
@@ -207,19 +210,16 @@ def chevalley_f(k: int, state: FermionState) -> FermionState:
     return gl_action(GlMatrix.unit(k + 1, k), state)
 
 
-@cache
-def _alpha_moves(n: int, mono: ChargedMonomial) -> tuple[tuple[int, ChargedMonomial], ...]:
-    """Nonzero contributions of sum_j psi_j psi*_{j+n} on a monomial."""
+def _alpha_moves(n: int, mono: ChargedMonomial):
+    """Nonzero terms (sign, monomial) of sum_j psi_j psi*_{j+n} on a monomial.
+    Each moves one bead from j + n to a free j; the tail below the beads
+    i_k (k < len(shape)) only lets its top -n beads move, and only for n < 0."""
     m, shape = mono
-    top = m + shape.part(0)
-    moves = []
-    for j in range(m - len(shape) + 1, top - n + 1):
-        if mono.occupied(j) or not mono.occupied(j + n):
-            continue
-        sign1, mid = _contract_out(j + n, mono)
-        sign2, target = _wedge_in(j, mid)
-        moves.append((sign1 * sign2, target))
-    return tuple(moves)
+    for k in range(len(shape) + max(-n, 0)):
+        bead = m - k + shape.part(k)
+        hit = _unit_action(bead - n, bead, mono)
+        if hit is not None:
+            yield hit
 
 
 def alpha(n: int, state: FermionState) -> FermionState:

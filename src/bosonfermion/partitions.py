@@ -206,25 +206,6 @@ def cartan_apply(counts: dict[int, int], k: int) -> int:
     return 2 * counts.get(k, 0) - counts.get(k - 1, 0) - counts.get(k + 1, 0)
 
 
-def monomial_indices(shape: Partition, charge: int, count: int) -> tuple[int, ...]:
-    """First ``count`` indices i_k = (charge - k) + shape_k of the wedge word."""
-    return tuple(charge - k + shape.part(k) for k in range(count))
-
-
-def shape_from_indices(indices: Iterable[int], charge: int) -> Partition:
-    """Inverse of monomial_indices: read off shape_k = i_k - (charge - k).
-
-    The given prefix must already have merged with the vacuum tail, i.e. its
-    trailing entries satisfy i_k = charge - k.
-    """
-    parts = []
-    for k, i in enumerate(indices):
-        parts.append(i - (charge - k))
-    while parts and parts[-1] == 0:
-        parts.pop()
-    return Partition(parts)
-
-
 @cache
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n in reverse-lexicographic order, e.g. (3), (2,1), (1,1,1)."""

@@ -103,44 +103,44 @@ def clifford_suite(max_size: int = 6, max_index: int = 5, charge_bound: int = 2)
     anti = _Check("clifford-anticommutators")
     adjoint = _Check("psi-adjointness")
     vac_ann = _Check("vacuum-annihilation")
-    monos = [
-        basis_state(m, shape)
-        for m in _charges(charge_bound)
-        for shape in partitions_up_to(max_size)
-    ]
+    shapes = partitions_up_to(max_size)
+    monos = [basis_state(m, shape) for m in _charges(charge_bound) for shape in shapes]
     indices = range(-max_index, max_index + 1)
-    for state in monos:
+    # psi and psi* of every grid state, computed once; each check below reads
+    # a psi image against a psi* image, or one operator order against the other
+    up = [{j: psi(j, state) for j in indices} for state in monos]
+    down = [{j: psi_star(j, state) for j in indices} for state in monos]
+    for state, psi_of, psi_star_of in zip(monos, up, down):
+        psi_psi = {(i, j): psi(i, psi_of[j]) for i in indices for j in indices}
+        star_star = {(i, j): psi_star(i, psi_star_of[j]) for i in indices for j in indices}
         for i in indices:
-            psi_i = psi(i, state)
-            psi_star_i = psi_star(i, state)
             for j in indices:
-                mixed = psi(i, psi_star(j, state)) + psi_star(j, psi(i, state))
+                mixed = psi(i, psi_star_of[j]) + psi_star(j, psi_of[i])
                 expected = state if i == j else FermionState.zero()
                 ok = mixed == expected
-                ok = ok and (psi(i, psi(j, state)) + psi(j, psi_i)).is_zero()
-                ok = ok and (psi_star(i, psi_star(j, state)) + psi_star(j, psi_star_i)).is_zero()
+                ok = ok and (psi_psi[i, j] + psi_psi[j, i]).is_zero()
+                ok = ok and (star_star[i, j] + star_star[j, i]).is_zero()
                 anti.record(ok, "i={}, j={}, state={}", i, j, state)
     # cross-charge pairs vanish on both sides (charge shift is checked below),
-    # so the adjointness sweep pairs charge m with charge m + 1 only
-    by_charge: dict[int, list[FermionState]] = {}
-    for state in monos:
-        by_charge.setdefault(state.charge(), []).append(state)
-    for m, lefts in by_charge.items():
-        rights = by_charge.get(m + 1, [])
-        for left in lefts:
-            for right in rights:
+    # so the adjointness sweep pairs charge m with charge m + 1 only; the grid
+    # holds the states of each charge in one block of len(shapes)
+    block = len(shapes)
+    for start in range(0, len(monos) - block, block):
+        for a in range(start, start + block):
+            (left_mono,), psi_of = monos[a].terms, up[a]
+            for b in range(start + block, start + 2 * block):
+                (right_mono,), psi_star_of = monos[b].terms, down[b]
                 for j in indices:
-                    lhs = fermion.hermitian_form(psi(j, left), right)
-                    rhs = fermion.hermitian_form(left, psi_star(j, right))
-                    adjoint.record(lhs == rhs, "j={}, pair=({}, {})", j, left, right)
+                    lhs = psi_of[j].terms.get(right_mono, 0)
+                    rhs = psi_star_of[j].terms.get(left_mono, 0)
+                    adjoint.record(lhs == rhs, "j={}, pair=({}, {})", j, monos[a], monos[b])
     shift = _Check("charge-shift")
-    for state in monos:
+    for state, psi_of, psi_star_of in zip(monos, up, down):
         m = state.charge()
         for j in indices:
-            up = psi(j, state)
-            down = psi_star(j, state)
-            ok = up.is_zero() or up.charge() == m + 1
-            ok = ok and (down.is_zero() or down.charge() == m - 1)
+            image_up, image_down = psi_of[j], psi_star_of[j]
+            ok = image_up.is_zero() or image_up.charge() == m + 1
+            ok = ok and (image_down.is_zero() or image_down.charge() == m - 1)
             shift.record(ok, "j={}, state={}", j, state)
     for m in _charges(charge_bound):
         vac = fermion.vacuum(m)
@@ -158,22 +158,26 @@ def heisenberg_fermion_suite(max_size: int = 8, max_index: int = 4, charge_bound
     adjoint = _Check("alpha-adjointness")
     shapes = partitions_up_to(max_size)
     states = [basis_state(0, shape) for shape in shapes]
-    for state in states:
-        images = {l: alpha(l, state) for l in range(-max_index, max_index + 1)}
-        for k in range(-max_index, max_index + 1):
-            for l, inner in images.items():
-                commutator = alpha(k, inner) - alpha(l, alpha(k, state))
+    indices = range(-max_index, max_index + 1)
+    images = [{l: alpha(l, state) for l in indices} for state in states]
+    for state, once in zip(states, images):
+        twice = {(k, l): alpha(k, once[l]) for k in indices for l in indices}
+        for k in indices:
+            for l in indices:
+                commutator = twice[k, l] - twice[l, k]
                 expected = state.scale(k) if k == -l else FermionState.zero()
                 comm.record(commutator == expected, "k={}, l={}, state={}", k, l, state)
     for m in _charges(charge_bound):
         for shape in partitions_up_to(min(max_size, 4)):
             state = basis_state(m, shape)
             charge_action.record(alpha(0, state) == state.scale(m), "state={}", state)
-    for left in states:
-        for right in states:
+    for left, left_images in zip(states, images):
+        (left_mono,) = left.terms
+        for right, right_images in zip(states, images):
+            (right_mono,) = right.terms
             for k in range(1, max_index + 1):
-                lhs = fermion.hermitian_form(alpha(-k, left), right)
-                rhs = fermion.hermitian_form(left, alpha(k, right))
+                lhs = left_images[-k].terms.get(right_mono, 0)
+                rhs = right_images[k].terms.get(left_mono, 0)
                 adjoint.record(lhs == rhs, "k={}, pair=({}, {})", k, left, right)
     return [comm.result(), charge_action.result(), adjoint.result()]
 
@@ -181,11 +185,14 @@ def heisenberg_fermion_suite(max_size: int = 8, max_index: int = 4, charge_bound
 def heisenberg_boson_suite(max_size: int = 8, max_index: int = 4) -> list[CheckResult]:
     """Oscillator commutators on the polynomial side."""
     comm = _Check("oscillator-commutators")
+    indices = range(-max_index, max_index + 1)
     for shape in partitions_up_to(max_size):
         f = power_sum(shape)
-        for k in range(-max_index, max_index + 1):
-            for l in range(-max_index, max_index + 1):
-                commutator = oscillator(k, oscillator(l, f)) - oscillator(l, oscillator(k, f))
+        once = {l: oscillator(l, f) for l in indices}
+        twice = {(k, l): oscillator(k, once[l]) for k in indices for l in indices}
+        for k in indices:
+            for l in indices:
+                commutator = twice[k, l] - twice[l, k]
                 expected = f.scale(k) if k == -l else BosonPolynomial.zero()
                 comm.record(commutator == expected, "k={}, l={}, monomial={}", k, l, f)
     return [comm.result()]
@@ -264,12 +271,19 @@ def serre_suite(max_size: int = 8, max_index: int = 4) -> list[CheckResult]:
     dimension = _Check("point-dimension-formula")
     shapes = partitions_up_to(max_size)
     indices = range(-max_index, max_index + 1)
+    reach = range(-max_index - 1, max_index + 2)  # and the Serre neighbours k - 1, k + 1
+
+    def ad2(op, once, a, b):  # op_a op_a op_b - 2 op_a op_b op_a + op_b op_a op_a, op_c = once[c]
+        return op(a, op(a, once[b])) - op(a, op(b, once[a])).scale(Rational(2)) + op(b, op(a, once[a]))
+
     for shape in shapes:
         basis = QuiverClass.graded_unit(shape)
         counts = dimension_vector(shape)
+        e_once = {k: hecke_e(k, basis) for k in reach}
+        f_once = {k: hecke_f(k, basis) for k in reach}
         for k in indices:
-            ek_f = hecke_e(k, hecke_f(k, basis))
-            f_ek = hecke_f(k, hecke_e(k, basis))
+            ek_f = hecke_e(k, f_once[k])
+            f_ek = hecke_f(k, e_once[k])
             eigenvalue = (1 if k == 0 else 0) - cartan_apply(counts, k)
             box_count = len(addable_boxes(shape, k)) - len(removable_boxes(shape, k))
             weight = weight_of(shape).get(k, 0)
@@ -279,21 +293,15 @@ def serre_suite(max_size: int = 8, max_index: int = 4) -> list[CheckResult]:
             eigen.record(ok, "k={}, shape={}", k, shape)
             for l in indices:
                 if l != k:
-                    lhs = hecke_e(k, hecke_f(l, basis)) - hecke_f(l, hecke_e(k, basis))
+                    lhs = hecke_e(k, f_once[l]) - hecke_f(l, e_once[k])
                     ef_comm.record(lhs.is_zero(), "k={}, l={}, shape={}", k, l, shape)
                 if abs(l - k) >= 2:
-                    ee = hecke_e(k, hecke_e(l, basis)) - hecke_e(l, hecke_e(k, basis))
-                    ff = hecke_f(k, hecke_f(l, basis)) - hecke_f(l, hecke_f(k, basis))
+                    ee = hecke_e(k, e_once[l]) - hecke_e(l, e_once[k])
+                    ff = hecke_f(k, f_once[l]) - hecke_f(l, f_once[k])
                     distant.record(ee.is_zero() and ff.is_zero(), "k={}, l={}, shape={}", k, l, shape)
             for j in (k - 1, k + 1):
-                def ad2(op, a, b, target):
-                    return (
-                        op(a, op(a, op(b, target)))
-                        - op(a, op(b, op(a, target))).scale(Rational(2))
-                        + op(b, op(a, op(a, target)))
-                    )
-                e_side = ad2(hecke_e, k, j, basis)
-                f_side = ad2(hecke_f, k, j, basis)
+                e_side = ad2(hecke_e, e_once, k, j)
+                f_side = ad2(hecke_f, f_once, k, j)
                 serre.record(e_side.is_zero() and f_side.is_zero(), "k={}, j={}, shape={}", k, j, shape)
     vacuum_class = QuiverClass.unit(Partition())
     for k in indices:

@@ -222,3 +222,17 @@ def test_schur_data_of_high_degree_returns_or_fails_fast():
     proc = correspond("p7^3")  # degree 21, above the limit
     assert proc.returncode == 2
     assert proc.stdout == "" and proc.stderr.startswith("error:")
+
+
+def test_closed_stdout_exits_without_a_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bosonfermion.cli", "schur", "[12]"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    proc.stdout.close()  # the reader goes away before anything is written
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=30) == 141
+    assert err == ""

@@ -16,13 +16,7 @@ from bosonfermion.fermion import (
     psi_star,
     vacuum,
 )
-from bosonfermion.partitions import (
-    Partition,
-    monomial_indices,
-    partitions_of,
-    partitions_up_to,
-    shape_from_indices,
-)
+from bosonfermion.partitions import Partition, partitions_of, partitions_up_to
 from bosonfermion.scalars import rat
 
 
@@ -34,15 +28,62 @@ def phi(shape, charge=0) -> FermionState:
     return basis_state(charge, Partition(shape))
 
 
-# --- independent oracle: the derivation rule, slot by slot -----------------------------
+# --- independent oracles: explicit finite wedge words -----------------------------------
+
+def wedge_word(shape: Partition, charge: int, count: int) -> tuple[int, ...]:
+    """First ``count`` indices i_k = (charge - k) + shape_k of the wedge word."""
+    return tuple(charge - k + (shape[k] if k < len(shape) else 0) for k in range(count))
+
+
+def shape_of_word(word, charge: int) -> Partition:
+    """Inverse of wedge_word: read off shape_k = i_k - (charge - k).  The word
+    must end in the vacuum tail, i_k = charge - k."""
+    parts = [i - (charge - k) for k, i in enumerate(word)]
+    assert not word or parts[-1] == 0, (word, charge)
+    while parts and parts[-1] == 0:
+        parts.pop()
+    return Partition(parts)
+
+
+def wedge_window(mono: ChargedMonomial, *indices: int) -> tuple[int, ...]:
+    """A prefix of the word of mono that reaches below every given index and
+    ends in two vacuum-tail entries."""
+    m, shape = mono
+    return wedge_word(shape, m, len(shape) + max([0, *(m - j for j in indices)]) + 2)
+
+
+def occupied(mono: ChargedMonomial, j: int) -> bool:
+    return j in wedge_window(mono, j)
+
+
+def wedge_reference(j: int, mono: ChargedMonomial) -> FermionState:
+    """psi_j by brute force: put j in front of the word, sort it back into
+    decreasing order and count the indices j passes."""
+    word = wedge_window(mono, j)
+    if j in word:
+        return FermionState.zero()
+    passed = sum(1 for i in word if i > j)
+    target = shape_of_word(sorted(word + (j,), reverse=True), mono.charge + 1)
+    return basis_state(mono.charge + 1, target).scale((-1) ** passed)
+
+
+def contract_reference(j: int, mono: ChargedMonomial) -> FermionState:
+    """psi*_j by brute force: move j to the front of the word past the
+    indices above it, then drop it."""
+    word = wedge_window(mono, j)
+    if j not in word:
+        return FermionState.zero()
+    s = word.index(j)
+    target = shape_of_word(word[:s] + word[s + 1:], mono.charge - 1)
+    return basis_state(mono.charge - 1, target).scale((-1) ** s)
+
 
 def substitution_action(i: int, j: int, mono: ChargedMonomial) -> FermionState:
     """Matrix-unit action computed directly on the index word: replace the slot
     holding j by i and resort the wedge word, instead of composing the two
     one-particle operators."""
     m, shape = mono
-    window = len(shape) + max(0, m - min(i, j)) + 3
-    word = list(monomial_indices(shape, m, window))
+    word = list(wedge_window(mono, i, j))
     if j not in word:
         return FermionState.zero()
     s = word.index(j)
@@ -54,8 +95,37 @@ def substitution_action(i: int, j: int, mono: ChargedMonomial) -> FermionState:
     target = sum(1 for value in others if value > i)
     sign = (-1) ** abs(s - target)
     resorted = sorted(others + [i], reverse=True)
-    new_shape = shape_from_indices(resorted, m)
+    new_shape = shape_of_word(resorted, m)
     return basis_state(m, new_shape).scale(sign)
+
+
+def test_wedge_word_examples():
+    assert wedge_word(Partition(), 0, 4) == (0, -1, -2, -3)
+    assert wedge_word(Partition((2, 1)), 0, 4) == (2, 0, -2, -3)
+    assert wedge_word(Partition(), 5, 3) == (5, 4, 3)
+
+
+def test_wedge_word_strictly_decreasing():
+    for shape in partitions_up_to(8):
+        for m in (-2, 0, 3):
+            word = wedge_word(shape, m, len(shape) + 4)
+            assert all(a > b for a, b in zip(word, word[1:]))
+
+
+@given(st.lists(st.integers(1, 12), max_size=12), st.integers(min_value=-4, max_value=4))
+def test_wedge_word_round_trip(parts, charge):
+    shape = Partition(sorted(parts, reverse=True))
+    word = wedge_word(shape, charge, len(shape) + 2)
+    assert shape_of_word(word, charge) == shape
+
+
+@pytest.mark.parametrize("charge", range(-2, 3))
+def test_psi_and_psi_star_match_wedge_word_reference(charge):
+    for shape in partitions_up_to(6):
+        mono = ChargedMonomial(charge, shape)
+        for j in range(-6, 7):
+            assert psi(j, basis_state(charge, shape)) == wedge_reference(j, mono), (j, mono)
+            assert psi_star(j, basis_state(charge, shape)) == contract_reference(j, mono), (j, mono)
 
 
 @pytest.mark.parametrize("i", range(-4, 5))
@@ -164,8 +234,8 @@ def test_alpha_zero_matches_occupancy_count():
     for shape in partitions_up_to(5):
         for m in (-2, 0, 3):
             mono = ChargedMonomial(m, shape)
-            occupied_positive = sum(1 for j in range(1, 30) if mono.occupied(j))
-            unoccupied_nonpositive = sum(1 for j in range(-29, 1) if not mono.occupied(j))
+            occupied_positive = sum(1 for j in range(1, 30) if occupied(mono, j))
+            unoccupied_nonpositive = sum(1 for j in range(-29, 1) if not occupied(mono, j))
             assert occupied_positive - unoccupied_nonpositive == m
             assert alpha(0, basis_state(m, shape)) == basis_state(m, shape).scale(m)
 

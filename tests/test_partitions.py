@@ -14,14 +14,12 @@ from bosonfermion.partitions import (
     dimension_vector,
     hook,
     hook_product,
-    monomial_indices,
     parse_partition,
     partitions_of,
     partitions_up_to,
     removable_boxes,
     removable_corners,
     ribbons,
-    shape_from_indices,
     z_factor,
 )
 
@@ -185,28 +183,6 @@ def test_corner_count_matches_cartan_pairing():
             lhs = len(addable_boxes(shape, k)) - len(removable_boxes(shape, k))
             rhs = (1 if k == 0 else 0) - cartan_apply(counts, k)
             assert lhs == rhs, (shape, k)
-
-
-# --- index words ------------------------------------------------------------------
-
-def test_monomial_indices_examples():
-    assert monomial_indices(Partition(), 0, 4) == (0, -1, -2, -3)
-    assert monomial_indices(Partition((2, 1)), 0, 4) == (2, 0, -2, -3)
-    assert monomial_indices(Partition(), 5, 3) == (5, 4, 3)
-
-
-def test_monomial_indices_strictly_decreasing():
-    for shape in partitions_up_to(8):
-        for m in (-2, 0, 3):
-            word = monomial_indices(shape, m, len(shape) + 4)
-            assert all(a > b for a, b in zip(word, word[1:]))
-
-
-@given(partition_strategy(), st.integers(min_value=-4, max_value=4))
-def test_monomial_indices_round_trip(shape, charge):
-    count = len(shape) + 2
-    word = monomial_indices(shape, charge, count)
-    assert shape_from_indices(word, charge) == shape
 
 
 # --- border strips ------------------------------------------------------------------

@@ -1,10 +1,12 @@
-from bosonfermion import boson, geometry, partitions
-from bosonfermion.fermion import basis_state
+from bosonfermion import boson, fermion, geometry, partitions
+from bosonfermion.fermion import ChargedMonomial, basis_state
 from bosonfermion.partitions import Partition
 from bosonfermion.verify import (
     _Check,
+    clifford_suite,
     correspondence_suite,
     euler_suite,
+    heisenberg_fermion_suite,
     heisenberg_geometric_suite,
     run_suite,
 )
@@ -114,3 +116,41 @@ def test_flipped_ribbon_sign_in_the_character_table_fails_two_determinants(monke
     two_route = results["schur-two-determinants"]
     assert not two_route.passed and two_route.checked == 12
     assert two_route.counterexample == "shape=[3,1]"
+
+
+# The sweeps read psi, psi* and alpha images from tables built once per state;
+# a wrong sign in a single image must still surface as a failing check.
+
+def test_flipped_psi_sign_at_one_slot_fails_clifford(monkeypatch):
+    wedge_in = fermion._wedge_in
+
+    def flipped(j, mono):
+        hit = wedge_in(j, mono)
+        if (j, mono) == (0, ChargedMonomial(0, Partition((1,)))):
+            sign, target = hit
+            return -sign, target
+        return hit
+
+    monkeypatch.setattr(fermion, "_wedge_in", flipped)
+    results = {r.name: r for r in clifford_suite(4, 3, 1)}
+    anti, adjoint = results["clifford-anticommutators"], results["psi-adjointness"]
+    assert not anti.passed and anti.counterexample == "i=0, j=1, state=phi[]@-1"
+    assert not adjoint.passed and adjoint.counterexample == "j=0, pair=(phi[1], phi[]@1)"
+    assert results["charge-shift"].passed and results["vacuum-annihilation"].passed
+
+
+def test_flipped_alpha_move_fails_alpha_adjointness(monkeypatch):
+    alpha_moves = fermion._alpha_moves
+
+    def flipped(n, mono):
+        moves = list(alpha_moves(n, mono))
+        if (n, mono) == (1, ChargedMonomial(0, Partition((2, 1)))):
+            sign, target = moves[0]
+            moves[0] = -sign, target
+        return moves
+
+    monkeypatch.setattr(fermion, "_alpha_moves", flipped)
+    results = {r.name: r for r in heisenberg_fermion_suite(4, 3, 1)}
+    adjoint = results["alpha-adjointness"]
+    assert not adjoint.passed and adjoint.counterexample == "k=1, pair=(phi[1,1], phi[2,1])"
+    assert results["alpha0-charge"].passed
