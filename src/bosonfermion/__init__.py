@@ -75,7 +75,6 @@ from .partitions import (
     parse_partition,
     partitions_of,
     removable_boxes,
-    residue,
     z_factor,
 )
 from .scalars import Rational, TLaurent, TScalar, parse_tscalar, rat

@@ -15,7 +15,8 @@ State literals: "vac(m)", "phi[2,1]", "phi[2,1]@m" and sums such as
 "t*1@[1]" (fixed-point classes); '{"n": 1, "restrictions": {...}}' (localized
 classes, JSON).  Operator tokens: psi(j), psi*(j), alpha(n), e(k), f(k) on
 fermionic states; E(k), F(k) (or e/f) on fixed-point classes; p(k) on bosonic
-polynomials and localized classes.  Operator words act right-to-left.
+polynomials and localized classes.  Operator words act right-to-left.  An
+operator index is at most 1000 in absolute value.
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error, 141 stdout closed early.
 """
 
@@ -24,56 +25,96 @@ import json
 import os
 import re
 import sys
+from typing import NamedTuple
 
+from . import boson, fermion, geometry
 from . import verify as verify_mod
-from .boson import BosonPolynomial, hall_form, oscillator, parse_boson, schur
 from .correspondence import sigma, sigma_inverse
-from .fermion import (
-    FermionState,
-    alpha,
-    chevalley_e,
-    chevalley_f,
-    hermitian_form,
-    parse_fermion,
-    psi,
-    psi_star,
-)
-from .geometry import (
-    LocalizedClass,
-    QuiverClass,
-    bilinear_form,
-    eta,
-    eta_inverse,
-    euler_class,
-    fundamental_class,
-    geometric_boson,
-    hecke_e,
-    hecke_f,
-    integrate,
-    normalized_class,
-    parse_quiver,
-    phi,
-    phi_inverse,
-    tau,
-    weight_of,
-)
 from .partitions import parse_partition
 
-_OP_TOKEN = re.compile(r"^(psi\*|psi|alpha|[efEFp])\((-?\d+)\)$")
+MAX_OPERATOR_INDEX = 1000  # alpha(-n) on a vacuum alone has n terms of up to n parts
 
-_FERMION_OPS = {
-    "psi": psi,
-    "psi*": psi_star,
-    "alpha": alpha,
-    "e": chevalley_e,
-    "f": chevalley_f,
+
+def _localized(text: str) -> geometry.LocalizedClass:
+    return geometry.LocalizedClass.from_json(json.loads(text))
+
+
+def _weights(shape) -> dict[str, int]:
+    weights = geometry.weight_of(shape)
+    return {str(k): weights[k] for k in sorted(weights)}
+
+
+class _Chain(NamedTuple):
+    """phi . eta . tau of a fermionic state; its JSON form sets sigma of the state beside it."""
+
+    state: fermion.FermionState
+    value: boson.BosonPolynomial
+
+    def __str__(self) -> str:
+        return str(self.value)
+
+    def to_json(self) -> dict:
+        expected = sigma(self.state)
+        return {"chain": str(self.value), "sigma": str(expected), "equal": self.value == expected}
+
+
+def _chain(state: fermion.FermionState) -> _Chain:
+    """phi . eta . tau, applied per energy component."""
+    by_size: dict[int, dict] = {}
+    for shape, coeff in geometry.tau(state).terms.items():
+        by_size.setdefault(shape.size(), {})[shape] = coeff
+    parts = (geometry.phi(geometry.eta(geometry.QuiverClass(terms))) for terms in by_size.values())
+    return _Chain(state, sum(parts, boson.BosonPolynomial.zero()))
+
+
+# apply: domain → (noun used in errors, {operator token: operator})
+_DOMAINS = {
+    "fermion": ("fermionic states", {
+        "psi": fermion.psi, "psi*": fermion.psi_star, "alpha": fermion.alpha,
+        "e": fermion.chevalley_e, "f": fermion.chevalley_f,
+    }),
+    "quiver": ("fixed-point classes", {
+        "E": geometry.hecke_e, "F": geometry.hecke_f, "e": geometry.hecke_e, "f": geometry.hecke_f,
+    }),
+    "boson": ("bosonic polynomials", {"p": boson.oscillator}),
+    "localized": ("localized classes", {"p": geometry.geometric_boson}),
 }
-_QUIVER_OPS = {
-    "E": hecke_e,
-    "F": hecke_f,
-    "e": hecke_e,
-    "f": hecke_f,
+# correspond: map → (reader of the state, map)
+_MAPS = {
+    "sigma": (fermion.parse_fermion, sigma),
+    "sigma-inverse": (boson.parse_boson, sigma_inverse),
+    "tau": (fermion.parse_fermion, geometry.tau),
+    "eta": (geometry.parse_quiver, geometry.eta),
+    "eta-inverse": (_localized, geometry.eta_inverse),
+    "phi": (_localized, geometry.phi),
+    "phi-inverse": (boson.parse_boson, geometry.phi_inverse),
+    "chain": (fermion.parse_fermion, _chain),
 }
+# inner: side → (reader of both states, pairing)
+_FORMS = {
+    "fermion": (fermion.parse_fermion, fermion.hermitian_form),
+    "boson": (boson.parse_boson, boson.hall_form),
+    "geometric": (_localized, geometry.bilinear_form),
+}
+# localize: action → (reader of the argument, function)
+_LOCALIZE = {
+    "euler": (parse_partition, geometry.euler_class),
+    "class": (parse_partition, geometry.normalized_class),
+    "fundamental": (parse_partition, geometry.fundamental_class),
+    "integrate": (_localized, geometry.integrate),
+    "weight": (parse_partition, _weights),
+}
+# subcommand → (help, dest of its table key, table, {text argument: help})
+_TABLE_COMMANDS = {
+    "correspond": ("map a state across the correspondence", "map", _MAPS, {"state": None}),
+    "inner": ("pair two states", "side", _FORMS, {"left": None, "right": None}),
+    "localize": ("localized-model computations", "action", _LOCALIZE,
+                 {"argument": "partition literal, or localized-class JSON for integrate"}),
+}
+
+_TOKENS = dict.fromkeys(token for _, ops in _DOMAINS.values() for token in ops)
+_OP_TOKEN = re.compile(rf"^({'|'.join(map(re.escape, _TOKENS))})\((-?\d+)\)$")
+_FIXED_POINT = re.compile(r"1\s*@")  # the point-class atom, as the fixed-point grammar reads it
 
 
 def _parse_ops(text: str) -> list[tuple[str, int]]:
@@ -81,10 +122,11 @@ def _parse_ops(text: str) -> list[tuple[str, int]]:
     for token in text.split():
         match = _OP_TOKEN.match(token)
         if not match:
-            raise ValueError(
-                f"malformed operator token {token!r}; expected name(integer)"
-            )
-        ops.append((match.group(1), int(match.group(2))))
+            raise ValueError(f"malformed operator token {token!r}; expected name(integer)")
+        index = int(match.group(2))
+        if abs(index) > MAX_OPERATOR_INDEX:
+            raise ValueError(f"operator index in {token!r} exceeds {MAX_OPERATOR_INDEX} in absolute value")
+        ops.append((match.group(1), index))
     if not ops:
         raise ValueError("empty operator word")
     return ops
@@ -93,142 +135,54 @@ def _parse_ops(text: str) -> list[tuple[str, int]]:
 def _detect_state(text: str, ops: list[tuple[str, int]]):
     stripped = text.strip()
     if stripped.startswith("{"):
-        return "localized", LocalizedClass.from_json(json.loads(stripped))
-    if "1@" in stripped:
-        return "quiver", parse_quiver(stripped)
+        return "localized", _localized(stripped)
+    if _FIXED_POINT.search(stripped):
+        return "quiver", geometry.parse_quiver(stripped)
     if "phi" in stripped or "vac" in stripped:
-        return "fermion", parse_fermion(stripped)
-    if stripped == "0":
+        return "fermion", fermion.parse_fermion(stripped)
+    if stripped == "0":  # a class under a fixed-point-only token, a polynomial under bosonic ones
         names = {name for name, _ in ops}
-        if names & {"E", "F"}:
-            return "quiver", QuiverClass.zero()
-        if names == {"p"}:
-            return "boson", BosonPolynomial.zero()
-        return "fermion", FermionState.zero()
-    return "boson", parse_boson(stripped)
+        fermion_ops, quiver_ops, boson_ops = (_DOMAINS[d][1].keys() for d in ("fermion", "quiver", "boson"))
+        if (names - fermion_ops) & quiver_ops:
+            return "quiver", geometry.QuiverClass.zero()
+        if names <= boson_ops:
+            return "boson", boson.BosonPolynomial.zero()
+        return "fermion", fermion.FermionState.zero()
+    return "boson", boson.parse_boson(stripped)
 
 
-def _apply_word(ops: list[tuple[str, int]], domain: str, state):
-    for name, arg in reversed(ops):
-        if domain == "fermion":
-            op = _FERMION_OPS.get(name)
-            if op is None:
-                raise ValueError(f"operator {name}({arg}) does not act on fermionic states")
-            state = op(arg, state)
-        elif domain == "quiver":
-            op = _QUIVER_OPS.get(name)
-            if op is None:
-                raise ValueError(f"operator {name}({arg}) does not act on fixed-point classes")
-            state = op(arg, state)
-        elif domain == "boson":
-            if name != "p":
-                raise ValueError(f"operator {name}({arg}) does not act on bosonic polynomials")
-            state = oscillator(arg, state)
-        else:
-            if name != "p":
-                raise ValueError(f"operator {name}({arg}) does not act on localized classes")
-            state = geometric_boson(arg, state)
-    return state
-
-
-def _print_result(value, as_json: bool) -> None:
-    if isinstance(value, LocalizedClass):
-        print(json.dumps(value.to_json()))
-    elif as_json and hasattr(value, "to_json"):
-        print(json.dumps(value.to_json()))
-    else:
-        print(str(value))
-
-
-def _chain(state: FermionState) -> BosonPolynomial:
-    """phi . eta . tau, applied per energy component."""
-    fixed = tau(state)
-    by_size: dict[int, dict] = {}
-    for shape, coeff in fixed.terms.items():
-        by_size.setdefault(shape.size(), {})[shape] = coeff
-    result = BosonPolynomial.zero()
-    for terms in by_size.values():
-        result = result + phi(eta(QuiverClass(terms)))
-    return result
+def _print(value, as_json: bool) -> None:
+    """Localized classes and dicts print as JSON; under --json every value
+    does, one without a JSON form as {"value": its text}."""
+    if isinstance(value, geometry.LocalizedClass) or (as_json and hasattr(value, "to_json")):
+        value = value.to_json()
+    elif as_json and not isinstance(value, dict):
+        value = {"value": str(value)}
+    print(json.dumps(value) if isinstance(value, (dict, list)) else value)
 
 
 def _cmd_schur(args) -> int:
-    poly = schur(parse_partition(args.partition))
-    _print_result(poly, args.json)
+    _print(boson.schur(parse_partition(args.partition)), args.json)
     return 0
 
 
 def _cmd_apply(args) -> int:
     ops = _parse_ops(args.ops)
     domain, state = _detect_state(args.state, ops)
-    result = _apply_word(ops, domain, state)
-    _print_result(result, args.json)
+    noun, table = _DOMAINS[domain]
+    for name, index in reversed(ops):
+        if name not in table:
+            raise ValueError(f"operator {name}({index}) does not act on {noun}")
+        state = table[name](index, state)
+    _print(state, args.json)
     return 0
 
 
-def _cmd_correspond(args) -> int:
-    name = args.map
-    if name == "sigma":
-        result = sigma(parse_fermion(args.state))
-    elif name == "sigma-inverse":
-        result = sigma_inverse(parse_boson(args.state))
-    elif name == "tau":
-        result = tau(parse_fermion(args.state))
-    elif name == "eta":
-        result = eta(parse_quiver(args.state))
-    elif name == "eta-inverse":
-        result = eta_inverse(LocalizedClass.from_json(json.loads(args.state)))
-    elif name == "phi":
-        result = phi(LocalizedClass.from_json(json.loads(args.state)))
-    elif name == "phi-inverse":
-        result = phi_inverse(parse_boson(args.state))
-    else:  # chain
-        state = parse_fermion(args.state)
-        result = _chain(state)
-        if args.json:
-            print(json.dumps({
-                "chain": str(result),
-                "sigma": str(sigma(state)),
-                "equal": result == sigma(state),
-            }))
-            return 0
-    _print_result(result, args.json)
-    return 0
-
-
-def _cmd_inner(args) -> int:
-    if args.side == "fermion":
-        value = hermitian_form(parse_fermion(args.left), parse_fermion(args.right))
-    elif args.side == "boson":
-        value = hall_form(parse_boson(args.left), parse_boson(args.right))
-    else:
-        left = LocalizedClass.from_json(json.loads(args.left))
-        right = LocalizedClass.from_json(json.loads(args.right))
-        value = bilinear_form(left, right)
-    if args.json:
-        print(json.dumps({"value": str(value)}))
-    else:
-        print(str(value))
-    return 0
-
-
-def _cmd_localize(args) -> int:
-    action = args.action
-    if action == "integrate":
-        value = integrate(LocalizedClass.from_json(json.loads(args.argument)))
-        print(json.dumps({"value": str(value)}) if args.json else str(value))
-        return 0
-    shape = parse_partition(args.argument)
-    if action == "euler":
-        value = euler_class(shape)
-        print(json.dumps({"value": str(value)}) if args.json else str(value))
-    elif action == "class":
-        print(json.dumps(normalized_class(shape).to_json()))
-    elif action == "fundamental":
-        print(json.dumps(fundamental_class(shape).to_json()))
-    else:  # weight
-        weights = weight_of(shape)
-        print(json.dumps({str(k): weights[k] for k in sorted(weights)}))
+def _cmd_table(args) -> int:
+    """correspond, inner and localize: read each text argument, then apply
+    the entry of the command's table that the first argument names."""
+    reader, function = args.table[getattr(args, args.key)]
+    _print(function(*(reader(getattr(args, name)) for name in args.texts)), args.json)
     return 0
 
 
@@ -266,27 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_apply.add_argument("--json", action="store_true")
     p_apply.set_defaults(func=_cmd_apply)
 
-    p_corr = sub.add_parser("correspond", help="map a state across the correspondence")
-    p_corr.add_argument(
-        "map",
-        choices=["sigma", "sigma-inverse", "tau", "eta", "eta-inverse", "phi", "phi-inverse", "chain"],
-    )
-    p_corr.add_argument("state")
-    p_corr.add_argument("--json", action="store_true")
-    p_corr.set_defaults(func=_cmd_correspond)
-
-    p_inner = sub.add_parser("inner", help="pair two states")
-    p_inner.add_argument("side", choices=["fermion", "boson", "geometric"])
-    p_inner.add_argument("left")
-    p_inner.add_argument("right")
-    p_inner.add_argument("--json", action="store_true")
-    p_inner.set_defaults(func=_cmd_inner)
-
-    p_loc = sub.add_parser("localize", help="localized-model computations")
-    p_loc.add_argument("action", choices=["euler", "class", "fundamental", "integrate", "weight"])
-    p_loc.add_argument("argument", help="partition literal, or localized-class JSON for integrate")
-    p_loc.add_argument("--json", action="store_true")
-    p_loc.set_defaults(func=_cmd_localize)
+    for command, (help_text, key, table, texts) in _TABLE_COMMANDS.items():
+        p_table = sub.add_parser(command, help=help_text)
+        p_table.add_argument(key, choices=list(table))
+        for name, text_help in texts.items():
+            p_table.add_argument(name, help=text_help)
+        p_table.add_argument("--json", action="store_true")
+        p_table.set_defaults(func=_cmd_table, table=table, key=key, texts=list(texts))
 
     p_verify = sub.add_parser("verify", help="run an exact verification suite")
     p_verify.add_argument("suite", choices=[*verify_mod.SUITES, "all"])

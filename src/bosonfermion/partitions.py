@@ -34,9 +34,6 @@ class Partition(tuple):
     def size(self) -> int:
         return sum(self)
 
-    def length(self) -> int:
-        return len(self)
-
     def part(self, row: int) -> int:
         """Length of row ``row`` (0-indexed); zero beyond the last row."""
         return self[row] if row < len(self) else 0
@@ -76,10 +73,6 @@ def parse_partition(text: str) -> Partition:
 def boxes(shape: Partition) -> list[Box]:
     """All boxes of the diagram in row-major order."""
     return [Box(j, k) for k, row_len in enumerate(shape) for j in range(row_len)]
-
-
-def residue(box: Box) -> int:
-    return box.col - box.row
 
 
 def arm(shape: Partition, box: Box) -> int:

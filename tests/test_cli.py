@@ -1,13 +1,14 @@
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
-from bosonfermion.boson import parse_boson
+from bosonfermion.boson import oscillator, parse_boson
 from bosonfermion.cli import main
-from bosonfermion.fermion import parse_fermion
-from bosonfermion.geometry import parse_quiver
+from bosonfermion.fermion import alpha, chevalley_e, chevalley_f, parse_fermion, psi, psi_star
+from bosonfermion.geometry import LocalizedClass, geometric_boson, hecke_e, hecke_f, parse_quiver
 
 
 def run_cli(capsys, *argv):
@@ -42,6 +43,8 @@ def test_apply_geometric(capsys):
     assert out == "t*1@[1]\n"
     code, out, _ = run_cli(capsys, "apply", "F(1) F(0)", "1@[]")
     assert out == "t^2*1@[2]\n"
+    code, out, _ = run_cli(capsys, "apply", "f(0)", "1 @ []")  # spaced as the grammar allows
+    assert (code, out) == (0, "t*1@[1]\n")
 
 
 def test_apply_bosonic(capsys):
@@ -64,6 +67,38 @@ def test_apply_domain_mismatch(capsys):
     code, _, err = run_cli(capsys, "apply", "psi(1)", "1@[]")
     assert code == 2
     assert "error:" in err
+
+
+# noun in the error → (literal, its parser, {token: the operator it names})
+_DOMAINS = {
+    "fermionic states": ("vac(0)", parse_fermion, {
+        "psi": psi, "psi*": psi_star, "alpha": alpha, "e": chevalley_e, "f": chevalley_f,
+    }),
+    "fixed-point classes": ("1@[]", parse_quiver, {
+        "E": hecke_e, "F": hecke_f, "e": hecke_e, "f": hecke_f,
+    }),
+    "bosonic polynomials": ("p1", parse_boson, {"p": oscillator}),
+    "localized classes": (
+        '{"n": 1, "restrictions": {"[1]": "t"}}',
+        lambda text: LocalizedClass.from_json(json.loads(text)),
+        {"p": geometric_boson},
+    ),
+}
+
+
+@pytest.mark.parametrize("noun", list(_DOMAINS))
+def test_every_operator_token_on_every_domain(capsys, noun):
+    literal, parse, acting = _DOMAINS[noun]
+    for token in ["psi", "psi*", "alpha", "e", "f", "E", "F", "p"]:
+        for k in (1, -1):
+            code, out, err = run_cli(capsys, "apply", f"{token}({k})", literal)
+            op = acting.get(token)
+            if op is None:
+                assert (code, out, err) == (2, "", f"error: operator {token}({k}) does not act on {noun}\n")
+                continue
+            value = op(k, parse(literal))
+            shown = json.dumps(value.to_json()) if isinstance(value, LocalizedClass) else str(value)
+            assert (code, out, err) == (0, shown + "\n", "")
 
 
 def test_apply_divisibility_error(capsys):
@@ -114,6 +149,29 @@ def test_localize_commands(capsys):
     assert out == "1/2*t^-2\n"
     code, out, _ = run_cli(capsys, "localize", "weight", "[1]")
     assert json.loads(out) == {"-1": 1, "0": -1, "1": 1}
+
+
+@pytest.mark.parametrize("command, dest, choices, positionals", [
+    ("correspond", "map",
+     ["sigma", "sigma-inverse", "tau", "eta", "eta-inverse", "phi", "phi-inverse", "chain"], ["state"]),
+    ("inner", "side", ["fermion", "boson", "geometric"], ["left", "right"]),
+    ("localize", "action", ["euler", "class", "fundamental", "integrate", "weight"], ["argument"]),
+])
+def test_subcommand_surface(capsys, monkeypatch, command, dest, choices, positionals):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "bogus", *positionals])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {dest}: invalid choice: " in err
+    assert re.findall(r"[\w-]+", err.split("choose from", 1)[1]) == choices
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "\n  {" + ",".join(choices) + "}\n" in out
+    for name in positionals:
+        assert "\n  " + name in out
 
 
 def test_verify_small(capsys):
@@ -205,6 +263,21 @@ def test_hostile_exponent_on_a_monomial_returns_fast():
     )
     assert proc.returncode == 0
     assert proc.stdout == "t^3000000\n"
+
+
+def test_operator_index_is_bounded(capsys):
+    for word in ["alpha(-20000)", "psi*(-100000000)"]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bosonfermion.cli", "apply", word, "vac(0)"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == "" and proc.stderr.startswith("error:")
+        assert word in proc.stderr
+    code, out, _ = run_cli(capsys, "apply", "alpha(-1000)", "vac(0)")  # the bound itself answers
+    assert code == 0 and out.count("phi[") == 1000
 
 
 def test_schur_data_of_high_degree_returns_or_fails_fast():
