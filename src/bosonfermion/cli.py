@@ -21,6 +21,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error, 141 stdou
 """
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -239,9 +240,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first request and reused by every later one;
+    each parse_args call returns a fresh Namespace."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a reader that closed the pipe makes this raise here, not at exit

@@ -213,13 +213,17 @@ def chevalley_f(k: int, state: FermionState) -> FermionState:
 def _alpha_moves(n: int, mono: ChargedMonomial):
     """Nonzero terms (sign, monomial) of sum_j psi_j psi*_{j+n} on a monomial.
     Each moves one bead from j + n to a free j; the tail below the beads
-    i_k (k < len(shape)) only lets its top -n beads move, and only for n < 0."""
+    i_k (k < len(shape)) only lets its top -n beads move, and only for n < 0.
+    A bead whose target is occupied is skipped before _unit_action, which
+    would build the contracted monomial only for _wedge_in to reject it."""
     m, shape = mono
+    floor = m - len(shape)  # every position at or below it is filled
+    beads = {m - k + part for k, part in enumerate(shape)}
     for k in range(len(shape) + max(-n, 0)):
         bead = m - k + shape.part(k)
-        hit = _unit_action(bead - n, bead, mono)
-        if hit is not None:
-            yield hit
+        target = bead - n
+        if target > floor and target not in beads:
+            yield _unit_action(target, bead, mono)
 
 
 def alpha(n: int, state: FermionState) -> FermionState:

@@ -486,6 +486,10 @@ def run_suite(
     max_index: int | None = None,
     charge_bound: int | None = None,
 ) -> list[CheckResult]:
+    given = {"max_size": max_size, "max_index": max_index, "charge_bound": charge_bound}
+    for key, value in given.items():
+        if value is not None and value < 0:  # an empty grid would pass with nothing checked
+            raise ValueError(f"{key} must be at least 0, got {value}")
     if name == "all":
         results = []
         for suite in SUITES:
@@ -493,9 +497,8 @@ def run_suite(
         return results
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join([*SUITES, 'all'])}")
-    given = {"max_size": max_size, "max_index": max_index}
-    if name in _CHARGE_SUITES:
-        given["charge_bound"] = charge_bound
+    if name not in _CHARGE_SUITES:
+        del given["charge_bound"]
     # an argument left out takes the suite's own default
     return SUITES[name](**{key: value for key, value in given.items() if value is not None})
 

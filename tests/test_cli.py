@@ -1,14 +1,25 @@
+import argparse
+import contextlib
+import io
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bosonfermion
 from bosonfermion.boson import oscillator, parse_boson
-from bosonfermion.cli import main
+from bosonfermion.cli import build_parser, main
 from bosonfermion.fermion import alpha, chevalley_e, chevalley_f, parse_fermion, psi, psi_star
 from bosonfermion.geometry import LocalizedClass, geometric_boson, hecke_e, hecke_f, parse_quiver
+
+# `python -m bosonfermion.cli` children import the package from where this
+# process found it; pytest's pythonpath setting does not reach a subprocess.
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(bosonfermion.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(capsys, *argv):
@@ -185,6 +196,16 @@ def test_verify_small(capsys):
     assert all(c["passed"] for c in report["checks"])
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["clifford", "--max-size", "-1"], "max_size must be at least 0, got -1"),
+    (["orthonormality", "--max-size", "-5"], "max_size must be at least 0, got -5"),
+    (["correspondence", "--max-size", "3", "--charge", "-1"], "charge_bound must be at least 0, got -1"),
+    (["serre", "--max-index", "-2", "--json"], "max_index must be at least 0, got -2"),
+])
+def test_verify_rejects_negative_grid_arguments(capsys, argv, message):
+    assert run_cli(capsys, "verify", *argv) == (2, "", f"error: {message}\n")
+
+
 def test_verify_json_reports_the_rational_backend(capsys):
     from bosonfermion.scalars import Rational
 
@@ -248,6 +269,7 @@ def test_console_entry_point():
         [sys.executable, "-m", "bosonfermion.cli", "verify", "c2-toy"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
@@ -259,6 +281,7 @@ def test_hostile_exponent_on_a_monomial_returns_fast():
          '{"n":0,"restrictions":{"[]":"t^3000000"}}'],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
         timeout=10,
     )
     assert proc.returncode == 0
@@ -271,6 +294,7 @@ def test_operator_index_is_bounded(capsys):
             [sys.executable, "-m", "bosonfermion.cli", "apply", word, "vac(0)"],
             capture_output=True,
             text=True,
+            env=CHILD_ENV,
             timeout=10,
         )
         assert proc.returncode == 2
@@ -280,12 +304,81 @@ def test_operator_index_is_bounded(capsys):
     assert code == 0 and out.count("phi[") == 1000
 
 
+def test_word_of_two_large_alpha_operators_returns_fast():
+    proc = subprocess.run(
+        [sys.executable, "-m", "bosonfermion.cli", "apply", "alpha(1000) alpha(-1000)", "vac(0)"],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1000*phi[]\n", "")
+
+
+def _request(argv):
+    """(exit code, stdout, stderr) of one cli.main call, a usage error's
+    SystemExit read as its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _fresh_parser_request(argv):
+    """What a parser built for this one request prints for a usage error or --help."""
+    err, out = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+def test_parser_is_built_once_and_requests_share_no_state(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    _request(["schur", "[1]"])  # the first request builds the parser
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in [["schur", "[2,1]"], ["inner", "boson", "p1", "p1"], ["apply", "alpha(-1)", "vac(0)"],
+                 ["correspond", "sigma", "phi[1]", "--json"]] * 5:
+        assert _request(argv)[0] == 0
+    assert built == []
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", init)
+
+    schur_json = '[{"q": 0, "p": [[1, 3]], "coeff": "1/3"}, {"q": 0, "p": [[3, 1]], "coeff": "-1/3"}]\n'
+    assert _request(["schur", "[2,1]", "--json"]) == (0, schur_json, "")
+    assert _request(["schur", "[2,1]"]) == (0, "(1/3)*p1^3 + (-1/3)*p3\n", "")  # --json does not stick
+    small = "PASS euler-closed-form (checked=7)\nPASS pullback-of-pushforward (checked=7)\n"
+    assert _request(["verify", "euler", "--max-size", "3"]) == (0, small, "")
+    default = "PASS euler-closed-form (checked=139)\nPASS pullback-of-pushforward (checked=67)\n"
+    assert _request(["verify", "euler"]) == (0, default, "")  # the default size comes back
+    assert _request(["verify", "c2-toy", "--max-size", "3"]) == (0, "PASS c2-toy (checked=3)\n", "")
+    assert _request(["verify", "c2-toy"]) == (0, "PASS c2-toy (checked=3)\n", "")
+    parse_error = "error: partition parts must be weakly decreasing, got (1, 2)\n"
+    assert _request(["schur", "[1,2]"]) == (2, "", parse_error)
+    usage = _request(["verify", "bogus"])
+    assert usage[:2] == (2, "") and "argument suite: invalid choice: 'bogus'" in usage[2]
+    help_page = _request(["correspond", "--help"])
+    assert help_page[0] == 0 and help_page[1].startswith("usage: bosonfermion correspond")
+    assert usage == _fresh_parser_request(["verify", "bogus"])
+    assert help_page == _fresh_parser_request(["correspond", "--help"])
+
+
 def test_schur_data_of_high_degree_returns_or_fails_fast():
     def correspond(literal):
         return subprocess.run(
             [sys.executable, "-m", "bosonfermion.cli", "correspond", "sigma-inverse", literal],
             capture_output=True,
             text=True,
+            env=CHILD_ENV,
             timeout=10,
         )
 
@@ -303,6 +396,7 @@ def test_closed_stdout_exits_without_a_traceback():
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+        env=CHILD_ENV,
     )
     proc.stdout.close()  # the reader goes away before anything is written
     err = proc.stderr.read()

@@ -1,3 +1,5 @@
+import pytest
+
 from bosonfermion import boson, fermion, geometry, partitions
 from bosonfermion.fermion import ChargedMonomial, basis_state
 from bosonfermion.partitions import Partition
@@ -83,6 +85,13 @@ def test_run_suite_all_at_size_4_is_pinned():
 def test_run_suite_takes_every_argument_positionally():
     assert [r.checked for r in run_suite("euler", 4, 4, 2)] == [12, 12]
     assert [r.checked for r in run_suite("c2-toy", 8, 4, 2)] == [3]
+
+
+@pytest.mark.parametrize("suite", ["clifford", "orthonormality", "correspondence", "all"])
+@pytest.mark.parametrize("argument", ["max_size", "max_index", "charge_bound"])
+def test_run_suite_rejects_a_negative_grid_argument(suite, argument):
+    with pytest.raises(ValueError, match=f"^{argument} must be at least 0, got -1$"):
+        run_suite(suite, **{argument: -1})
 
 
 def test_corrupt_closed_form_euler_class_fails_with_a_witness(monkeypatch):
