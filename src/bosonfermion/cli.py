@@ -16,7 +16,8 @@ State literals: "vac(m)", "phi[2,1]", "phi[2,1]@m" and sums such as
 classes, JSON).  Operator tokens: psi(j), psi*(j), alpha(n), e(k), f(k) on
 fermionic states; E(k), F(k) (or e/f) on fixed-point classes; p(k) on bosonic
 polynomials and localized classes.  Operator words act right-to-left.  An
-operator index is at most 1000 in absolute value.
+operator index, and the charge of a fermionic state under apply, is at most
+1000 in absolute value; a localized class prints up to degree 20.
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error, 141 stdout closed early.
 """
 
@@ -33,7 +34,10 @@ from . import verify as verify_mod
 from .correspondence import sigma, sigma_inverse
 from .partitions import parse_partition
 
-MAX_OPERATOR_INDEX = 1000  # alpha(-n) on a vacuum alone has n terms of up to n parts
+# alpha(-n) on a vacuum alone has n terms of up to n parts.  It also bounds the
+# charge of a fermionic state under apply: contracting index j of charge m
+# builds m - j parts, so at most 2 * MAX_OPERATOR_INDEX.
+MAX_OPERATOR_INDEX = 1000
 
 
 def _localized(text: str) -> geometry.LocalizedClass:
@@ -170,6 +174,8 @@ def _cmd_schur(args) -> int:
 def _cmd_apply(args) -> int:
     ops = _parse_ops(args.ops)
     domain, state = _detect_state(args.state, ops)
+    if domain == "fermion" and any(abs(mono.charge) > MAX_OPERATOR_INDEX for mono in state.terms):
+        raise ValueError(f"charge in {args.state!r} exceeds {MAX_OPERATOR_INDEX} in absolute value")
     noun, table = _DOMAINS[domain]
     for name, index in reversed(ops):
         if name not in table:

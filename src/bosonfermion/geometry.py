@@ -14,19 +14,17 @@ the unique choice reproducing both the tangent Euler class
 import json
 from functools import cache
 
-from .boson import BosonPolynomial, schur, schur_expand
+from .boson import MAX_SCHUR_DEGREE, BosonPolynomial, schur, schur_expand
 from .fermion import FermionState
 from .linear import LinearCombination, accumulate
 from .partitions import (
     Partition,
-    add_box,
     addable_boxes,
     cartan_apply,
     dimension_vector,
     hook_product,
     parse_partition,
     partitions_of,
-    remove_box,
     removable_boxes,
     ribbons,
 )
@@ -180,6 +178,10 @@ class LocalizedClass:
         return f"LocalizedClass<n={self.n}, {self.restrictions}>"
 
     def to_json(self) -> dict:
+        """Every restriction, zeros included, so the output grows as p(n);
+        ValueError above MAX_SCHUR_DEGREE, the degrees phi and phi_inverse serve."""
+        if self.n > MAX_SCHUR_DEGREE:
+            raise ValueError(f"a localized class prints up to degree {MAX_SCHUR_DEGREE}, got {self.n}")
         return {
             "n": self.n,
             "restrictions": {
@@ -271,6 +273,13 @@ def bilinear_form(alpha: LocalizedClass, beta: LocalizedClass) -> TScalar:
 
 # --- lowering/raising operators on the fixed-point side -----------------------
 
+def _moved(shape: Partition, row: int, step: int) -> Partition:
+    """shape with one box added (step 1) or removed (step -1) at the end of
+    row; the row is a corner just found, so the result skips re-validation."""
+    parts = shape[:row] + (shape.part(row) + step,) + shape[row + 1:]
+    return tuple.__new__(Partition, parts if parts[-1] else parts[:-1])
+
+
 def hecke_e(k: int, c: QuiverClass) -> QuiverClass:
     """Remove the unique removable box of residue k (when present) and divide
     the coefficient by t; coefficients must stay in Q[t]."""
@@ -282,7 +291,7 @@ def hecke_e(k: int, c: QuiverClass) -> QuiverClass:
                     raise NonDivisibleCoefficient(
                         f"coefficient {coeff} at {shape} is not divisible by t"
                     )
-                yield remove_box(shape, box), divided
+                yield _moved(shape, box.row, -1), divided
 
     return QuiverClass._make(accumulate(lowered()))
 
@@ -291,7 +300,7 @@ def hecke_f(k: int, c: QuiverClass) -> QuiverClass:
     """Add the unique addable box of residue k (when present) and multiply
     the coefficient by t."""
     return QuiverClass._make(accumulate(
-        (add_box(shape, box), coeff.shift(1))
+        (_moved(shape, box.row, 1), coeff.shift(1))
         for shape, coeff in c.terms.items()
         for box in addable_boxes(shape, k)
     ))

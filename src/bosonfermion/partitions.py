@@ -144,27 +144,6 @@ def removable_boxes(shape: Partition, k: int) -> list[Box]:
     return [b for b in removable_corners(shape) if b.residue == k]
 
 
-def add_box(shape: Partition, box: Box) -> Partition:
-    if box not in addable_corners(shape):
-        raise ValueError(f"box {box} is not addable to {shape}")
-    parts = list(shape)
-    if box.row == len(parts):
-        parts.append(1)
-    else:
-        parts[box.row] += 1
-    return Partition(parts)
-
-
-def remove_box(shape: Partition, box: Box) -> Partition:
-    if box not in removable_corners(shape):
-        raise ValueError(f"box {box} is not removable from {shape}")
-    parts = list(shape)
-    parts[box.row] -= 1
-    if parts[box.row] == 0:
-        parts.pop()
-    return Partition(parts)
-
-
 @cache
 def ribbons(shape: Partition, k: int) -> tuple[tuple[int, Partition], ...]:
     """Border strips of size |k|: removed from shape for k > 0, added for k < 0.

@@ -2,6 +2,7 @@
 acceptance tests.  Every suite returns a list of CheckResult records; a failed
 check carries a witness describing the first counterexample."""
 
+import inspect
 from dataclasses import dataclass
 
 from . import fermion, geometry
@@ -151,22 +152,31 @@ def clifford_suite(max_size: int = 6, max_index: int = 5, charge_bound: int = 2)
     return [anti.result(), adjoint.result(), shift.result(), vac_ann.result()]
 
 
+def _heisenberg(check: _Check, op, items, indices: range, template: str) -> list[dict]:
+    """[A_k, A_l] = k * delta_{k,-l} with A_l = op(l, .) on each (label, value)
+    of items.  Each A_l value and each product A_k A_l is built once; returns
+    the tables {l: A_l value}, one per item, for the checks that read them."""
+    tables = []
+    for label, value in items:
+        once = {l: op(l, value) for l in indices}
+        twice = {(k, l): op(k, once[l]) for k in indices for l in indices}
+        for k in indices:
+            for l in indices:
+                commutator = twice[k, l] - twice[l, k]
+                ok = commutator == value.scale(k) if k == -l else commutator.is_zero()
+                check.record(ok, template, k, l, label)
+        tables.append(once)
+    return tables
+
+
 def heisenberg_fermion_suite(max_size: int = 8, max_index: int = 4, charge_bound: int = 2) -> list[CheckResult]:
     """Free-boson commutators on the wedge space and the charge action of alpha_0."""
     comm = _Check("alpha-commutators")
     charge_action = _Check("alpha0-charge")
     adjoint = _Check("alpha-adjointness")
-    shapes = partitions_up_to(max_size)
-    states = [basis_state(0, shape) for shape in shapes]
+    states = [basis_state(0, shape) for shape in partitions_up_to(max_size)]
     indices = range(-max_index, max_index + 1)
-    images = [{l: alpha(l, state) for l in indices} for state in states]
-    for state, once in zip(states, images):
-        twice = {(k, l): alpha(k, once[l]) for k in indices for l in indices}
-        for k in indices:
-            for l in indices:
-                commutator = twice[k, l] - twice[l, k]
-                expected = state.scale(k) if k == -l else FermionState.zero()
-                comm.record(commutator == expected, "k={}, l={}, state={}", k, l, state)
+    images = _heisenberg(comm, alpha, [(state, state) for state in states], indices, "k={}, l={}, state={}")
     for m in _charges(charge_bound):
         for shape in partitions_up_to(min(max_size, 4)):
             state = basis_state(m, shape)
@@ -185,24 +195,18 @@ def heisenberg_fermion_suite(max_size: int = 8, max_index: int = 4, charge_bound
 def heisenberg_boson_suite(max_size: int = 8, max_index: int = 4) -> list[CheckResult]:
     """Oscillator commutators on the polynomial side."""
     comm = _Check("oscillator-commutators")
+    monomials = [power_sum(shape) for shape in partitions_up_to(max_size)]
     indices = range(-max_index, max_index + 1)
-    for shape in partitions_up_to(max_size):
-        f = power_sum(shape)
-        once = {l: oscillator(l, f) for l in indices}
-        twice = {(k, l): oscillator(k, once[l]) for k in indices for l in indices}
-        for k in indices:
-            for l in indices:
-                commutator = twice[k, l] - twice[l, k]
-                expected = f.scale(k) if k == -l else BosonPolynomial.zero()
-                comm.record(commutator == expected, "k={}, l={}, monomial={}", k, l, f)
+    _heisenberg(comm, oscillator, [(f, f) for f in monomials], indices, "k={}, l={}, monomial={}")
     return [comm.result()]
 
 
-def _boson_term(k: int, beta: LocalizedClass) -> LocalizedClass | None:
+def _boson_term(k: int, beta: LocalizedClass) -> LocalizedClass:
+    """p_k beta, or the zero class of degree n - k where p_k underflows."""
     try:
         return geometric_boson(k, beta)
     except DegreeUnderflow:
-        return None
+        return LocalizedClass.zero(beta.n - k)
 
 
 def heisenberg_geometric_suite(max_size: int = 8, max_index: int = 4) -> list[CheckResult]:
@@ -211,52 +215,30 @@ def heisenberg_geometric_suite(max_size: int = 8, max_index: int = 4) -> list[Ch
     comm = _Check("geometric-boson-commutators")
     adjoint = _Check("geometric-boson-adjointness")
     transport = _Check("geometric-boson-transport")
+    shapes = partitions_up_to(max_size)
     indices = range(-max_index, max_index + 1)
-    for shape in partitions_up_to(max_size):
-        beta = normalized_class(shape)
-        n = shape.size()
-        once = {l: _boson_term(l, beta) for l in indices}
-        # twice[k, l] is p_k p_l beta, or None when a step underflows
-        twice = {
-            (k, l): _boson_term(k, once[l]) if once[l] is not None else None
-            for k in indices
-            for l in indices
-        }
-        for k in indices:
-            for l in indices:
-                term1 = twice[k, l]
-                term2 = twice[l, k]
-                target = n - k - l
-                if target < 0:
-                    ok = (term1 is None or term1.is_zero()) and (
-                        term2 is None or term2.is_zero()
-                    )
-                else:
-                    zero = LocalizedClass.zero(target)
-                    commutator = (term1 if term1 is not None else zero) - (
-                        term2 if term2 is not None else zero
-                    )
-                    expected = beta.scale(TScalar.monomial(k)) if k == -l else zero
-                    ok = commutator == expected
-                comm.record(ok, "k={}, l={}, shape={}", k, l, shape)
+    items = [(shape, normalized_class(shape)) for shape in shapes]
+    images = dict(zip(shapes, _heisenberg(comm, _boson_term, items, indices, "k={}, l={}, shape={}")))
     for i in range(1, max_index + 1):
         for n in range(0, max_size - i + 1):
             for small in partitions_of(n):
-                raised = geometric_boson(-i, normalized_class(small))
                 for large in partitions_of(n + i):
-                    lowered = geometric_boson(i, normalized_class(large))
-                    lhs = bilinear_form(raised, normalized_class(large))
-                    rhs = bilinear_form(normalized_class(small), lowered)
+                    lhs = bilinear_form(images[small][-i], normalized_class(large))
+                    rhs = bilinear_form(normalized_class(small), images[large][i])
                     adjoint.record(lhs == rhs, "i={}, pair=({}, {})", i, small, large)
     for shape in partitions_up_to(min(max_size, 4)):
         beta = normalized_class(shape)
         image = phi(beta)
-        for k in range(-max_index, max_index + 1):
+        for k in indices:
             moved = oscillator(k, image)
-            if k > shape.size():
-                ok = _boson_term(k, beta) is None and moved.is_zero()
+            if k > shape.size():  # the table holds a zero here; p_k itself must refuse
+                try:
+                    geometric_boson(k, beta)
+                    ok = False
+                except DegreeUnderflow:
+                    ok = moved.is_zero()
             else:
-                ok = geometric_boson(k, beta) == phi_inverse(moved, shape.size() - k)
+                ok = images[shape][k] == phi_inverse(moved, shape.size() - k)
             transport.record(ok, "k={}, shape={}", k, shape)
     return [comm.result(), adjoint.result(), transport.result()]
 
@@ -322,39 +304,21 @@ def serre_suite(max_size: int = 8, max_index: int = 4) -> list[CheckResult]:
 
 def orthonormality_suite(max_size: int = 8, max_index: int = 4) -> list[CheckResult]:
     """All four pairings: Schur, power-sum, point-class, and geometric power-sum."""
-    schur_pairs = _Check("schur-orthonormality")
-    power_pairs = _Check("power-sum-pairing")
-    class_pairs = _Check("point-class-orthonormality")
-    geom_pairs = _Check("geometric-power-sum-pairing")
+    rows = [  # (check, basis vector of a shape, pairing, its value on the diagonal)
+        (_Check("schur-orthonormality"), schur, hall_form, lambda shape: 1),
+        (_Check("power-sum-pairing"), power_sum, hall_form, z_factor),
+        (_Check("point-class-orthonormality"), normalized_class, bilinear_form, lambda shape: 1),
+        (_Check("geometric-power-sum-pairing"), power_sum_class, bilinear_form, z_factor),
+    ]
     for n in range(max_size + 1):
         shapes = partitions_of(n)
-        schur_cache = {shape: schur(shape) for shape in shapes}
-        power_cache = {shape: power_sum(shape) for shape in shapes}
-        class_cache = {shape: normalized_class(shape) for shape in shapes}
-        heis_cache = {shape: power_sum_class(shape) for shape in shapes}
-        for a in shapes:
-            for b in shapes:
-                delta = a == b
-                schur_pairs.record(
-                    hall_form(schur_cache[a], schur_cache[b]) == (1 if delta else 0),
-                    "pair=({}, {})", a, b,
-                )
-                power_pairs.record(
-                    hall_form(power_cache[a], power_cache[b])
-                    == (z_factor(a) if delta else 0),
-                    "pair=({}, {})", a, b,
-                )
-                class_pairs.record(
-                    bilinear_form(class_cache[a], class_cache[b])
-                    == TScalar.monomial(1 if delta else 0),
-                    "pair=({}, {})", a, b,
-                )
-                geom_pairs.record(
-                    bilinear_form(heis_cache[a], heis_cache[b])
-                    == TScalar.monomial(z_factor(a) if delta else 0),
-                    "pair=({}, {})", a, b,
-                )
-    return [schur_pairs.result(), power_pairs.result(), class_pairs.result(), geom_pairs.result()]
+        for check, basis, pairing, diagonal in rows:
+            vectors = {shape: basis(shape) for shape in shapes}
+            for a in shapes:
+                for b in shapes:
+                    expected = diagonal(a) if a == b else 0
+                    check.record(pairing(vectors[a], vectors[b]) == expected, "pair=({}, {})", a, b)
+    return [check.result() for check, *_ in rows]
 
 
 def correspondence_suite(max_size: int = 8, max_index: int = 4, charge_bound: int = 2) -> list[CheckResult]:
@@ -477,8 +441,6 @@ SUITES = {
     "euler": euler_suite,
 }
 
-_CHARGE_SUITES = {"clifford", "heisenberg-fermion", "correspondence"}
-
 
 def run_suite(
     name: str,
@@ -486,21 +448,26 @@ def run_suite(
     max_index: int | None = None,
     charge_bound: int | None = None,
 ) -> list[CheckResult]:
+    """Run one suite, or every suite for "all".  An argument left out takes
+    the suite's own default, and a suite gets only the arguments its signature
+    names.  ValueError on a negative argument, and on a grid so small that
+    some check ran nothing, naming every such check."""
     given = {"max_size": max_size, "max_index": max_index, "charge_bound": charge_bound}
     for key, value in given.items():
-        if value is not None and value < 0:  # an empty grid would pass with nothing checked
+        if value is not None and value < 0:
             raise ValueError(f"{key} must be at least 0, got {value}")
-    if name == "all":
-        results = []
-        for suite in SUITES:
-            results.extend(run_suite(suite, max_size, max_index, charge_bound))
-        return results
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join([*SUITES, 'all'])}")
-    if name not in _CHARGE_SUITES:
-        del given["charge_bound"]
-    # an argument left out takes the suite's own default
-    return SUITES[name](**{key: value for key, value in given.items() if value is not None})
+    results = []
+    for suite in SUITES if name == "all" else [name]:
+        accepted = inspect.signature(SUITES[suite]).parameters
+        results.extend(SUITES[suite](**{
+            key: value for key, value in given.items() if value is not None and key in accepted
+        }))
+    empty = [r.name for r in results if r.checked == 0]
+    if empty:  # a check that ran nothing would report a vacuous PASS
+        raise ValueError(f"the grid is too small: {', '.join(empty)} checked nothing")
+    return results
 
 
 def report_json(results: list[CheckResult]) -> dict:

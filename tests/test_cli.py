@@ -206,6 +206,15 @@ def test_verify_rejects_negative_grid_arguments(capsys, argv, message):
     assert run_cli(capsys, "verify", *argv) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, empty", [
+    (["all", "--max-size", "0", "--max-index", "0", "--charge", "0"],
+     "psi-adjointness, alpha-adjointness, geometric-boson-adjointness, ef-commutators, distant-commutation"),
+    (["heisenberg-fermion", "--max-index", "0"], "alpha-adjointness"),
+])
+def test_verify_rejects_a_grid_that_leaves_a_check_empty(capsys, argv, empty):
+    assert run_cli(capsys, "verify", *argv) == (2, "", f"error: the grid is too small: {empty} checked nothing\n")
+
+
 def test_verify_json_reports_the_rational_backend(capsys):
     from bosonfermion.scalars import Rational
 
@@ -302,6 +311,40 @@ def test_operator_index_is_bounded(capsys):
         assert word in proc.stderr
     code, out, _ = run_cli(capsys, "apply", "alpha(-1000)", "vac(0)")  # the bound itself answers
     assert code == 0 and out.count("phi[") == 1000
+
+
+def test_charge_of_a_fermionic_state_under_apply_is_bounded(capsys):
+    # contracting deep in the vacuum tail of charge 10^12 would build ~10^12 parts
+    literal = "phi[3,2]@1000000000000"
+    code, out, err = run_cli(capsys, "apply", "e(5)", literal)
+    assert (code, out) == (2, "") and literal in err
+    assert run_cli(capsys, "apply", "psi(0)", "vac(-1001) + phi[1]")[0] == 2
+    assert run_cli(capsys, "apply", "e(5)", "phi[3,2]@1000") == (0, "0\n", "")  # the bound itself answers
+    code, out, _ = run_cli(capsys, "correspond", "sigma", literal)  # only apply is bounded
+    assert code == 0 and out.startswith("q^1000000000000 * (")
+
+
+def test_localized_result_of_large_degree_fails_fast():
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "bosonfermion.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+            timeout=10,
+        )
+
+    # p(60) = 966,467 restrictions would be printed
+    proc = cli("apply", "p(-60)", '{"n":0,"restrictions":{"[]":"1"}}')
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: a localized class prints up to degree 20, got 60\n"
+    assert cli("localize", "class", "[21]").returncode == 2
+    assert cli("localize", "class", "[20]").returncode == 0
+    # a sparse class of large degree is still read, integrated and paired
+    sparse = '{"n":30,"restrictions":{"[30]":"1"}}'
+    proc = cli("localize", "integrate", sparse)
+    assert proc.returncode == 0 and proc.stdout.endswith("*t^-60\n")
+    assert cli("inner", "geometric", sparse, sparse).returncode == 0
 
 
 def test_word_of_two_large_alpha_operators_returns_fast():

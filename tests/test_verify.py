@@ -1,6 +1,6 @@
 import pytest
 
-from bosonfermion import boson, fermion, geometry, partitions
+from bosonfermion import boson, fermion, geometry, partitions, verify
 from bosonfermion.fermion import ChargedMonomial, basis_state
 from bosonfermion.partitions import Partition
 from bosonfermion.verify import (
@@ -8,6 +8,7 @@ from bosonfermion.verify import (
     clifford_suite,
     correspondence_suite,
     euler_suite,
+    heisenberg_boson_suite,
     heisenberg_fermion_suite,
     heisenberg_geometric_suite,
     run_suite,
@@ -94,6 +95,17 @@ def test_run_suite_rejects_a_negative_grid_argument(suite, argument):
         run_suite(suite, **{argument: -1})
 
 
+def test_run_suite_rejects_a_grid_that_leaves_a_check_empty():
+    with pytest.raises(ValueError, match=r"^the grid is too small: alpha-adjointness checked nothing$"):
+        run_suite("heisenberg-fermion", 4, 0)
+    with pytest.raises(ValueError, match=r": psi-adjointness, alpha-adjointness, geometric-boson-adjointness, "
+                                         r"ef-commutators, distant-commutation checked nothing$"):
+        run_suite("all", 0, 0, 0)
+    # a suite called directly still reports the empty check
+    results = {r.name: r for r in heisenberg_fermion_suite(4, 0, 1)}
+    assert results["alpha-adjointness"].checked == 0 and results["alpha-adjointness"].passed
+
+
 def test_corrupt_closed_form_euler_class_fails_with_a_witness(monkeypatch):
     monkeypatch.setattr(geometry, "hook_product", lambda shape: partitions.hook_product(shape) + 1)
     geometry.euler_class.cache_clear()
@@ -163,3 +175,35 @@ def test_flipped_alpha_move_fails_alpha_adjointness(monkeypatch):
     adjoint = results["alpha-adjointness"]
     assert not adjoint.passed and adjoint.counterexample == "k=1, pair=(phi[1,1], phi[2,1])"
     assert results["alpha0-charge"].passed
+
+
+# The three Heisenberg suites share one commutator sweep, and the geometric
+# adjointness and transport checks read its image tables.
+
+def test_one_wrong_oscillator_term_fails_oscillator_commutators(monkeypatch):
+    target = boson.power_sum(Partition((2, 1)))
+
+    def corrupt(m, f):
+        image = boson.oscillator(m, f)
+        return -image if (m, f) == (1, target) else image
+
+    monkeypatch.setattr(verify, "oscillator", corrupt)
+    (comm,) = heisenberg_boson_suite(4, 3)
+    assert not comm.passed and comm.checked == 588
+    assert comm.counterexample == "k=-2, l=1, monomial=p1"
+
+
+def test_flipped_ribbon_sign_at_one_shape_fails_the_geometric_suite(monkeypatch):
+    def flipped(shape, k):
+        strips = partitions.ribbons(shape, k)
+        if (shape, k) == ((2, 1), 1):
+            (sign, rho), *rest = strips
+            return ((-sign, rho), *rest)
+        return strips
+
+    monkeypatch.setattr(geometry, "ribbons", flipped)
+    results = {r.name: r for r in heisenberg_geometric_suite(4, 3)}
+    comm, adjoint = results["geometric-boson-commutators"], results["geometric-boson-adjointness"]
+    assert not comm.passed and comm.counterexample == "k=-3, l=1, shape=[]"
+    assert not adjoint.passed and adjoint.counterexample == "i=1, pair=([1,1], [2,1])"
+    assert results["geometric-boson-transport"].counterexample == "k=1, shape=[2,1]"
