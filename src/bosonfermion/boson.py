@@ -7,7 +7,7 @@ power-sum polynomials of a partition of n are homogeneous of degree n.
 
 from functools import cache
 from math import lcm
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .linear import LinearCombination, accumulate, power
 from .partitions import Partition, partitions_of, ribbons, z_factor
@@ -154,8 +154,9 @@ def oscillator(m: int, f: BosonPolynomial) -> BosonPolynomial:
                     yield BosonMonomial(mono.q_power, rest), coeff * m * shape.count(m)
 
         return BosonPolynomial._make(accumulate(lowered()))
-    if m < 0:
-        return f * BosonPolynomial.p(-m)
+    if m < 0:  # p_{-m} times each monomial: distinct monomials stay distinct
+        raised = BosonMonomial(0, Partition((-m,)))
+        return BosonPolynomial._make({_mono_mul(mono, raised): coeff for mono, coeff in f.terms.items()})
     return BosonPolynomial._make(
         {mono: coeff * mono.q_power for mono, coeff in f.terms.items() if mono.q_power}
     )
@@ -245,13 +246,32 @@ def characters(n: int) -> dict[Partition, dict[Partition, int]]:
     return table
 
 
+def from_schur(coords: Iterable[tuple[tuple[int, Partition], Rational]]) -> BosonPolynomial:
+    """The sum of c * q^m * S_shape over the pairs ((m, shape), c), with
+    S_shape = sum over mu of chi^shape(mu) / z_mu * p_mu.
+
+    The inverse of schur_expand: the characters are summed per (m, mu) as
+    integer numerators over one common denominator, so that each output
+    coefficient costs a single division by common * z_mu.
+    """
+    coords = list(coords)
+    common = lcm(*(c.denominator for _, c in coords))
+    totals: dict[int, dict[Partition, int]] = {}
+    for (m, shape), c in coords:
+        a = c.numerator * (common // c.denominator)
+        row = totals.setdefault(m, {})
+        for mu, chi in characters(shape.size())[shape].items():
+            row[mu] = row.get(mu, 0) + a * chi
+    return BosonPolynomial._make({
+        BosonMonomial(m, mu): Rational(total, common * z_factor(mu))
+        for m, row in totals.items() for mu, total in row.items() if total
+    })
+
+
 @cache
 def schur(shape: Partition) -> BosonPolynomial:
     """S_shape = sum over mu of chi^shape(mu) / z_mu * p_mu."""
-    return BosonPolynomial._make({
-        BosonMonomial(0, mu): Rational(chi, z_factor(mu))
-        for mu, chi in characters(shape.size())[shape].items()
-    })
+    return from_schur([((0, shape), ONE)])
 
 
 def power_sum(shape: Partition) -> BosonPolynomial:

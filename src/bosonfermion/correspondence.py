@@ -1,17 +1,13 @@
 """The boson-fermion dictionary: charge-m monomials map to q^m Schur polynomials."""
 
-from .boson import BosonMonomial, BosonPolynomial, schur, schur_expand
+from .boson import BosonPolynomial, from_schur, schur_expand
 from .fermion import ChargedMonomial, FermionState
 from .linear import accumulate
 
 
 def sigma(state: FermionState) -> BosonPolynomial:
     """Linear extension of (charge m, shape) -> q^m * S_shape."""
-    return BosonPolynomial._make(accumulate(
-        (BosonMonomial(s_mono.q_power + mono.charge, s_mono.shape), coeff * s_coeff)
-        for mono, coeff in state.terms.items()
-        for s_mono, s_coeff in schur(mono.shape).terms.items()
-    ))
+    return from_schur(state.terms.items())
 
 
 def sigma_inverse(f: BosonPolynomial) -> FermionState:

@@ -14,7 +14,7 @@ the unique choice reproducing both the tangent Euler class
 import json
 from functools import cache
 
-from .boson import MAX_SCHUR_DEGREE, BosonPolynomial, schur, schur_expand
+from .boson import MAX_SCHUR_DEGREE, BosonPolynomial, from_schur, schur_expand
 from .fermion import FermionState
 from .linear import LinearCombination, accumulate
 from .partitions import (
@@ -427,11 +427,7 @@ def _schur_coordinates(beta: LocalizedClass) -> dict[Partition, Rational]:
 
 def phi(beta: LocalizedClass) -> BosonPolynomial:
     """Expand in normalized point classes and send each to its Schur polynomial."""
-    return BosonPolynomial._make(accumulate(
-        (mono, c * coeff)
-        for shape, coeff in _schur_coordinates(beta).items()
-        for mono, c in schur(shape).terms.items()
-    ))
+    return from_schur(((0, shape), c) for shape, c in _schur_coordinates(beta).items())
 
 
 def phi_inverse(f: BosonPolynomial, n: int | None = None) -> LocalizedClass:

@@ -55,8 +55,14 @@ class Partition(tuple):
         return f"Partition({tuple(self)})"
 
 
+# The most boxes a partition literal may have: hooks, Euler classes and
+# weights loop box by box, and Schur data stops at degree 20 anyway.
+MAX_LITERAL_BOXES = 1000
+
+
 def parse_partition(text: str) -> Partition:
-    """Parse the bracket form, e.g. "[2,1]" or "[]"."""
+    """Parse the bracket form, e.g. "[2,1]" or "[]"; ValueError on a literal
+    of more than MAX_LITERAL_BOXES boxes."""
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise ValueError(f"expected a bracketed partition like [2,1], got {text!r}")
@@ -67,7 +73,10 @@ def parse_partition(text: str) -> Partition:
         parts = [int(tok) for tok in inner.split(",")]
     except ValueError:
         raise ValueError(f"invalid partition literal {text!r}") from None
-    return Partition(parts)
+    shape = Partition(parts)
+    if shape.size() > MAX_LITERAL_BOXES:
+        raise ValueError(f"a partition literal has at most {MAX_LITERAL_BOXES} boxes, got {shape.size()}")
+    return shape
 
 
 def boxes(shape: Partition) -> list[Box]:

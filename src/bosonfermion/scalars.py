@@ -346,6 +346,10 @@ class TScalar:
     def __truediv__(self, other: "TScalar") -> "TScalar":
         if other.is_zero():
             raise ZeroDivisionError("division by zero in Q(t)")
+        if self.den is _LAURENT_ONE and other.den is _LAURENT_ONE and len(other.num.terms) == 1:
+            # by a monomial c*t^e: the value _canonical gives, without the products
+            ((e, c),) = other.num.terms.items()
+            return TScalar(self.num.shift(-e).scale(ONE / c))
         return TScalar(self.num * other.den, self.den * other.num)
 
     def __pow__(self, n: int) -> "TScalar":

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 from . import fermion, geometry
 from .boson import (
+    MAX_SCHUR_DEGREE,
     BosonPolynomial,
     hall_form,
     oscillator,
@@ -442,6 +443,11 @@ SUITES = {
 }
 
 
+# The largest grid size, operator index and charge bound of run_suite: the
+# degree up to which the dictionary suites have Schur data at all.
+MAX_GRID = MAX_SCHUR_DEGREE
+
+
 def run_suite(
     name: str,
     max_size: int | None = None,
@@ -450,12 +456,14 @@ def run_suite(
 ) -> list[CheckResult]:
     """Run one suite, or every suite for "all".  An argument left out takes
     the suite's own default, and a suite gets only the arguments its signature
-    names.  ValueError on a negative argument, and on a grid so small that
-    some check ran nothing, naming every such check."""
+    names.  ValueError on a negative argument or one above MAX_GRID, and on a
+    grid so small that some check ran nothing, naming every such check."""
     given = {"max_size": max_size, "max_index": max_index, "charge_bound": charge_bound}
     for key, value in given.items():
         if value is not None and value < 0:
             raise ValueError(f"{key} must be at least 0, got {value}")
+        if value is not None and value > MAX_GRID:
+            raise ValueError(f"{key} must be at most {MAX_GRID}, got {value}")
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join([*SUITES, 'all'])}")
     results = []

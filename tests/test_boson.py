@@ -65,6 +65,13 @@ def test_oscillator_examples():
     assert oscillator(0, q3p2) == q3p2.scale(3)
 
 
+@settings(deadline=None)
+@given(small_polynomials(), st.integers(-3, 3), st.integers(1, 6))
+def test_raising_oscillator_is_multiplication_by_p(f, m, k):
+    f = f * BosonPolynomial.q(m)
+    assert oscillator(-k, f) == f * BosonPolynomial.p(k)
+
+
 def test_oscillator_commutators_small():
     for shape in partitions_up_to(6):
         f = power_sum(shape)

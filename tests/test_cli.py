@@ -206,6 +206,15 @@ def test_verify_rejects_negative_grid_arguments(capsys, argv, message):
     assert run_cli(capsys, "verify", *argv) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["clifford", "--max-size", "30"], "max_size must be at most 20, got 30"),
+    (["serre", "--max-index", "100000000"], "max_index must be at most 20, got 100000000"),
+    (["all", "--max-size", "4", "--charge", "21"], "charge_bound must be at most 20, got 21"),
+])
+def test_verify_rejects_a_grid_above_the_limit(capsys, argv, message):
+    assert run_cli(capsys, "verify", *argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv, empty", [
     (["all", "--max-size", "0", "--max-index", "0", "--charge", "0"],
      "psi-adjointness, alpha-adjointness, geometric-boson-adjointness, ef-commutators, distant-commutation"),
@@ -341,6 +350,30 @@ def test_localized_result_of_large_degree_fails_fast():
     assert cli("localize", "class", "[21]").returncode == 2
     assert cli("localize", "class", "[20]").returncode == 0
     # a sparse class of large degree is still read, integrated and paired
+    sparse = '{"n":30,"restrictions":{"[30]":"1"}}'
+    proc = cli("localize", "integrate", sparse)
+    assert proc.returncode == 0 and proc.stdout.endswith("*t^-60\n")
+    assert cli("inner", "geometric", sparse, sparse).returncode == 0
+
+
+def test_partition_literal_of_many_boxes_fails_fast():
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "bosonfermion.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+            timeout=10,
+        )
+
+    message = "error: a partition literal has at most 1000 boxes, got 100000000\n"
+    for action in ("euler", "weight", "class"):
+        proc = cli("localize", action, "[100000000]")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+    assert cli("schur", "[1001]").returncode == 2
+    assert cli("apply", "p(1)", '{"n":1001,"restrictions":{"[1001]":"1"}}').returncode == 2
+    assert cli("localize", "weight", "[1000]").returncode == 0
+    # a sparse class of degree 30 is still integrated and paired
     sparse = '{"n":30,"restrictions":{"[30]":"1"}}'
     proc = cli("localize", "integrate", sparse)
     assert proc.returncode == 0 and proc.stdout.endswith("*t^-60\n")

@@ -1,8 +1,9 @@
 from hypothesis import given, settings, strategies as st
 
-from bosonfermion.boson import BosonPolynomial, parse_boson, power_sum
+from bosonfermion.boson import BosonPolynomial, from_schur, parse_boson, power_sum, schur_jacobi_trudi
 from bosonfermion.correspondence import sigma, sigma_inverse
-from bosonfermion.fermion import basis_state, vacuum
+from bosonfermion.fermion import FermionState, basis_state, vacuum
+from bosonfermion.geometry import LocalizedClass, normalized_class, phi
 from bosonfermion.partitions import Partition, partitions_of, partitions_up_to
 from bosonfermion.scalars import rat
 from bosonfermion.verify import CheckResult, correspondence_suite, report_json
@@ -49,6 +50,51 @@ def mixed_polynomials(draw):
 @given(mixed_polynomials())
 def test_sigma_of_sigma_inverse_is_identity(f):
     assert sigma(sigma_inverse(f)) == f
+
+
+# sigma and phi are written by from_schur on the character table; the sums
+# below build the same values from Jacobi-Trudi determinants instead.
+
+@st.composite
+def schur_coordinates(draw, charges=(-3, 3), max_degree=9):
+    """A list of ((charge, shape), coefficient) pairs; keys may repeat."""
+    degree = draw(st.integers(0, max_degree))
+    pairs = []
+    for _ in range(draw(st.integers(0, 5))):
+        shape = draw(st.sampled_from(partitions_of(draw(st.integers(0, degree)))))
+        coeff = rat(draw(st.integers(-9, 9)), draw(st.integers(1, 6)))
+        pairs.append(((draw(st.integers(*charges)), shape), coeff))
+    return pairs
+
+
+def jacobi_trudi_sum(pairs) -> BosonPolynomial:
+    total = BosonPolynomial.zero()
+    for (m, shape), coeff in pairs:
+        total = total + (BosonPolynomial.q(m) * schur_jacobi_trudi(shape, len(shape))).scale(coeff)
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(schur_coordinates())
+def test_from_schur_and_sigma_match_jacobi_trudi(pairs):
+    expected = jacobi_trudi_sum(pairs)
+    assert from_schur(pairs) == expected
+    state = FermionState.zero()
+    for (m, shape), coeff in pairs:
+        state = state + basis_state(m, shape).scale(coeff)
+    assert sigma(state) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.sampled_from(partitions_of(n)), st.integers(-9, 9), st.integers(1, 6)),
+                         max_size=5))))
+def test_phi_matches_jacobi_trudi(drawn):
+    n, terms = drawn
+    beta = LocalizedClass.zero(n)
+    for shape, a, b in terms:
+        beta = beta + normalized_class(shape).scale(rat(a, b))
+    assert phi(beta) == jacobi_trudi_sum([((0, shape), rat(a, b)) for shape, a, b in terms])
 
 
 def test_dimension_counts():

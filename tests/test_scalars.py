@@ -110,6 +110,40 @@ def test_gcd_cancellation():
     assert value.den.coefficient(value.den.max_exp()) == 1
 
 
+# A quotient of two Laurent polynomials by a one-term divisor c*t^e skips the
+# gcd; it must still be the canonical form, which sympy computes independently.
+
+@given(laurents(), rationals.filter(bool), st.integers(-8, 8))
+def test_division_by_a_monomial_is_canonical(a, c, e):
+    dividend, divisor = TScalar(a), TScalar.monomial(c, e)
+    quotient = dividend / divisor
+    canonical = TScalar(a, TLaurent.term(c, e))
+    assert (quotient.num, quotient.den) == (canonical.num, canonical.den)
+    assert quotient.is_laurent() and quotient * divisor == dividend
+
+
+@settings(max_examples=60, deadline=None)
+@given(laurents(), rationals.filter(bool), st.integers(-8, 8))
+def test_division_by_a_monomial_matches_sympy(a, c, e):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+
+    def expr(value: TLaurent):
+        return sum((sympy.Rational(int(v.numerator), int(v.denominator)) * t**k
+                    for k, v in value.terms.items()), sympy.Integer(0))
+
+    quotient = TScalar(a) / TScalar.monomial(c, e)
+    assert quotient.is_laurent()
+    assert sympy.expand(sympy.cancel(expr(a) / expr(TLaurent.term(c, e))) - expr(quotient.num)) == 0
+
+
+@settings(deadline=None)
+@given(tscalars(), tscalars())
+def test_quotient_times_divisor_is_the_dividend(a, b):
+    if not b.is_zero():
+        assert (a / b) * b == a
+
+
 @settings(max_examples=1000, deadline=None)
 @given(tscalars(), tscalars(), tscalars())
 def test_field_axioms(a, b, c):

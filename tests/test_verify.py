@@ -95,6 +95,13 @@ def test_run_suite_rejects_a_negative_grid_argument(suite, argument):
         run_suite(suite, **{argument: -1})
 
 
+@pytest.mark.parametrize("argument", ["max_size", "max_index", "charge_bound"])
+def test_run_suite_rejects_a_grid_argument_above_the_limit(argument):
+    assert verify.MAX_GRID == boson.MAX_SCHUR_DEGREE == 20
+    with pytest.raises(ValueError, match=f"^{argument} must be at most 20, got 21$"):
+        run_suite("clifford", **{argument: 21})
+
+
 def test_run_suite_rejects_a_grid_that_leaves_a_check_empty():
     with pytest.raises(ValueError, match=r"^the grid is too small: alpha-adjointness checked nothing$"):
         run_suite("heisenberg-fermion", 4, 0)
@@ -137,6 +144,29 @@ def test_flipped_ribbon_sign_in_the_character_table_fails_two_determinants(monke
     two_route = results["schur-two-determinants"]
     assert not two_route.passed and two_route.checked == 12
     assert two_route.counterexample == "shape=[3,1]"
+
+
+def test_skipped_z_division_at_one_output_fails_two_determinants(monkeypatch):
+    # from_schur writes schur, sigma and phi; Jacobi-Trudi does not go through it
+    from_schur = boson.from_schur
+    mu = Partition((2, 1))
+
+    def corrupt(coords):
+        terms = dict(from_schur(coords).terms)
+        for mono in terms:
+            if mono.shape == mu:
+                terms[mono] *= partitions.z_factor(mu)
+        return boson.BosonPolynomial._make(terms)
+
+    monkeypatch.setattr(boson, "from_schur", corrupt)
+    boson.schur.cache_clear()
+    try:
+        results = {r.name: r for r in run_suite("correspondence", 4)}
+    finally:
+        boson.schur.cache_clear()
+    two_route = results["schur-two-determinants"]
+    assert not two_route.passed and two_route.checked == 12
+    assert two_route.counterexample == "shape=[3]"
 
 
 # The sweeps read psi, psi* and alpha images from tables built once per state;
