@@ -6,12 +6,11 @@ power-sum polynomials of a partition of n are homogeneous of degree n.
 """
 
 from functools import cache
-from math import lcm
 from typing import Iterable, NamedTuple
 
 from .linear import LinearCombination, accumulate, power
 from .partitions import Partition, partitions_of, ribbons, z_factor
-from .scalars import ONE, Rational, ZERO, is_integer, read_terms
+from .scalars import ONE, Rational, integer_numerators, is_integer, pairing, read_terms
 from .text import Grammar, parse
 
 
@@ -255,10 +254,9 @@ def from_schur(coords: Iterable[tuple[tuple[int, Partition], Rational]]) -> Boso
     coefficient costs a single division by common * z_mu.
     """
     coords = list(coords)
-    common = lcm(*(c.denominator for _, c in coords))
+    common, numerators = integer_numerators(c for _, c in coords)
     totals: dict[int, dict[Partition, int]] = {}
-    for (m, shape), c in coords:
-        a = c.numerator * (common // c.denominator)
+    for ((m, shape), _), a in zip(coords, numerators):
         row = totals.setdefault(m, {})
         for mu, chi in characters(shape.size())[shape].items():
             row[mu] = row.get(mu, 0) + a * chi
@@ -283,13 +281,7 @@ def hall_form(f: BosonPolynomial, g: BosonPolynomial) -> Rational:
     """Symmetric bilinear form with <p_mu, p_nu> = delta * z_mu; q^0 inputs only."""
     f.require_q0()
     g.require_q0()
-    small, large = (f.terms, g.terms) if len(f.terms) <= len(g.terms) else (g.terms, f.terms)
-    total = ZERO
-    for mono, coeff in small.items():
-        other = large.get(mono)
-        if other is not None:
-            total += coeff * other * z_factor(mono.shape)
-    return total
+    return pairing(f.terms, g.terms, lambda mono: z_factor(mono.shape))
 
 
 def schur_expand(f: BosonPolynomial) -> dict[Partition, Rational]:
@@ -300,8 +292,8 @@ def schur_expand(f: BosonPolynomial) -> dict[Partition, Rational]:
         return {}
     table = characters(f.p_degree())
     # Integer numerators over one common denominator: a single division per shape.
-    common = lcm(*(c.denominator for c in f.terms.values()))
-    numerators = [(mono.shape, c.numerator * (common // c.denominator)) for mono, c in f.terms.items()]
+    common, ints = integer_numerators(f.terms.values())
+    numerators = list(zip((mono.shape for mono in f.terms), ints))
     totals = ((shape, sum(a * row.get(mu, 0) for mu, a in numerators)) for shape, row in table.items())
     return {shape: Rational(total, common) for shape, total in totals if total}
 

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 from .linear import LinearCombination, accumulate
 from .partitions import Partition, parse_partition
-from .scalars import ONE, Rational, ZERO, is_integer, read_terms
+from .scalars import ONE, Rational, is_integer, pairing, read_terms
 from .text import PARTITION, Grammar, join_terms, parse
 
 
@@ -153,25 +153,21 @@ def psi_star(j: int, state: FermionState) -> FermionState:
     return _apply_monomial_op(_contract_out, j, state)
 
 
-class GlMatrix:
-    """Infinite matrix with finitely many nonzero rational entries."""
+class GlMatrix(LinearCombination):
+    """Infinite matrix with finitely many nonzero rational entries, keyed by (i, j)."""
 
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: dict[tuple[int, int], Rational]):
-        self.entries = {
-            (int(i), int(j)): Rational(c) for (i, j), c in entries.items() if c != 0
-        }
+    __slots__ = ()
+    _coerce = staticmethod(Rational)
 
     @classmethod
     def unit(cls, i: int, j: int) -> "GlMatrix":
-        return cls({(i, j): ONE})
+        return cls._make({(i, j): ONE})
 
     def transpose(self) -> "GlMatrix":
-        return GlMatrix({(j, i): c for (i, j), c in self.entries.items()})
+        return GlMatrix._make({(j, i): c for (i, j), c in self.terms.items()})
 
     def __repr__(self) -> str:
-        return f"GlMatrix({self.entries!r})"
+        return f"GlMatrix({self.terms!r})"
 
 
 def _unit_action(i: int, j: int, mono: ChargedMonomial):
@@ -190,7 +186,7 @@ def _unit_action(i: int, j: int, mono: ChargedMonomial):
 def gl_action(a: GlMatrix, state: FermionState) -> FermionState:
     """Infinite-wedge action: sum of a_ij psi_i psi*_j, charge preserving."""
     def images():
-        for (i, j), entry in a.entries.items():
+        for (i, j), entry in a.terms.items():
             for mono, coeff in state.terms.items():
                 hit = _unit_action(i, j, mono)
                 if hit is not None:
@@ -241,13 +237,7 @@ def alpha(n: int, state: FermionState) -> FermionState:
 
 def hermitian_form(s1: FermionState, s2: FermionState) -> Rational:
     """Bilinear form for which the monomial basis is orthonormal."""
-    small, large = (s1.terms, s2.terms) if len(s1.terms) <= len(s2.terms) else (s2.terms, s1.terms)
-    total = ZERO
-    for mono, coeff in small.items():
-        other = large.get(mono)
-        if other is not None:
-            total += coeff * other
-    return total
+    return pairing(s1.terms, s2.terms, lambda mono: 1)
 
 
 # --- text form ---------------------------------------------------------------

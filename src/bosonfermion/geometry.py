@@ -33,8 +33,8 @@ from .scalars import (
     Rational,
     TLaurent,
     TScalar,
-    ZERO,
     is_integer,
+    pairing,
     parse_tlaurent,
     parse_tscalar,
     t_power,
@@ -198,6 +198,8 @@ class LocalizedClass:
         n = data.get("n")
         if not is_integer(n):
             raise ValueError(f"n must be an integer, got {n!r}")
+        if n < 0:
+            raise ValueError(f"n must be at least 0, got {n}")
         raw = data.get("restrictions", {})
         if not isinstance(raw, dict) or not all(isinstance(v, str) for v in raw.values()):
             raise ValueError("restrictions must map partition strings to scalar strings")
@@ -327,14 +329,14 @@ def weight_of(shape: Partition) -> dict[int, int]:
 
 
 def quiver_form(a: QuiverClass, b: QuiverClass) -> Rational:
-    """Bilinear form for which the graded units t^|shape| 1_shape are orthonormal."""
-    total = ZERO
-    for shape, coeff in a.terms.items():
-        other = b.terms.get(shape)
-        if other is None:
-            continue
-        total += _graded_coordinate(coeff, shape) * _graded_coordinate(other, shape)
-    return total
+    """Bilinear form for which the graded units t^|shape| 1_shape are orthonormal;
+    only the coefficients at the shapes both classes share are read."""
+    shared = [shape for shape in a.terms if shape in b.terms]
+
+    def graded(c: QuiverClass) -> dict[Partition, Rational]:
+        return {shape: _graded_coordinate(c.terms[shape], shape) for shape in shared}
+
+    return pairing(graded(a), graded(b), lambda shape: 1)
 
 
 def _graded_coordinate(coeff: TLaurent, shape: Partition) -> Rational:

@@ -48,6 +48,27 @@ def read_terms(data, read_key) -> dict:
     return accumulate((read_key(item), parse_rational(item["coeff"])) for item in data)
 
 
+def integer_numerators(coeffs) -> tuple[int, list[int]]:
+    """(D, [c * D, ...]): the rationals over their least common denominator D.
+    Numerators and denominators go through int(), so mpq serves as Fraction does."""
+    coeffs = list(coeffs)
+    common = lcm(*(int(c.denominator) for c in coeffs))
+    return common, [int(c.numerator) * (common // int(c.denominator)) for c in coeffs]
+
+
+def pairing(f: dict, g: dict, weight) -> Rational:
+    """The sum of weight(key) * f[key] * g[key] over the keys f and g share;
+    it walks the smaller dict."""
+    if len(f) > len(g):
+        f, g = g, f
+    total = ZERO
+    for key, c in f.items():
+        other = g.get(key)
+        if other is not None:
+            total += c * other * weight(key)
+    return total
+
+
 class TLaurent(LinearCombination):
     """Laurent polynomial in t with rational coefficients, stored sparsely
     as {exponent: coefficient}."""
@@ -177,13 +198,8 @@ def _dense_divmod(num: list[Rational], den: list[Rational]):
 
 def _int_primitive(coeffs: list[Rational]) -> list[int]:
     """Clear denominators and divide out the integer content."""
-    common = 1
-    for c in coeffs:
-        common = lcm(common, int(c.denominator))
-    ints = [int(c * common) for c in coeffs]
-    content = 0
-    for v in ints:
-        content = gcd(content, v)
+    _, ints = integer_numerators(coeffs)
+    content = gcd(*ints)
     return [v // content for v in ints]
 
 
@@ -205,9 +221,7 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
         r.pop()
         if not r:
             return [0]
-        content = 0
-        for v in r:
-            content = gcd(content, v)
+        content = gcd(*r)
         if content > 1:
             r = [v // content for v in r]
     while len(r) > 1 and r[-1] == 0:

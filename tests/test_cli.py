@@ -256,6 +256,14 @@ def test_malformed_localized_json_exits_2(capsys):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["localize", "integrate", '{"n":-1,"restrictions":{}}'],
+    ["apply", "p(-1)", '{"n":-1,"restrictions":{}}'],
+])
+def test_localized_json_of_negative_degree_exits_2(capsys, argv):
+    assert run_cli(capsys, *argv) == (2, "", "error: n must be at least 0, got -1\n")
+
+
 def test_rational_fixed_point_coefficients_reparse(capsys):
     code, out, _ = run_cli(capsys, "correspond", "tau", "1/2*phi[1]")
     assert code == 0

@@ -191,6 +191,14 @@ def test_gl_action_linear_in_matrix():
     assert gl_action(a, state) == expected
 
 
+def test_gl_matrix_is_a_sparse_combination_of_units():
+    a = GlMatrix({(1, 0): 2, (0, 1): rat(-1, 3), (3, 3): 0})
+    assert a.terms == {(1, 0): rat(2), (0, 1): rat(-1, 3)}
+    assert a == GlMatrix.unit(1, 0).scale(2) + GlMatrix.unit(0, 1).scale(rat(-1, 3))
+    assert a.transpose().transpose() == a and a.transpose().coefficient((0, 1)) == 2
+    assert gl_action(a - a, phi((2, 1))).is_zero()
+
+
 def test_gl_adjointness():
     shapes = partitions_up_to(4)
     a = GlMatrix({(2, 0): rat(1), (-1, 1): rat(3, 2)})

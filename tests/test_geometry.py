@@ -293,6 +293,13 @@ def test_localized_json_round_trip():
     assert LocalizedClass.from_json(json.loads(json.dumps(data))) == beta
 
 
+def test_localized_json_rejects_a_negative_degree():
+    with pytest.raises(ValueError, match=r"^n must be at least 0, got -1$"):
+        LocalizedClass.from_json({"n": -1, "restrictions": {}})
+    # the library itself may still build the zero class of a negative degree
+    assert LocalizedClass.zero(-1).is_zero()
+
+
 def test_quiver_json_rejects_malformed_input():
     for data in ({"coefficients": {"[1]": 7}}, []):
         with pytest.raises(ValueError):

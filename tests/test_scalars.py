@@ -1,10 +1,17 @@
-import pytest
-from hypothesis import given, settings, strategies as st
+import re
+from math import lcm
+from pathlib import Path
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import bosonfermion
 from bosonfermion.scalars import (
     Rational,
     TLaurent,
     TScalar,
+    integer_numerators,
+    pairing,
     parse_tlaurent,
     parse_tscalar,
     rat,
@@ -176,3 +183,46 @@ def test_parse_errors():
         parse_tscalar("x")
     with pytest.raises(ValueError):
         parse_tlaurent("1 / (t + 1)")
+
+
+# --- the two exact-sum kernels ---------------------------------------------------
+
+sparse = st.dictionaries(st.integers(0, 8), rationals.filter(bool), max_size=6)
+
+
+@given(sparse, sparse, st.dictionaries(st.integers(0, 8), st.integers(-5, 5)))
+@example({}, {}, {})
+@example({1: Rational(1, 2)}, {}, {})
+@example({}, {2: Rational(3)}, {})
+@example({1: Rational(1, 2), 3: Rational(-2)}, {2: Rational(3), 4: Rational(1, 7)}, {})
+def test_pairing_is_the_weighted_sum_over_shared_keys(f, g, weights):
+    read = []
+
+    def weight(key):
+        read.append(key)
+        return weights.get(key, 1)
+
+    direct = sum((f[key] * g[key] * weights.get(key, 1) for key in f.keys() & g.keys()), Rational(0))
+    assert pairing(f, g, weight) == direct
+    assert sorted(read) == sorted(f.keys() & g.keys())
+    assert pairing(g, f, weight) == direct
+
+
+@given(st.lists(rationals, max_size=8))
+def test_integer_numerators_share_the_least_common_denominator(coeffs):
+    common, numerators = integer_numerators(coeffs)
+    assert common == lcm(*(int(c.denominator) for c in coeffs))
+    assert all(type(a) is int and Rational(a, common) == c for a, c in zip(numerators, coeffs))
+    assert len(numerators) == len(coeffs)
+
+
+def test_only_scalars_clears_denominators():
+    """Every lcm of denominators goes through integer_numerators."""
+    package = Path(bosonfermion.__file__).parent
+    offenders = [
+        f"{path.name}:{number}"
+        for path in sorted(package.glob("*.py")) if path.name != "scalars.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\blcm\(|\.denominator\b", line)
+    ]
+    assert offenders == []

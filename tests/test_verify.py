@@ -169,6 +169,17 @@ def test_skipped_z_division_at_one_output_fails_two_determinants(monkeypatch):
     assert two_route.counterexample == "shape=[3]"
 
 
+def test_unweighted_pairing_in_the_hall_form_fails_both_boson_pairings(monkeypatch):
+    # hall_form weights each shared monomial by z_mu; the point-class checks do not read it
+    pairing = boson.pairing
+    monkeypatch.setattr(boson, "pairing", lambda f, g, weight: pairing(f, g, lambda key: 1))
+    results = {r.name: r for r in run_suite("orthonormality", 4) + run_suite("correspondence", 4)}
+    for name in ("schur-orthonormality", "power-sum-pairing", "form-preservation"):
+        assert not results[name].passed and results[name].counterexample == "pair=([2], [2])"
+    assert results["point-class-orthonormality"].passed
+    assert results["geometric-power-sum-pairing"].passed
+
+
 # The sweeps read psi, psi* and alpha images from tables built once per state;
 # a wrong sign in a single image must still surface as a failing check.
 
