@@ -10,7 +10,19 @@ from typing import Iterable, NamedTuple
 
 from .linear import LinearCombination, accumulate, power
 from .partitions import Partition, partitions_of, ribbons, z_factor
-from .scalars import ONE, Rational, integer_numerators, is_integer, pairing, read_terms
+from .scalars import (
+    ONE,
+    Rational,
+    format_rational,
+    integer_combination,
+    integer_numerators,
+    integer_product,
+    integer_vector,
+    is_integer,
+    pairing,
+    rational_terms,
+    read_terms,
+)
 from .text import Grammar, parse
 
 
@@ -70,11 +82,15 @@ class BosonPolynomial(LinearCombination):
     def __mul__(self, other: "BosonPolynomial") -> "BosonPolynomial":
         if type(other) is not BosonPolynomial:
             return NotImplemented
-        return BosonPolynomial._make(accumulate(
-            (_mono_mul(m1, m2), c1 * c2)
-            for m1, c1 in self.terms.items()
-            for m2, c2 in other.terms.items()
-        ))
+        if len(self.terms) < 2 or len(other.terms) < 2:
+            # distinct monomials times one monomial stay distinct: nothing to sum
+            return BosonPolynomial._make({
+                _mono_mul(m1, m2): c1 * c2
+                for m1, c1 in self.terms.items()
+                for m2, c2 in other.terms.items()
+            })
+        product = integer_product(integer_vector(self.terms), integer_vector(other.terms), _mono_mul)
+        return BosonPolynomial._make(rational_terms(product))
 
     def __truediv__(self, other: "BosonPolynomial") -> "BosonPolynomial":
         if type(other) is not BosonPolynomial:
@@ -119,7 +135,7 @@ class BosonPolynomial(LinearCombination):
 
     def to_json(self) -> list[dict]:
         return [
-            {"q": mono.q_power, "p": [[i, e] for i, e in _exponents(mono.shape)], "coeff": str(c)}
+            {"q": mono.q_power, "p": [[i, e] for i, e in _exponents(mono.shape)], "coeff": format_rational(c)}
             for mono, c in sorted(self.terms.items(), key=lambda term: _mono_sort_key(term[0]))
         ]
 
@@ -174,35 +190,36 @@ def elementary_schur(n: int) -> BosonPolynomial:
 
 
 def _determinant(matrix: list[list[BosonPolynomial]]) -> BosonPolynomial:
-    """Laplace expansion with memoised minors, sparsest rows first."""
+    """Laplace expansion with memoised minors, sparsest rows first.  Entries
+    and minors are integer vectors, so the products and the signed sums run
+    on integer numerators and each output coefficient is divided once."""
     n = len(matrix)
     if n == 0:
         return BosonPolynomial.one()
     order = sorted(range(n), key=lambda i: sum(1 for p in matrix[i] if not p.is_zero()))
     inversions = sum(1 for a in range(n) for b in range(a + 1, n) if order[a] > order[b])
-    rows = [matrix[i] for i in order]
-    memo: dict[frozenset, BosonPolynomial] = {}
-
-    def minor(cols: frozenset) -> BosonPolynomial:
-        if not cols:
-            return BosonPolynomial.one()
-        cached = memo.get(cols)
-        if cached is not None:
-            return cached
-        depth = n - len(cols)
-        row = rows[depth]
-        total = BosonPolynomial.zero()
-        for idx, c in enumerate(sorted(cols)):
-            entry = row[c]
-            if entry.is_zero():
-                continue
-            term = entry * minor(cols - {c})
-            total = total + (term if idx % 2 == 0 else -term)
-        memo[cols] = total
-        return total
-
-    result = minor(frozenset(range(n)))
+    # a Jacobi-Trudi matrix repeats its entries along diagonals: convert each once
+    entries = {id(p): p for row in matrix for p in row if not p.is_zero()}
+    vectors = {key: integer_vector(p.terms) for key, p in entries.items()}
+    rows = [[vectors.get(id(p)) for p in matrix[i]] for i in order]
+    result = BosonPolynomial._make(rational_terms(_minor(rows, frozenset(range(n)), {})))
     return -result if inversions % 2 else result
+
+
+def _minor(rows: list, cols: frozenset, memo: dict) -> tuple[int, dict]:
+    """The minor of the last len(cols) rows on the columns cols, expanded
+    along its first row; a zero entry is None.  The memo is passed, not
+    closed over, so it is freed as soon as the determinant returns."""
+    if not cols:
+        return 1, {_UNIT: 1}
+    cached = memo.get(cols)
+    if cached is None:
+        row = rows[len(rows) - len(cols)]
+        cached = memo[cols] = integer_combination(
+            (1 if idx % 2 == 0 else -1, integer_product(row[c], _minor(rows, cols - {c}, memo), _mono_mul))
+            for idx, c in enumerate(sorted(cols)) if row[c] is not None
+        )
+    return cached
 
 
 @cache
@@ -329,11 +346,11 @@ def _q_str(power: int) -> str:
 
 def _format_boson_term(mono: BosonMonomial, coeff: Rational) -> str:
     if not mono.shape:
-        return str(coeff)
+        return format_rational(coeff)
     body = " ".join(f"p{i}" if e == 1 else f"p{i}^{e}" for i, e in _exponents(mono.shape))
     if coeff == 1:
         return body
-    return f"({coeff})*{body}"
+    return f"({format_rational(coeff)})*{body}"
 
 
 _GRAMMAR = Grammar("polynomial", BosonPolynomial, BosonPolynomial.constant, {

@@ -17,7 +17,8 @@ classes, JSON).  Operator tokens: psi(j), psi*(j), alpha(n), e(k), f(k) on
 fermionic states; E(k), F(k) (or e/f) on fixed-point classes; p(k) on bosonic
 polynomials and localized classes.  Operator words act right-to-left.  An
 operator index, and the charge of a fermionic state under apply, is at most
-1000 in absolute value; a localized class prints up to degree 20.
+1000 in absolute value; a localized class prints up to degree 20, and a
+printed coefficient has at most 4300 digits in its numerator and denominator.
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error, 141 stdout closed early.
 """
 
@@ -33,6 +34,7 @@ from . import boson, fermion, geometry
 from . import verify as verify_mod
 from .correspondence import sigma, sigma_inverse
 from .partitions import parse_partition
+from .scalars import Rational, format_rational
 
 # alpha(-n) on a vacuum alone has n terms of up to n parts.  It also bounds the
 # charge of a fermionic state under apply: contracting index j of charge m
@@ -159,6 +161,8 @@ def _detect_state(text: str, ops: list[tuple[str, int]]):
 def _print(value, as_json: bool) -> None:
     """Localized classes and dicts print as JSON; under --json every value
     does, one without a JSON form as {"value": its text}."""
+    if isinstance(value, Rational):
+        value = format_rational(value)
     if isinstance(value, geometry.LocalizedClass) or (as_json and hasattr(value, "to_json")):
         value = value.to_json()
     elif as_json and not isinstance(value, dict):
@@ -189,7 +193,8 @@ def _cmd_table(args) -> int:
     """correspond, inner and localize: read each text argument, then apply
     the entry of the command's table that the first argument names."""
     reader, function = args.table[getattr(args, args.key)]
-    _print(function(*(reader(getattr(args, name)) for name in args.texts)), args.json)
+    # a list, not a generator: see scalars._over_common on CPython's tuple free lists
+    _print(function(*[reader(getattr(args, name)) for name in args.texts]), args.json)
     return 0
 
 

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 from .linear import LinearCombination, accumulate
 from .partitions import Partition, parse_partition
-from .scalars import ONE, Rational, is_integer, pairing, read_terms
+from .scalars import ONE, Rational, format_rational, is_integer, pairing, read_terms
 from .text import PARTITION, Grammar, join_terms, parse
 
 
@@ -106,7 +106,7 @@ class FermionState(LinearCombination):
             out.append({
                 "charge": mono.charge,
                 "partition": list(mono.shape),
-                "coeff": str(self.terms[mono]),
+                "coeff": format_rational(self.terms[mono]),
             })
         return out
 
@@ -249,8 +249,9 @@ def _term_sort_key(mono: ChargedMonomial):
 def format_fermion(state: FermionState) -> str:
     """Terms ordered by charge, energy, then reverse-lexicographic partition."""
     return join_terms(
-        (state.terms[mono], f"phi{mono.shape}" + (f"@{mono.charge}" if mono.charge else ""))
-        for mono in sorted(state.terms, key=_term_sort_key)
+        ((state.terms[mono], f"phi{mono.shape}" + (f"@{mono.charge}" if mono.charge else ""))
+         for mono in sorted(state.terms, key=_term_sort_key)),
+        format_rational,
     )
 
 

@@ -33,7 +33,9 @@ from .scalars import (
     Rational,
     TLaurent,
     TScalar,
+    format_rational,
     is_integer,
+    monomial_quotient_sum,
     pairing,
     parse_tlaurent,
     parse_tscalar,
@@ -244,12 +246,14 @@ def cup(alpha: LocalizedClass, beta: LocalizedClass) -> LocalizedClass:
     return LocalizedClass(alpha.n, terms)
 
 
+_SCALAR_ONE = TScalar.one()
+
+
 def integrate(alpha: LocalizedClass) -> TScalar:
     """Pushforward to a point: the fixed-point sum of restriction / Euler class."""
-    total = TScalar.zero()
-    for shape, value in alpha.restrictions.items():
-        total = total + value / euler_class(shape)
-    return total
+    return monomial_quotient_sum(
+        (value, _SCALAR_ONE, euler_class(shape)) for shape, value in alpha.restrictions.items()
+    )
 
 
 def fundamental_class(shape: Partition) -> LocalizedClass:
@@ -267,9 +271,16 @@ def normalized_class(shape: Partition) -> LocalizedClass:
 
 
 def bilinear_form(alpha: LocalizedClass, beta: LocalizedClass) -> TScalar:
-    """Intersection pairing (-1)^n * integral of the cup product."""
+    """Intersection pairing (-1)^n * integral of the cup product: the
+    fixed-point sum of a * b / Euler class over the points both classes
+    restrict to nonzero values, without building the cup product."""
     alpha._check_same_space(beta)
-    value = integrate(cup(alpha, beta))
+    a, b = alpha.restrictions, beta.restrictions
+    if len(a) > len(b):
+        a, b = b, a
+    value = monomial_quotient_sum(
+        (a[shape], b[shape], euler_class(shape)) for shape in a if shape in b
+    )
     return -value if alpha.n % 2 else value
 
 
@@ -506,7 +517,7 @@ def format_quiver(c: QuiverClass) -> str:
                 ((e, value),) = coeff.terms.items()
                 yield value, f"{t_power(e)}*{basis}" if e else basis
 
-    return join_terms(terms())
+    return join_terms(terms(), format_rational)
 
 
 _GRAMMAR = Grammar("class", QuiverClass, TLaurent.term, {

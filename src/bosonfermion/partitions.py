@@ -5,7 +5,7 @@ A box sits in column ``col`` and row ``row`` (both counted from zero) and has
 residue ``col - row``.
 """
 
-from functools import cache
+from functools import cache, lru_cache
 from typing import Iterable, NamedTuple
 
 
@@ -116,6 +116,11 @@ def dimension_vector(shape: Partition) -> dict[int, int]:
     return counts
 
 
+# z_mu is read once per output monomial of every Schur expansion and once per
+# shared monomial of every Hall pairing.  The memo is bounded: 4096 entries
+# hold every partition of degree up to 20 (there are 2,714 of them), the
+# degrees that carry Schur data, and a long-lived process stays finite.
+@lru_cache(maxsize=4096)
 def z_factor(shape: Partition) -> int:
     """prod over part values i of i^(multiplicity) * multiplicity!."""
     result = 1

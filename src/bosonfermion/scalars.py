@@ -33,6 +33,24 @@ def parse_rational(text: str) -> Rational:
         raise ValueError(f"invalid rational literal {text!r}") from None
 
 
+# The most decimal digits a printed numerator or denominator may have: the
+# default limit of Python's int-to-string conversion.  The Euler class of
+# [700] (about 3,400 digits) prints; that of [1000] (about 5,100) does not.
+MAX_PRINTED_DIGITS = 4300
+_PRINT_LIMIT = 10**MAX_PRINTED_DIGITS
+
+
+def format_rational(value: RationalLike) -> str:
+    """The text of a rational; ValueError when its numerator or denominator
+    has more than MAX_PRINTED_DIGITS digits."""
+    if abs(value.numerator) >= _PRINT_LIMIT or value.denominator >= _PRINT_LIMIT:
+        raise ValueError(
+            f"a printed coefficient has at most {MAX_PRINTED_DIGITS} digits in its numerator "
+            "and in its denominator"
+        )
+    return str(value)
+
+
 def is_integer(value) -> bool:
     """Is a decoded JSON value an integer (and not a boolean)?"""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -48,25 +66,79 @@ def read_terms(data, read_key) -> dict:
     return accumulate((read_key(item), parse_rational(item["coeff"])) for item in data)
 
 
+def _over_common(fractions: list[tuple[int, int]]) -> tuple[int, list[int]]:
+    """(D, [p * D / q, ...]): integer fractions p/q over the lcm D of the q."""
+    # lcm(*list), not lcm(*generator): on CPython 3.11 each call with a
+    # generator left about 90 bytes on the tuple free lists (up to 2,000
+    # blocks per size), which raised the peak memory of the verify grids
+    common = lcm(*[q for _, q in fractions])
+    return common, [p * (common // q) for p, q in fractions]
+
+
 def integer_numerators(coeffs) -> tuple[int, list[int]]:
     """(D, [c * D, ...]): the rationals over their least common denominator D.
     Numerators and denominators go through int(), so mpq serves as Fraction does."""
-    coeffs = list(coeffs)
-    common = lcm(*(int(c.denominator) for c in coeffs))
-    return common, [int(c.numerator) * (common // int(c.denominator)) for c in coeffs]
+    return _over_common([(int(c.numerator), int(c.denominator)) for c in coeffs])
 
 
 def pairing(f: dict, g: dict, weight) -> Rational:
-    """The sum of weight(key) * f[key] * g[key] over the keys f and g share;
-    it walks the smaller dict."""
+    """The sum of weight(key) * f[key] * g[key] over the keys f and g share,
+    for an integer weight; it walks the smaller dict.  Two or more shared
+    keys are summed as integer numerators and divided once by the two common
+    denominators; a single product is cheaper than clearing them."""
     if len(f) > len(g):
         f, g = g, f
-    total = ZERO
-    for key, c in f.items():
-        other = g.get(key)
-        if other is not None:
+    shared = [(key, c, g[key]) for key, c in f.items() if key in g]
+    if len(shared) < 2:
+        total = ZERO
+        for key, c, other in shared:
             total += c * other * weight(key)
-    return total
+        return total
+    common_f, a = integer_numerators(c for _, c, _ in shared)
+    common_g, b = integer_numerators(other for _, _, other in shared)
+    total = sum(weight(key) * x * y for (key, _, _), x, y in zip(shared, a, b))
+    return Rational(total, common_f * common_g)
+
+
+# --- integer vectors: a sparse rational vector as (D, {key: c * D}) ----------
+
+def integer_vector(terms: dict) -> tuple[int, dict]:
+    """A sparse {key: rational} over its least common denominator D."""
+    common, numerators = integer_numerators(terms.values())
+    return common, dict(zip(terms, numerators))
+
+
+def rational_terms(vector: tuple[int, dict]) -> dict:
+    """The {key: rational} of an integer vector: one division per nonzero key."""
+    common, numerators = vector
+    return {key: Rational(a, common) for key, a in numerators.items() if a}
+
+
+def integer_product(f: tuple[int, dict], g: tuple[int, dict], combine) -> tuple[int, dict]:
+    """Product of two integer vectors: the numerators of each pair of keys
+    multiply into combine(key_f, key_g), over the product of the denominators."""
+    (common_f, a), (common_g, b) = f, g
+    out: dict = {}
+    get = out.get
+    for key_f, x in a.items():
+        for key_g, y in b.items():
+            key = combine(key_f, key_g)
+            out[key] = get(key, 0) + x * y
+    return common_f * common_g, {key: v for key, v in out.items() if v}
+
+
+def integer_combination(pairs) -> tuple[int, dict]:
+    """The sum of s * v over (integer s, integer vector v) pairs, over the lcm
+    of their denominators."""
+    pairs = list(pairs)
+    common = lcm(*[v[0] for _, v in pairs])
+    out: dict = {}
+    get = out.get
+    for s, (d, numerators) in pairs:
+        factor = s * (common // d)
+        for key, a in numerators.items():
+            out[key] = get(key, 0) + factor * a
+    return common, {key: v for key, v in out.items() if v}
 
 
 class TLaurent(LinearCombination):
@@ -161,7 +233,8 @@ def t_power(exponent: int) -> str:
 
 def format_tlaurent(value: TLaurent) -> str:
     return join_terms(
-        (value.terms[e], t_power(e) if e else "") for e in sorted(value.terms, reverse=True)
+        ((value.terms[e], t_power(e) if e else "") for e in sorted(value.terms, reverse=True)),
+        format_rational,
     )
 
 
@@ -414,6 +487,40 @@ def _canonical(num: TLaurent, den: TLaurent) -> tuple[TLaurent, TLaurent]:
     f = [c / lead for c in f]
     g = [c / lead for c in g]
     return _from_dense(f).shift(shift_n - shift_d), (_from_dense(g) if len(g) > 1 else _LAURENT_ONE)
+
+
+def monomial_quotient_sum(rows) -> TScalar:
+    """The sum of a * b / d over the rows (a, b, d) of TScalars, each d a
+    nonzero monomial c * t^e: the fixed-point sum of localization.
+
+    Where a and b are Laurent polynomials, the products are collected per t
+    exponent as integer fractions and summed over one common denominator,
+    with a single division per exponent; any other row is added as a TScalar.
+    """
+    by_exponent: dict[int, list[tuple[int, int]]] = {}
+    rest = TScalar.zero()
+    for a, b, d in rows:
+        if a.den is not _LAURENT_ONE or b.den is not _LAURENT_ONE:
+            rest = rest + a * b / d
+            continue
+        ((e, c),) = d.num.terms.items()
+        c_num, c_den = int(c.numerator), int(c.denominator)
+        if c_num < 0:
+            c_num, c_den = -c_num, -c_den
+        for e1, c1 in a.num.terms.items():
+            p1, q1 = int(c1.numerator) * c_den, int(c1.denominator) * c_num
+            for e2, c2 in b.num.terms.items():
+                by_exponent.setdefault(e1 + e2 - e, []).append(
+                    (p1 * int(c2.numerator), q1 * int(c2.denominator))
+                )
+    laurent = {}
+    for exponent, fractions in by_exponent.items():
+        common, numerators = _over_common(fractions)
+        total = sum(numerators)
+        if total:
+            laurent[exponent] = Rational(total, common)
+    total = TScalar(TLaurent._make(laurent))
+    return rest + total if rest else total
 
 
 # --- parsing ---------------------------------------------------------------

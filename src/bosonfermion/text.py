@@ -163,17 +163,18 @@ class _Parser:
         raise self._error(f"unexpected {kind!r}")
 
 
-def join_terms(terms: Iterable[tuple[object, str]]) -> str:
+def join_terms(terms: Iterable[tuple[object, str]], number: Callable[[object], str]) -> str:
     """Print (coefficient, basis) pairs as "a - b + c".  A unit coefficient
-    is left out before a basis; an empty basis prints the coefficient."""
+    is left out before a basis; an empty basis prints the coefficient;
+    number prints the magnitude of a coefficient."""
     pieces = []
     for coeff, basis in terms:
         negative = coeff < 0
         mag = -coeff if negative else coeff
         if not basis:
-            body = str(mag)
+            body = number(mag)
         else:
-            body = basis if mag == 1 else f"{mag}*{basis}"
+            body = basis if mag == 1 else f"{number(mag)}*{basis}"
         if pieces:
             pieces.append(("- " if negative else "+ ") + body)
         else:

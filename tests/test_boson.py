@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bosonfermion.boson import (
     MAX_SCHUR_DEGREE,
+    BosonMonomial,
     BosonPolynomial,
     characters,
     elementary_schur,
@@ -154,6 +155,33 @@ def test_character_columns_are_orthogonal():
 def test_schur_matches_jacobi_trudi():
     for shape in partitions_up_to(9):
         assert schur(shape) == schur_jacobi_trudi(shape, len(shape))
+
+
+# The product on integer numerators, against the term-by-term product of its
+# rational coefficients.
+_factors = st.dictionaries(
+    st.builds(BosonMonomial, st.integers(-2, 2), st.sampled_from(partitions_up_to(4))),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12)
+    .filter(bool).map(lambda f: rat(f.numerator, f.denominator)),
+    max_size=5,
+).map(BosonPolynomial)
+
+
+@given(_factors, _factors)
+@example(BosonPolynomial.zero(), poly("p1 + p2"))
+@example(poly("3/4"), poly("(1/2)*p1 + (-1/3)*p2"))
+@example(poly("q^-2 * p2"), poly("q * ((1/6)*p1^2 + p2)"))
+@example(poly("(1/2)*p1 + (1/3)*p2"), poly("(1/2)*p1 + (-1/3)*p2"))
+def test_product_is_the_term_by_term_rational_product(f, g):
+    expected = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            shape = Partition(sorted(m1.shape + m2.shape, reverse=True))
+            key = BosonMonomial(m1.q_power + m2.q_power, shape)
+            expected[key] = expected.get(key, 0) + c1 * c2
+    product = f * g
+    assert product.terms == {key: c for key, c in expected.items() if c}
+    assert product == g * f
 
 
 def test_schur_degree_limit():

@@ -388,6 +388,15 @@ def test_partition_literal_of_many_boxes_fails_fast():
     assert cli("inner", "geometric", sparse, sparse).returncode == 0
 
 
+def test_coefficient_above_the_printing_bound_exits_2_naming_it(capsys):
+    message = "error: a printed coefficient has at most 4300 digits in its numerator and in its denominator\n"
+    # (1000!)^2 has about 5,100 digits; 2000! about 5,700
+    for argv in (("localize", "euler", "[1000]"), ("inner", "boson", "p1^2000", "p1^2000")):
+        assert run_cli(capsys, *argv) == (2, "", message)
+    code, out, _ = run_cli(capsys, "localize", "euler", "[700]")
+    assert code == 0 and len(out) > 3000 and out.endswith("*t^1400\n")
+
+
 def test_word_of_two_large_alpha_operators_returns_fast():
     proc = subprocess.run(
         [sys.executable, "-m", "bosonfermion.cli", "apply", "alpha(1000) alpha(-1000)", "vac(0)"],

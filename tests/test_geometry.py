@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from bosonfermion.boson import parse_boson, schur
 from bosonfermion.correspondence import sigma
@@ -111,6 +112,51 @@ def test_bilinear_form_examples():
     fund = fundamental_class(lam)
     assert bilinear_form(fund, fund) == TScalar.monomial(-1) * euler_class(lam)
     assert bilinear_form(fund, LocalizedClass.zero(3)) == TScalar.zero()
+
+
+# The fixed-point sum behind integrate and bilinear_form, against a plain
+# TScalar sum; a restriction over t + 1 or t + 2 takes the Q(t) route.
+_restriction_values = st.builds(
+    lambda num, den, exponent, over: TScalar.monomial(rat(num, den), exponent) / over,
+    st.integers(-20, 20).filter(bool),
+    st.integers(1, 12),
+    st.integers(-3, 6),
+    st.sampled_from([TScalar.one(), ts("t + 1"), ts("t + 2"), ts("3*t^2")]),
+)
+
+
+@st.composite
+def localized_classes(draw, n):
+    shapes = draw(st.lists(st.sampled_from(partitions_of(n)), unique=True))
+    return LocalizedClass(n, {shape: draw(_restriction_values) for shape in shapes})
+
+
+@st.composite
+def class_pairs(draw):
+    n = draw(st.integers(0, 5))
+    return draw(localized_classes(n)), draw(localized_classes(n))
+
+
+def _plain_integral(alpha: LocalizedClass) -> TScalar:
+    total = TScalar.zero()
+    for shape, value in alpha.restrictions.items():
+        total = total + value / euler_class(shape)
+    return total
+
+
+@given(class_pairs())
+@example((LocalizedClass.zero(3), LocalizedClass.zero(3)))
+@example((fundamental_class(P(2)), fundamental_class(P(1, 1))))
+@example((
+    LocalizedClass(3, {P(3): ts("(1/2)*t^3"), P(2, 1): ts("t / (t + 1)")}),
+    LocalizedClass(3, {P(2, 1): ts("-3*t^2"), P(1, 1, 1): ts("7/3")}),
+))
+def test_fixed_point_sum_matches_a_plain_tscalar_sum(pair):
+    alpha, beta = pair
+    assert integrate(alpha) == _plain_integral(alpha)
+    sign = TScalar.monomial(-1 if alpha.n % 2 else 1)
+    assert bilinear_form(alpha, beta) == sign * integrate(cup(alpha, beta))
+    assert bilinear_form(alpha, beta) == sign * _plain_integral(cup(alpha, beta))
 
 
 # --- Hecke operators ----------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 from bosonfermion import boson, fermion, geometry, partitions, verify
 from bosonfermion.fermion import ChargedMonomial, basis_state
 from bosonfermion.partitions import Partition
+from bosonfermion.scalars import TScalar
 from bosonfermion.verify import (
     _Check,
     clifford_suite,
@@ -178,6 +179,23 @@ def test_unweighted_pairing_in_the_hall_form_fails_both_boson_pairings(monkeypat
         assert not results[name].passed and results[name].counterexample == "pair=([2], [2])"
     assert results["point-class-orthonormality"].passed
     assert results["geometric-power-sum-pairing"].passed
+
+
+def test_corrupt_euler_divisor_in_the_fixed_point_sum_fails_both_geometric_pairings(monkeypatch):
+    # bilinear_form divides by euler_class inside the fixed-point sum; the
+    # Hall-form pairings on the boson side do not read it
+    euler_class = geometry.euler_class
+
+    def corrupt(shape):
+        value = euler_class(shape)
+        return value * TScalar.monomial(2) if shape == (2, 1) else value
+
+    monkeypatch.setattr(geometry, "euler_class", corrupt)
+    results = {r.name: r for r in run_suite("orthonormality", 4)}
+    point, power = results["point-class-orthonormality"], results["geometric-power-sum-pairing"]
+    assert not point.passed and point.counterexample == "pair=([2,1], [2,1])"
+    assert not power.passed and power.counterexample == "pair=([3], [3])"
+    assert results["schur-orthonormality"].passed and results["power-sum-pairing"].passed
 
 
 # The sweeps read psi, psi* and alpha images from tables built once per state;
