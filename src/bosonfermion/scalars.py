@@ -238,118 +238,106 @@ def format_tlaurent(value: TLaurent) -> str:
     )
 
 
-def _dense(poly: TLaurent) -> list[Rational]:
-    """Coefficient list of a polynomial with nonzero constant term."""
-    deg = poly.max_exp()
-    out = [ZERO] * (deg + 1)
-    for e, c in poly.terms.items():
-        out[e] = c
-    return out
+# --- the gcd in Z[t]: Brown's modular algorithm ------------------------------
+# W. S. Brown, J. ACM 18 (1971); Knuth, TAOCP vol. 2, 4.6.1.
+
+# The primes below 2^31, largest first, found on first use.  The list keeps at
+# most MAX_CACHED_PRIMES (each adds about 31 bits to the lift); a gcd that needs
+# more tests the next ones afresh on every call.
+MAX_CACHED_PRIMES = 64
+_PRIMES: list[int] = []
 
 
-def _from_dense(coeffs: list[Rational]) -> TLaurent:
-    return TLaurent._make({e: c for e, c in enumerate(coeffs) if c})
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin for odd n > 61: the bases 2, 7 and 61 decide every n
+    below 4,759,123,141 (Jaeschke, Math. Comp. 61, 1993)."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    for base in (2, 7, 61):
+        x = pow(base, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << i, n) != n - 1 for i in range(s)):
+            return False
+    return True
 
 
-def _dense_divmod(num: list[Rational], den: list[Rational]):
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    quot = [ZERO] * max(len(num) - dd, 0)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        q = c / lead
-        quot[i - dd] = q
-        for j, dc in enumerate(den):
-            num[i - dd + j] -= q * dc
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
+def _primes():
+    """The primes below 2^31 in decreasing order, 2^31 - 1 first."""
+    yield from _PRIMES
+    for n in range(_PRIMES[-1] - 2 if _PRIMES else (1 << 31) - 1, 61, -2):
+        if _is_prime(n):
+            if len(_PRIMES) < MAX_CACHED_PRIMES:
+                _PRIMES.append(n)
+            yield n
 
 
-def _int_primitive(coeffs: list[Rational]) -> list[int]:
-    """Clear denominators and divide out the integer content."""
-    _, ints = integer_numerators(coeffs)
-    content = gcd(*ints)
-    return [v // content for v in ints]
-
-
-def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
-    r = list(a)
-    deg_b = len(b) - 1
-    lead_b = b[-1]
-    while len(r) - 1 >= deg_b:
-        top = r[-1]
-        if top == 0:
-            r.pop()
-            if not r:
-                return [0]
-            continue
-        shift = len(r) - 1 - deg_b
-        r = [lead_b * c for c in r]
-        for i, bc in enumerate(b):
-            r[shift + i] -= top * bc
-        r.pop()
-        if not r:
-            return [0]
-        content = gcd(*r)
-        if content > 1:
-            r = [v // content for v in r]
-    while len(r) > 1 and r[-1] == 0:
-        r.pop()
-    return r
-
-
-_GCD_PRIME = (1 << 31) - 1
-
-
-def _modp_gcd_is_trivial(x: list[int], y: list[int]) -> bool:
-    """True when the gcd is provably constant, by a single-prime modular image.
-
-    Sound filter: if neither leading coefficient vanishes mod p, the modular
-    gcd degree bounds the rational one from above, so a constant image means
-    the inputs are coprime.  Inconclusive cases return False and fall through
-    to the exact computation.
-    """
-    p = _GCD_PRIME
-    a = [v % p for v in x]
-    b = [v % p for v in y]
-    if a[-1] == 0 or b[-1] == 0:
-        return False
+def _monic_gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """The monic gcd modulo p of two integer coefficient lists (lowest degree
+    first), neither zero modulo p, by Euclid's algorithm."""
+    a, b = [c % p for c in a], [c % p for c in b]
     while True:
-        deg_b = len(b) - 1
+        while b and b[-1] == 0:
+            b.pop()
+        if not b:
+            inv = pow(a[-1], -1, p)
+            return [c * inv % p for c in a]
         inv = pow(b[-1], -1, p)
-        r = list(a)
-        while len(r) - 1 >= deg_b:
-            top = r[-1]
-            if top:
-                factor = top * inv % p
-                shift = len(r) - 1 - deg_b
-                for i, bc in enumerate(b):
-                    r[shift + i] = (r[shift + i] - factor * bc) % p
-            r.pop()
-        while len(r) > 1 and r[-1] == 0:
-            r.pop()
-        if len(r) == 1:
-            return r[0] != 0
-        a, b = b, r
+        while len(a) >= len(b):  # a becomes a mod b
+            top = a.pop() * inv % p
+            shift = len(a) + 1 - len(b)
+            for i in range(len(b) - 1):
+                a[shift + i] = (a[shift + i] - top * b[i]) % p
+        a, b = b, a
 
 
-def _dense_gcd(a: list[Rational], b: list[Rational]) -> list[Rational]:
-    """Monic gcd by a primitive pseudo-remainder sequence over the integers."""
-    x = _int_primitive(a)
-    y = _int_primitive(b)
-    if x == y:
-        return [Rational(v, x[-1]) for v in x]
-    if _modp_gcd_is_trivial(x, y):
-        return [Rational(1)]
-    while len(y) > 1 or y[0] != 0:
-        r = _pseudo_remainder(x, y)
-        x, y = y, (_int_primitive(r) if any(r) else [0])
-    lead = x[-1]
-    return [Rational(v, lead) for v in x]
+def _exact_quotient(a: list[int], g: list[int]) -> list[int] | None:
+    """a / g for integer coefficient lists, or None when g does not divide a in Z[t]."""
+    r = list(a)
+    lead, n = g[-1], len(g) - 1
+    quotient = [0] * (len(r) - n)
+    for i in range(len(quotient) - 1, -1, -1):
+        q, rest = divmod(r[i + n], lead)
+        if rest:
+            return None
+        quotient[i] = q
+        for j in range(n):
+            r[i + j] -= q * g[j]
+    return None if any(r[:n]) else quotient
+
+
+def _cofactors(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(a / g, b / g) for g = gcd(a, b) with lc(g) > 0, on primitive integer
+    coefficient lists (lowest degree first) with nonzero constant and top terms.
+
+    Monic images of g modulo primes are scaled by gcd(lc a, lc b) and combined
+    by the Chinese remainder theorem until one more prime leaves their
+    symmetric lift unchanged.  Exact division of a and b by the lift's
+    primitive part then certifies it: a common divisor of the images' degree,
+    which bounds deg g, is g."""
+    scale = gcd(a[-1], b[-1])  # a multiple of lc(g)
+    lift, modulus = None, 1  # scale * g, modulo the product of the primes used
+    for p in _primes():
+        if a[-1] % p == 0 and b[-1] % p == 0:
+            continue  # the image of g could lose its top term
+        image = _monic_gcd_mod(a, b, p)
+        if len(image) == 1:
+            return a, b  # deg g <= deg image = 0
+        if lift is not None and len(image) > len(lift):
+            continue  # an unlucky prime: the image holds a factor g lacks
+        image = [c * scale % p for c in image]
+        if lift is None or len(image) < len(lift):
+            lift, modulus = [c - p if 2 * c > p else c for c in image], p
+            continue
+        inverse = pow(modulus, -1, p)
+        combined = [h + modulus * ((c - h) * inverse % p) for h, c in zip(lift, image)]
+        modulus *= p
+        combined = [c - modulus if 2 * c > modulus else c for c in combined]
+        if combined == lift:
+            content = gcd(*lift)
+            g = [c // content for c in lift]
+            x, y = _exact_quotient(a, g), _exact_quotient(b, g)
+            if x is not None and y is not None:
+                return x, y
+        lift = combined
+    raise ArithmeticError("no prime below 2^31 certified the gcd")
 
 
 class TScalar:
@@ -433,10 +421,8 @@ class TScalar:
     def __truediv__(self, other: "TScalar") -> "TScalar":
         if other.is_zero():
             raise ZeroDivisionError("division by zero in Q(t)")
-        if self.den is _LAURENT_ONE and other.den is _LAURENT_ONE and len(other.num.terms) == 1:
-            # by a monomial c*t^e: the value _canonical gives, without the products
-            ((e, c),) = other.num.terms.items()
-            return TScalar(self.num.shift(-e).scale(ONE / c))
+        if self.den is _LAURENT_ONE and other.den is _LAURENT_ONE:
+            return TScalar(self.num, other.num)
         return TScalar(self.num * other.den, self.den * other.num)
 
     def __pow__(self, n: int) -> "TScalar":
@@ -469,24 +455,33 @@ class TScalar:
         return f"TScalar({self})"
 
 
+def _primitive(poly: TLaurent) -> tuple[Rational, list[int]]:
+    """(c, A) with poly = c * t^(min exponent) * A(t), for the primitive
+    integer coefficient list A, lowest degree first, and c > 0."""
+    low = poly.min_exp()
+    common, numerators = integer_numerators(poly.terms.values())
+    content = gcd(*numerators)
+    coeffs = [0] * (poly.max_exp() - low + 1)
+    for e, v in zip(poly.terms, numerators):
+        coeffs[e - low] = v // content
+    return Rational(content, common), coeffs
+
+
 def _canonical(num: TLaurent, den: TLaurent) -> tuple[TLaurent, TLaurent]:
     if num.is_zero():
         return TLaurent.zero(), _LAURENT_ONE
     if len(den.terms) == 1:
         ((e, c),) = den.terms.items()
         return num.shift(-e).scale(Rational(1) / c), _LAURENT_ONE
-    shift_n = num.min_exp()
-    shift_d = den.min_exp()
-    f = _dense(num.shift(-shift_n))
-    g = _dense(den.shift(-shift_d))
-    d = _dense_gcd(f, g)
-    if len(d) > 1:
-        f, _ = _dense_divmod(f, d)
-        g, _ = _dense_divmod(g, d)
+    shift = num.min_exp() - den.min_exp()
+    c_num, f = _primitive(num)
+    c_den, g = _primitive(den)
+    f, g = _cofactors(f, g)
+    # num / den = (c_num / (c_den * lead)) * f / (g / lead), with g / lead monic
     lead = g[-1]
-    f = [c / lead for c in f]
-    g = [c / lead for c in g]
-    return _from_dense(f).shift(shift_n - shift_d), (_from_dense(g) if len(g) > 1 else _LAURENT_ONE)
+    scale = c_num / (c_den * lead)
+    den = TLaurent._make({e: Rational(c, lead) for e, c in enumerate(g) if c}) if len(g) > 1 else _LAURENT_ONE
+    return TLaurent._make({e + shift: scale * c for e, c in enumerate(f) if c}), den
 
 
 def monomial_quotient_sum(rows) -> TScalar:

@@ -224,6 +224,19 @@ def test_verify_rejects_a_grid_that_leaves_a_check_empty(capsys, argv, empty):
     assert run_cli(capsys, "verify", *argv) == (2, "", f"error: the grid is too small: {empty} checked nothing\n")
 
 
+def test_verify_help_states_the_grid_bound_and_its_cost(capsys):
+    from bosonfermion.verify import MAX_GRID
+
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert f"Each bound is an integer from 0 to {MAX_GRID};" in out
+    assert "The run time roughly doubles with each step of --max-size" in out
+    for option in ("--max-size MAX_SIZE largest", "--max-index MAX_INDEX largest", "--charge CHARGE largest"):
+        assert option in out
+
+
 def test_verify_json_reports_the_rational_backend(capsys):
     from bosonfermion.scalars import Rational
 

@@ -1,5 +1,6 @@
 import re
-from math import lcm
+from itertools import islice
+from math import isqrt, lcm
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,10 @@ from bosonfermion.scalars import (
     Rational,
     TLaurent,
     TScalar,
+    MAX_CACHED_PRIMES,
+    _PRIMES,
+    _cofactors,
+    _primes,
     integer_numerators,
     pairing,
     parse_tlaurent,
@@ -42,6 +47,13 @@ def tscalars(draw):
     if den.is_zero():
         den = TLaurent.one()
     return TScalar(num, den)
+
+
+def sympy_expr(sympy, value: TLaurent):
+    """The Laurent polynomial as a sympy expression in t, for sympy as the independent reference."""
+    t = sympy.Symbol("t")
+    return sum((sympy.Rational(int(v.numerator), int(v.denominator)) * t**k
+                for k, v in value.terms.items()), sympy.Integer(0))
 
 
 # --- rationals -------------------------------------------------------------------
@@ -133,15 +145,10 @@ def test_division_by_a_monomial_is_canonical(a, c, e):
 @given(laurents(), rationals.filter(bool), st.integers(-8, 8))
 def test_division_by_a_monomial_matches_sympy(a, c, e):
     sympy = pytest.importorskip("sympy")
-    t = sympy.Symbol("t")
-
-    def expr(value: TLaurent):
-        return sum((sympy.Rational(int(v.numerator), int(v.denominator)) * t**k
-                    for k, v in value.terms.items()), sympy.Integer(0))
-
     quotient = TScalar(a) / TScalar.monomial(c, e)
     assert quotient.is_laurent()
-    assert sympy.expand(sympy.cancel(expr(a) / expr(TLaurent.term(c, e))) - expr(quotient.num)) == 0
+    expected = sympy.cancel(sympy_expr(sympy, a) / sympy_expr(sympy, TLaurent.term(c, e)))
+    assert sympy.expand(expected - sympy_expr(sympy, quotient.num)) == 0
 
 
 @settings(deadline=None)
@@ -183,6 +190,93 @@ def test_parse_errors():
         parse_tscalar("x")
     with pytest.raises(ValueError):
         parse_tlaurent("1 / (t + 1)")
+
+
+# --- the modular gcd ---------------------------------------------------------------
+
+P = 2**31 - 1  # the first prime of the modular gcd
+
+
+def times(x: list[int], y: list[int]) -> list[int]:
+    """The product of two integer coefficient lists."""
+    out = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            out[i + j] += a * b
+    return out
+
+
+def test_primes_run_down_from_two_to_the_31_minus_one():
+    primes = list(islice(_primes(), 3))
+    assert primes[0] == P
+    by_trial_division = [
+        n for n in range(P, primes[-1] - 1, -1) if all(n % d for d in range(2, isqrt(n) + 1))
+    ]
+    assert by_trial_division == primes
+
+
+def test_an_unlucky_image_is_passed_over():
+    # modulo P the image of gcd(t + 1, t + 1 + P) is t + 1; the next image is 1
+    assert str(ts(f"(t + 1) / (t + {1 + P})")) == f"(t + 1) / (t + {1 + P})"
+    # the image t + 2 modulo P is right; modulo the next prime q the image
+    # (t + 1)(t + 2) has a higher degree and must not enter the lift
+    q = list(islice(_primes(), 2))[1]
+    value = ts(f"(t + 1)*(t + 2) / ((t + {1 + q})*(t + 2))")
+    assert str(value) == f"(t + 1) / (t + {1 + q})"
+
+
+def test_a_prime_dividing_both_leading_coefficients_is_skipped():
+    # modulo P the common factor P*t + 1 is 1 and the images t + 2, t + 3 are
+    # coprime: an image there would certify a gcd of 1
+    assert str(ts(f"({P}*t + 1)*(t + 2) / (({P}*t + 1)*(t + 3))")) == "(t + 2) / (t + 3)"
+    assert _cofactors([2, 2 * P + 1, P], [3, 3 * P + 1, P]) == ([2, 1], [3, 1])
+
+
+def test_a_common_factor_with_large_coefficients_takes_several_primes():
+    # a lift above 2^93 needs a modulus above 2^94: at least four primes
+    h = f"({2**95 + 1}*t^2 - {3**60}*t + {2**94 + 7})"
+    assert str(ts(f"(t - 1)*{h} / ((2*t + 1)*{h})")) == "(1/2*t - 1/2) / (t + 1/2)"
+    h = [2**94 + 7, -(3**60), 2**95 + 1]
+    assert _cofactors(times(h, [-1, 1]), times(h, [1, 2])) == ([-1, 1], [1, 2])
+
+
+def test_primes_past_the_cached_list_serve_uncached():
+    # a lift above 2^2500 takes more than MAX_CACHED_PRIMES primes of 31 bits
+    h = [2**2500 + 1, 1]
+    assert _cofactors(times(h, [1, 1]), times(h, [-2, 1])) == ([1, 1], [-2, 1])
+    assert len(_PRIMES) == MAX_CACHED_PRIMES
+
+
+def test_signs_and_constants():
+    # gcds with negative coefficients, and negative leading coefficients
+    assert _cofactors(times([-1, 1], [2, 1]), times([-1, 1], [3, 1])) == ([2, 1], [3, 1])
+    # g = t - 2 has a positive leading coefficient, so the cofactors change sign
+    assert _cofactors(times([2, -1], [5, 1]), times([2, -1], [7, -1])) == ([-5, -1], [-7, 1])
+    assert str(ts("(2 - t)*(t + 5) / ((2 - t)*(t + 7))")) == "(t + 5) / (t + 7)"
+    assert str(ts("(t^2 - 1) / (1 - t)")) == "-t - 1"
+    assert str(ts("(-t^2 + 3*t - 2) / (-2*t^2 + 2)")) == "(1/2*t - 1) / (t + 1)"
+    # a constant numerator, and a constant input to the gcd
+    assert str(ts("3 / (-2*t - 4)")) == "-3/2 / (t + 2)"
+    assert str(ts("-5*t^3 / (t^2 + 1)")) == "-5*t^3 / (t^2 + 1)"
+    assert _cofactors([-1], [1, 0, 1]) == ([-1], [1, 0, 1])
+    assert _cofactors([1, 0, 1], [3]) == ([1, 0, 1], [3])
+    # a constant denominator never reaches the gcd
+    assert str(ts("(-t^2 - 1) / 5")) == "-1/5*t^2 - 1/5"
+
+
+@settings(max_examples=60, deadline=None)
+@given(*[laurents(allow_zero=False).filter(bool)] * 3)
+def test_a_common_factor_cancels_as_in_sympy(f, g, h):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    value = TScalar(f * h, g * h)
+    assert value == TScalar(f, g)
+    # sympy's reduced p / q is ours times a unit c * t^k that makes q monic
+    p, q = sympy.fraction(sympy.cancel(sympy_expr(sympy, f * h) / sympy_expr(sympy, g * h)))
+    q = sympy.Poly(q, t)
+    unit = q.LC() * t ** min(exponent for (exponent,) in q.monoms())
+    assert sympy.expand(q.as_expr() / unit - sympy_expr(sympy, value.den)) == 0
+    assert sympy.expand(p / unit - sympy_expr(sympy, value.num)) == 0
 
 
 # --- the two exact-sum kernels ---------------------------------------------------
