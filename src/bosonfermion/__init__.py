@@ -10,12 +10,12 @@ sigma.
 from .boson import (
     BosonPolynomial,
     characters,
-    elementary_schur,
     hall_form,
     oscillator,
     parse_boson,
     power_sum,
     schur,
+    schur_dual_jacobi_trudi,
     schur_expand,
     schur_jacobi_trudi,
 )

@@ -6,10 +6,11 @@ power-sum polynomials of a partition of n are homogeneous of degree n.
 """
 
 from functools import cache
+from math import factorial
 from typing import Iterable, NamedTuple
 
 from .linear import LinearCombination, accumulate, power
-from .partitions import Partition, partitions_of, ribbons, z_factor
+from .partitions import Partition, conjugate, partitions_of, ribbons, z_factor
 from .scalars import (
     ONE,
     Rational,
@@ -33,7 +34,7 @@ class BosonMonomial(NamedTuple):
 
 
 _UNIT = BosonMonomial(0, Partition())
-_MAX_PARTS = 10**6  # factors of one p-monomial built by a power or read from JSON
+_MAX_PARTS = 10**5  # factors of one p-monomial built by a product or a power, or read from JSON
 
 
 def _mono_mul(a: BosonMonomial, b: BosonMonomial) -> BosonMonomial:
@@ -43,6 +44,11 @@ def _mono_mul(a: BosonMonomial, b: BosonMonomial) -> BosonMonomial:
     if a.shape and b.shape:
         shape = tuple.__new__(Partition, sorted(a.shape + b.shape, reverse=True))
     return BosonMonomial(a.q_power + b.q_power, shape)
+
+
+def _longest(f: "BosonPolynomial") -> int:
+    """The most factors of any p-monomial of f."""
+    return max([len(mono.shape) for mono in f.terms], default=0)
 
 
 def _exponents(shape: Partition) -> list[tuple[int, int]]:
@@ -82,13 +88,8 @@ class BosonPolynomial(LinearCombination):
     def __mul__(self, other: "BosonPolynomial") -> "BosonPolynomial":
         if type(other) is not BosonPolynomial:
             return NotImplemented
-        if len(self.terms) < 2 or len(other.terms) < 2:
-            # distinct monomials times one monomial stay distinct: nothing to sum
-            return BosonPolynomial._make({
-                _mono_mul(m1, m2): c1 * c2
-                for m1, c1 in self.terms.items()
-                for m2, c2 in other.terms.items()
-            })
+        if _longest(self) + _longest(other) > _MAX_PARTS:
+            raise ValueError(f"a p-monomial may have at most {_MAX_PARTS} factors")
         product = integer_product(integer_vector(self.terms), integer_vector(other.terms), _mono_mul)
         return BosonPolynomial._make(rational_terms(product))
 
@@ -101,8 +102,7 @@ class BosonPolynomial(LinearCombination):
 
     def __pow__(self, n: int) -> "BosonPolynomial":
         if n >= 0:
-            longest = max((len(mono.shape) for mono in self.terms), default=0)
-            if longest * n > _MAX_PARTS:
+            if _longest(self) * n > _MAX_PARTS:
                 raise ValueError(f"a p-monomial may have at most {_MAX_PARTS} factors")
             return power(self, n)
         if self != BosonPolynomial.q():
@@ -177,31 +177,30 @@ def oscillator(m: int, f: BosonPolynomial) -> BosonPolynomial:
     )
 
 
-@cache
-def elementary_schur(n: int) -> BosonPolynomial:
-    """Complete-homogeneous generator: sum over partitions of n of p^mu / z_mu."""
-    if n < 0:
-        return BosonPolynomial.zero()
-    if n == 0:
-        return BosonPolynomial.one()
-    return BosonPolynomial._make(
-        {BosonMonomial(0, mu): Rational(1, z_factor(mu)) for mu in partitions_of(n)}
-    )
+def _complete(k: int) -> tuple[int, dict]:
+    """h_k = sum over mu of p_mu / z_mu as the integer vector (k!, {(0, mu): k!/z_mu})."""
+    common = factorial(k)
+    return common, {BosonMonomial(0, mu): common // z_factor(mu) for mu in partitions_of(k)}
 
 
-def _determinant(matrix: list[list[BosonPolynomial]]) -> BosonPolynomial:
-    """Laplace expansion with memoised minors, sparsest rows first.  Entries
-    and minors are integer vectors, so the products and the signed sums run
-    on integer numerators and each output coefficient is divided once."""
-    n = len(matrix)
-    if n == 0:
-        return BosonPolynomial.one()
-    order = sorted(range(n), key=lambda i: sum(1 for p in matrix[i] if not p.is_zero()))
+def _elementary(k: int) -> tuple[int, dict]:
+    """e_k = sum over mu of (-1)^(k - len(mu)) p_mu / z_mu as an integer vector over k!."""
+    common = factorial(k)
+    return common, {BosonMonomial(0, mu): (-1) ** (k - len(mu)) * common // z_factor(mu)
+                    for mu in partitions_of(k)}
+
+
+def _jacobi_trudi(generator, parts: Partition) -> BosonPolynomial:
+    """det(g_{parts_i - i + j}) over 0 <= i, j < len(parts), with g_k = generator(k)
+    for k >= 0 and 0 below: Laplace expansion with memoised minors, sparsest rows
+    first.  Each g_k is built once, and entries and minors stay integer vectors,
+    so each output coefficient is divided once."""
+    n = len(parts)
+    degrees = [[parts[i] - i + j for j in range(n)] for i in range(n)]
+    order = sorted(range(n), key=lambda i: sum(1 for k in degrees[i] if k >= 0))
     inversions = sum(1 for a in range(n) for b in range(a + 1, n) if order[a] > order[b])
-    # a Jacobi-Trudi matrix repeats its entries along diagonals: convert each once
-    entries = {id(p): p for row in matrix for p in row if not p.is_zero()}
-    vectors = {key: integer_vector(p.terms) for key, p in entries.items()}
-    rows = [[vectors.get(id(p)) for p in matrix[i]] for i in order]
+    entries = {k: generator(k) for k in {k for row in degrees for k in row if k >= 0}}
+    rows = [[entries.get(k) for k in degrees[i]] for i in order]
     result = BosonPolynomial._make(rational_terms(_minor(rows, frozenset(range(n)), {})))
     return -result if inversions % 2 else result
 
@@ -222,16 +221,14 @@ def _minor(rows: list, cols: frozenset, memo: dict) -> tuple[int, dict]:
     return cached
 
 
-@cache
-def schur_jacobi_trudi(shape: Partition, order: int) -> BosonPolynomial:
-    """Schur polynomial as the determinant det(S_{shape_i + j - i}) of the given order."""
-    if order < len(shape):
-        raise ValueError("determinant order must be at least the number of parts")
-    matrix = [
-        [elementary_schur(shape.part(i) + j - i) for j in range(order)]
-        for i in range(order)
-    ]
-    return _determinant(matrix)
+def schur_jacobi_trudi(shape: Partition) -> BosonPolynomial:
+    """S_shape = det(h_{shape_i - i + j}) (Jacobi-Trudi, Macdonald I.3 (3.4))."""
+    return _jacobi_trudi(_complete, shape)
+
+
+def schur_dual_jacobi_trudi(shape: Partition) -> BosonPolynomial:
+    """S_shape = det(e_{shape'_i - i + j}) over the conjugate shape' (Macdonald I.3 (3.5))."""
+    return _jacobi_trudi(_elementary, conjugate(shape))
 
 
 # The largest degree of the character table, so that the memo tables of

@@ -6,6 +6,7 @@ residue ``col - row``.
 """
 
 from functools import cache, lru_cache
+from math import factorial, prod
 from typing import Iterable, NamedTuple
 
 
@@ -107,6 +108,11 @@ def hook_product(shape: Partition) -> int:
     return result
 
 
+def conjugate(shape: Partition) -> Partition:
+    """The transposed diagram: its column lengths, longest first."""
+    return Partition(sum(1 for row_len in shape if row_len > col) for col in range(shape.part(0)))
+
+
 def dimension_vector(shape: Partition) -> dict[int, int]:
     """Number of boxes of each residue; absent keys mean zero."""
     counts: dict[int, int] = {}
@@ -123,12 +129,7 @@ def dimension_vector(shape: Partition) -> dict[int, int]:
 @lru_cache(maxsize=4096)
 def z_factor(shape: Partition) -> int:
     """prod over part values i of i^(multiplicity) * multiplicity!."""
-    result = 1
-    for i, m in shape.multiplicities().items():
-        result *= i**m
-        for j in range(2, m + 1):
-            result *= j
-    return result
+    return prod(i**m * factorial(m) for i, m in shape.multiplicities().items())
 
 
 def addable_corners(shape: Partition) -> list[Box]:

@@ -13,6 +13,7 @@ from .boson import (
     oscillator,
     power_sum,
     schur,
+    schur_dual_jacobi_trudi,
     schur_expand,
     schur_jacobi_trudi,
 )
@@ -323,15 +324,14 @@ def orthonormality_suite(max_size: int = 8, max_index: int = 4) -> list[CheckRes
 
 
 def correspondence_suite(max_size: int = 8, max_index: int = 4, charge_bound: int = 2) -> list[CheckResult]:
-    """The dictionary: Schur values from the character table against both
-    Jacobi-Trudi determinants, the Schur-expansion rebuild,
+    """The dictionary: Schur values from the character table against the
+    Jacobi-Trudi determinant and its dual, the Schur-expansion rebuild,
     intertwining of alpha_n with the oscillators, and form preservation."""
     shapes = partitions_up_to(max_size)
     two_route = _Check("schur-two-determinants")
     for shape in shapes:
-        narrow = schur_jacobi_trudi(shape, len(shape))
-        wide = schur_jacobi_trudi(shape, shape.size()) if shape.size() else narrow
-        two_route.record(schur(shape) == narrow == wide, "shape={}", shape)
+        narrow, dual = schur_jacobi_trudi(shape), schur_dual_jacobi_trudi(shape)
+        two_route.record(schur(shape) == narrow == dual, "shape={}", shape)
     rebuild = _Check("schur-expand-rebuild")
     for shape in shapes:
         f = power_sum(shape)

@@ -5,18 +5,20 @@ from bosonfermion.boson import (
     MAX_SCHUR_DEGREE,
     BosonMonomial,
     BosonPolynomial,
+    _complete,
+    _elementary,
     characters,
-    elementary_schur,
     hall_form,
     oscillator,
     parse_boson,
     power_sum,
     schur,
+    schur_dual_jacobi_trudi,
     schur_expand,
     schur_jacobi_trudi,
 )
 from bosonfermion.partitions import Partition, partitions_of, partitions_up_to, z_factor
-from bosonfermion.scalars import rat
+from bosonfermion.scalars import rat, rational_terms
 
 
 def P(*parts) -> Partition:
@@ -85,11 +87,19 @@ def test_oscillator_commutators_small():
 
 # --- Schur polynomials ----------------------------------------------------------------
 
-def test_elementary_schur():
-    assert elementary_schur(-1).is_zero()
-    assert elementary_schur(0) == BosonPolynomial.one()
-    assert elementary_schur(1) == poly("p1")
-    assert elementary_schur(2) == poly("(1/2)*p1^2 + (1/2)*p2")
+def test_complete_and_elementary_generators():
+    h = [BosonPolynomial._make(rational_terms(_complete(k))) for k in range(11)]
+    e = [BosonPolynomial._make(rational_terms(_elementary(k))) for k in range(11)]
+    assert h[0] == e[0] == BosonPolynomial.one()
+    assert h[1] == e[1] == poly("p1")
+    assert h[2] == poly("(1/2)*p1^2 + (1/2)*p2")
+    assert e[2] == poly("(1/2)*p1^2 + (-1/2)*p2")
+    # the generating functions satisfy H(x) E(-x) = 1
+    for n in range(1, 11):
+        total = BosonPolynomial.zero()
+        for i in range(n + 1):
+            total = total + (e[i] * h[n - i]).scale((-1) ** i)
+        assert total.is_zero(), n
 
 
 def test_schur_examples():
@@ -98,16 +108,9 @@ def test_schur_examples():
     assert schur(P(2, 1)) == poly("(1/3)*p1^3 + (-1/3)*p3")
 
 
-def test_schur_determinant_orders_agree():
-    for shape in partitions_up_to(6):
-        if shape.size() == 0:
-            continue
-        assert schur_jacobi_trudi(shape, len(shape)) == schur_jacobi_trudi(shape, shape.size())
-
-
-def test_schur_jacobi_trudi_rejects_small_order():
-    with pytest.raises(ValueError):
-        schur_jacobi_trudi(P(2, 1), 1)
+def test_schur_dual_jacobi_trudi_matches_the_narrow_determinant():
+    for shape in partitions_up_to(9):
+        assert schur_dual_jacobi_trudi(shape) == schur_jacobi_trudi(shape)
 
 
 def test_schur_homogeneous():
@@ -154,7 +157,7 @@ def test_character_columns_are_orthogonal():
 
 def test_schur_matches_jacobi_trudi():
     for shape in partitions_up_to(9):
-        assert schur(shape) == schur_jacobi_trudi(shape, len(shape))
+        assert schur(shape) == schur_jacobi_trudi(shape)
 
 
 # The product on integer numerators, against the term-by-term product of its
@@ -319,6 +322,20 @@ def test_from_json_reads_what_to_json_writes():
     f = BosonPolynomial.from_json(data)
     assert str(f) == "q^-1 * ((-1/2)*p1^2 p3) + 3"
     assert f.to_json() == [data[0], {"q": 0, "p": [], "coeff": "3"}]
+
+
+def test_a_product_is_held_to_the_factor_bound():
+    half = BosonPolynomial.p(1) ** 50000
+    assert (half * half).terms == {BosonMonomial(0, P(*[1] * 100000)): 1}
+    with pytest.raises(ValueError, match="at most 100000 factors"):
+        half * half * BosonPolynomial.p(1)
+    with pytest.raises(ValueError, match="at most 100000 factors"):
+        parse_boson("p1^100000 p1^100000")
+    with pytest.raises(ValueError, match="at most 100000 factors"):
+        BosonPolynomial.from_json([{"p": [[1, 100000]], "coeff": "1"}]) * parse_boson("p2 + 1")
+    # a power checks before any squaring, while its terms are still few
+    with pytest.raises(ValueError, match="at most 100000 factors"):
+        parse_boson("(p1 + 1)^200000")
 
 
 def test_hostile_p_exponents_are_rejected_before_any_work():

@@ -327,6 +327,20 @@ def test_hostile_exponent_on_a_monomial_returns_fast():
     assert proc.stdout == "t^3000000\n"
 
 
+def test_a_hall_pairing_of_the_longest_monomials_returns_fast():
+    # z of p1^100000 is 100000!, whose 456,574 digits exceed the printed bound
+    for exponent, message in [(100000, "a printed coefficient has at most 4300 digits"),
+                              (200000, "a p-monomial may have at most 100000 factors")]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bosonfermion.cli", "inner", "boson", f"p1^{exponent}", f"p1^{exponent}"],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+            timeout=10,
+        )
+        assert proc.returncode == 2 and proc.stderr.startswith(f"error: {message}")
+
+
 def test_operator_index_is_bounded(capsys):
     for word in ["alpha(-20000)", "psi*(-100000000)"]:
         proc = subprocess.run(

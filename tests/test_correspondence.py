@@ -70,7 +70,7 @@ def schur_coordinates(draw, charges=(-3, 3), max_degree=9):
 def jacobi_trudi_sum(pairs) -> BosonPolynomial:
     total = BosonPolynomial.zero()
     for (m, shape), coeff in pairs:
-        total = total + (BosonPolynomial.q(m) * schur_jacobi_trudi(shape, len(shape))).scale(coeff)
+        total = total + (BosonPolynomial.q(m) * schur_jacobi_trudi(shape)).scale(coeff)
     return total
 
 

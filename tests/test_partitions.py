@@ -11,6 +11,7 @@ from bosonfermion.partitions import (
     addable_corners,
     boxes,
     cartan_apply,
+    conjugate,
     dimension_vector,
     hook,
     hook_product,
@@ -150,10 +151,18 @@ def test_dimension_vector_injective():
         seen[key] = shape
 
 
+def test_conjugate_transposes_the_diagram():
+    assert conjugate(Partition()) == Partition()
+    assert conjugate(Partition((3, 1))) == Partition((2, 1, 1))
+    for shape in partitions_up_to(8):
+        assert sorted(boxes(conjugate(shape))) == sorted(Box(b.row, b.col) for b in boxes(shape))
+
+
 def test_z_factor():
     assert z_factor(Partition()) == 1
     assert z_factor(Partition((1, 1))) == 2
     assert z_factor(Partition((2, 1))) == 2
+    assert z_factor(Partition((2, 2, 2, 1, 1, 1, 1))) == 2**3 * 6 * 24
     assert z_factor(Partition((3, 3, 2))) == 3 * 3 * 2 * 2
 
 

@@ -170,6 +170,27 @@ def test_skipped_z_division_at_one_output_fails_two_determinants(monkeypatch):
     assert two_route.counterexample == "shape=[3]"
 
 
+def test_unsigned_e2_fails_two_determinants(monkeypatch):
+    # the dual determinant reads e_k, which neither schur nor the narrow one reads
+    elementary = boson._elementary
+    monkeypatch.setattr(boson, "_elementary", lambda k: boson._complete(k) if k == 2 else elementary(k))
+    results = {r.name: r for r in correspondence_suite(4, 1, 0)}
+    two_route = results["schur-two-determinants"]
+    assert not two_route.passed and two_route.checked == 12
+    assert two_route.counterexample == "shape=[2]"
+    assert results["schur-expand-rebuild"].passed
+
+
+def test_conjugate_missing_its_last_column_fails_two_determinants(monkeypatch):
+    conjugate = partitions.conjugate
+    monkeypatch.setattr(boson, "conjugate", lambda shape: Partition(conjugate(shape)[:-1]))
+    results = {r.name: r for r in correspondence_suite(4, 1, 0)}
+    two_route = results["schur-two-determinants"]
+    assert not two_route.passed and two_route.checked == 12
+    assert two_route.counterexample == "shape=[1]"
+    assert results["schur-expand-rebuild"].passed
+
+
 def test_unweighted_pairing_in_the_hall_form_fails_both_boson_pairings(monkeypatch):
     # hall_form weights each shared monomial by z_mu; the point-class checks do not read it
     pairing = boson.pairing
