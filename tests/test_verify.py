@@ -1,15 +1,18 @@
+import importlib
+import operator
+import pkgutil
+from typing import Callable, NamedTuple
+
 import pytest
 
-from bosonfermion import boson, fermion, geometry, partitions, verify
-from bosonfermion.fermion import ChargedMonomial, basis_state
+import bosonfermion
+from bosonfermion import boson, partitions, scalars, verify
+from bosonfermion.fermion import basis_state
 from bosonfermion.partitions import Partition
 from bosonfermion.scalars import TScalar
 from bosonfermion.verify import (
     _Check,
-    clifford_suite,
     correspondence_suite,
-    euler_suite,
-    heisenberg_boson_suite,
     heisenberg_fermion_suite,
     heisenberg_geometric_suite,
     run_suite,
@@ -63,6 +66,7 @@ ALL_AT_SIZE_4 = [
     ("power-sum-pairing", 40, True),
     ("point-class-orthonormality", 40, True),
     ("geometric-power-sum-pairing", 40, True),
+    ("geometric-power-sum-image", 12, True),
     ("schur-two-determinants", 12, True),
     ("schur-expand-rebuild", 12, True),
     ("oscillator-intertwining", 540, True),
@@ -114,176 +118,245 @@ def test_run_suite_rejects_a_grid_that_leaves_a_check_empty():
     assert results["alpha-adjointness"].checked == 0 and results["alpha-adjointness"].passed
 
 
-def test_corrupt_closed_form_euler_class_fails_with_a_witness(monkeypatch):
-    monkeypatch.setattr(geometry, "hook_product", lambda shape: partitions.hook_product(shape) + 1)
-    geometry.euler_class.cache_clear()
-    try:
-        results = {r.name: r for r in euler_suite(4)}
-    finally:
-        geometry.euler_class.cache_clear()
-    closed = results["euler-closed-form"]
-    assert not closed.passed and closed.checked == 12
-    assert closed.counterexample == "shape=[]"
-    assert not results["pullback-of-pushforward"].passed
+# --- the mutation table ----------------------------------------------------------
+#
+# Each row corrupts one kernel and pins the witness of checks that must report
+# it; the checks in passes must not.  The kernel is patched in every module of
+# the package that binds it, so every reader sees the mutant, unless only_in
+# names the one reader to patch.  The grid is the smallest that shows the
+# witnesses.  (DeMillo, Lipton and Sayward, Computer 11, 1978.)
+
+_MODULES = [bosonfermion, *(
+    importlib.import_module(f"bosonfermion.{info.name}") for info in pkgutil.iter_modules(bosonfermion.__path__)
+)]
 
 
-def test_flipped_ribbon_sign_in_the_character_table_fails_two_determinants(monkeypatch):
-    def flipped(shape, k):
-        strips = partitions.ribbons(shape, k)
-        if (shape, k) == ((3, 1), 2):
-            return tuple((-sign, rho) for sign, rho in strips)
-        return strips
-
-    monkeypatch.setattr(boson, "ribbons", flipped)
-    boson.characters.cache_clear()
-    boson.schur.cache_clear()
-    try:
-        results = {r.name: r for r in correspondence_suite(4, 1, 0)}
-    finally:
-        boson.characters.cache_clear()
-        boson.schur.cache_clear()
-    two_route = results["schur-two-determinants"]
-    assert not two_route.passed and two_route.checked == 12
-    assert two_route.counterexample == "shape=[3,1]"
+class Mutant(NamedTuple):
+    id: str
+    kernel: str  # "module.name" in the package
+    corrupt: Callable  # the kernel -> its mutant
+    run: tuple  # ("suite [suite ...]", *grid), each suite run by run_suite on the grid
+    fails: dict  # {check: pinned witness}
+    passes: tuple = ()
+    only_in: str | None = None
 
 
-def test_skipped_z_division_at_one_output_fails_two_determinants(monkeypatch):
+def _always(change):
+    return lambda kernel: lambda *args: change(kernel(*args))
+
+
+def _at(point, change):
+    """Apply change to the kernel's value at the arguments point only."""
+    return lambda kernel: lambda *args: change(kernel(*args)) if args == point else kernel(*args)
+
+
+def _flip_sign(hit):
+    sign, value = hit
+    return -sign, value
+
+
+def _flip_signs(hits):
+    return [_flip_sign(hit) for hit in hits]
+
+
+def _flip_first_sign(hits):
+    first, *rest = hits
+    return [_flip_sign(first), *rest]
+
+
+def _negate_values(coords):
+    return {key: -c for key, c in coords.items()}
+
+
+def _times_z_at_21(f):
     # from_schur writes schur, sigma and phi; Jacobi-Trudi does not go through it
-    from_schur = boson.from_schur
-    mu = Partition((2, 1))
-
-    def corrupt(coords):
-        terms = dict(from_schur(coords).terms)
-        for mono in terms:
-            if mono.shape == mu:
-                terms[mono] *= partitions.z_factor(mu)
-        return boson.BosonPolynomial._make(terms)
-
-    monkeypatch.setattr(boson, "from_schur", corrupt)
-    boson.schur.cache_clear()
-    try:
-        results = {r.name: r for r in run_suite("correspondence", 4)}
-    finally:
-        boson.schur.cache_clear()
-    two_route = results["schur-two-determinants"]
-    assert not two_route.passed and two_route.checked == 12
-    assert two_route.counterexample == "shape=[3]"
+    return boson.BosonPolynomial._make({
+        mono: c * partitions.z_factor(mono.shape) if mono.shape == (2, 1) else c for mono, c in f.terms.items()
+    })
 
 
-def test_unsigned_e2_fails_two_determinants(monkeypatch):
+def _doubled_row_2(table):
+    return {**table, (2,): {mu: 2 * chi for mu, chi in table[(2,)].items()}}
+
+
+def _unscaled_monomial_division(canonical):
+    # a TScalar divided by c * t^e is shifted by -e but not divided by c
+    def corrupt(num, den):
+        if len(den.terms) == 1:
+            return num.shift(-min(den.terms)), scalars._LAURENT_ONE
+        return canonical(num, den)
+    return corrupt
+
+
+def _at_index(index, change):
+    """Apply change to the value of an operator kernel (index, operand) at one index."""
+    return lambda kernel: lambda k, x: change(kernel(k, x)) if k == index else kernel(k, x)
+
+
+_NEGATE = _always(operator.neg)
+_ONE_BOX = (0, (1,))  # the wedge monomial phi[1] at charge 0
+_TWO_DETERMINANTS = ("correspondence", 4, 1, 0)
+
+MUTANTS = [
+    # fermionic kernels: the sweeps read psi, psi* and alpha images from tables built once per state
+    Mutant("psi-sign-at-one-slot", "fermion._wedge_in", _at((0, _ONE_BOX), _flip_sign), ("clifford", 4, 3, 1),
+           {"clifford-anticommutators": "i=0, j=1, state=phi[]@-1",
+            "psi-adjointness": "j=0, pair=(phi[1], phi[]@1)"},
+           passes=("charge-shift", "vacuum-annihilation")),
+    Mutant("psi-star-sign-at-one-slot", "fermion._contract_out", _at((1, _ONE_BOX), _flip_sign),
+           ("clifford", 2, 1, 1),
+           {"clifford-anticommutators": "i=1, j=1, state=phi[]@-1",
+            "psi-adjointness": "j=1, pair=(phi[]@-1, phi[1])"}),
+    Mutant("alpha-move-sign", "fermion._alpha_moves", _at((1, (0, (2, 1))), _flip_first_sign),
+           ("heisenberg-fermion", 4, 3, 1), {"alpha-adjointness": "k=1, pair=(phi[1,1], phi[2,1])"},
+           passes=("alpha0-charge",)),
+    Mutant("gl-action-negated", "fermion.gl_action", _NEGATE, ("commuting-square", 1, 1),
+           {"tau-intertwining": "k=0, shape=[]"}),
+    # combinatorial kernels
+    Mutant("character-ribbon-sign", "partitions.ribbons", _at(((3, 1), 2), _flip_signs), _TWO_DETERMINANTS,
+           {"schur-two-determinants": "shape=[3,1]"}),
+    Mutant("geometric-ribbon-sign", "partitions.ribbons", _at(((2, 1), 1), _flip_first_sign),
+           ("heisenberg-geometric", 4, 3),
+           {"geometric-boson-commutators": "k=-3, l=1, shape=[]",
+            "geometric-boson-adjointness": "i=1, pair=([1,1], [2,1])",
+            "geometric-boson-transport": "k=1, shape=[2,1]"},
+           only_in="geometry"),
+    Mutant("hook-product-plus-one", "partitions.hook_product", _always(lambda h: h + 1), ("euler", 4),
+           {"euler-closed-form": "shape=[]", "pullback-of-pushforward": "shape=[]"}),
+    Mutant("hook-plus-one-at-one-box", "partitions.hook", _at(((2, 1), (0, 0)), lambda h: h + 1), ("euler", 3),
+           {"euler-closed-form": "shape=[2,1]", "pullback-of-pushforward": "shape=[2,1]"}),
+    Mutant("z-factor-doubled-at-21", "partitions.z_factor", _at(((2, 1),), lambda z: 2 * z),
+           ("orthonormality", 3),
+           {"schur-orthonormality": "pair=([3], [3])", "geometric-power-sum-pairing": "pair=([2,1], [2,1])",
+            "geometric-power-sum-image": "shape=[2,1]"}),
+    Mutant("conjugate-missing-last-column", "partitions.conjugate", _always(lambda shape: Partition(shape[:-1])),
+           _TWO_DETERMINANTS, {"schur-two-determinants": "shape=[1]"}, passes=("schur-expand-rebuild",)),
+    Mutant("dimension-vector-without-residue-0", "partitions.dimension_vector",
+           _always(lambda counts: {r: c for r, c in counts.items() if r}), ("serre", 2, 1),
+           {"cartan-eigenvalues": "k=-1, shape=[1]", "point-dimension-formula": "shape=[2]"}),
+    Mutant("cartan-apply-plus-one", "partitions.cartan_apply", _always(lambda value: value + 1), ("serre", 2, 1),
+           {"cartan-eigenvalues": "k=0, shape=[]", "point-dimension-formula": "shape=[1]"}),
+    # bosonic kernels
+    Mutant("character-row-doubled", "boson.characters", _at((2,), _doubled_row_2), ("correspondence", 2, 1, 0),
+           {"schur-two-determinants": "shape=[2]", "schur-expand-rebuild": "shape=[2]",
+            "oscillator-intertwining": "n=-1, state=phi[1]@0", "schur-basis-bijection": "shape=[2]",
+            "form-preservation": "pair=([2], [2])"}),
+    Mutant("from-schur-skips-z-division", "boson.from_schur", _always(_times_z_at_21), ("correspondence", 4),
+           {"schur-two-determinants": "shape=[3]"}),
+    Mutant("schur-expand-negated", "boson.schur_expand", _always(_negate_values), ("correspondence", 1, 1, 0),
+           {"schur-expand-rebuild": "shape=[]", "schur-basis-bijection": "shape=[]"}),
+    Mutant("h2-is-e2", "boson._complete", _at((2,), lambda h2: boson._elementary(2)),
+           ("correspondence", 2, 1, 0), {"schur-two-determinants": "shape=[2]"}),
     # the dual determinant reads e_k, which neither schur nor the narrow one reads
-    elementary = boson._elementary
-    monkeypatch.setattr(boson, "_elementary", lambda k: boson._complete(k) if k == 2 else elementary(k))
-    results = {r.name: r for r in correspondence_suite(4, 1, 0)}
-    two_route = results["schur-two-determinants"]
-    assert not two_route.passed and two_route.checked == 12
-    assert two_route.counterexample == "shape=[2]"
-    assert results["schur-expand-rebuild"].passed
-
-
-def test_conjugate_missing_its_last_column_fails_two_determinants(monkeypatch):
-    conjugate = partitions.conjugate
-    monkeypatch.setattr(boson, "conjugate", lambda shape: Partition(conjugate(shape)[:-1]))
-    results = {r.name: r for r in correspondence_suite(4, 1, 0)}
-    two_route = results["schur-two-determinants"]
-    assert not two_route.passed and two_route.checked == 12
-    assert two_route.counterexample == "shape=[1]"
-    assert results["schur-expand-rebuild"].passed
-
-
-def test_unweighted_pairing_in_the_hall_form_fails_both_boson_pairings(monkeypatch):
+    Mutant("unsigned-e2", "boson._elementary", _at((2,), lambda e2: boson._complete(2)), _TWO_DETERMINANTS,
+           {"schur-two-determinants": "shape=[2]"}, passes=("schur-expand-rebuild",)),
+    Mutant("jacobi-trudi-negated-on-two-rows", "boson._jacobi_trudi",
+           lambda jt: lambda g, parts: -jt(g, parts) if len(parts) == 2 else jt(g, parts),
+           ("correspondence", 2, 1, 0), {"schur-two-determinants": "shape=[2]"}),
+    # the three Heisenberg suites share one commutator sweep
+    Mutant("oscillator-term", "boson.oscillator", _at((1, boson.power_sum(Partition((2, 1)))), operator.neg),
+           ("heisenberg-boson", 4, 3), {"oscillator-commutators": "k=-2, l=1, monomial=p1"}),
     # hall_form weights each shared monomial by z_mu; the point-class checks do not read it
-    pairing = boson.pairing
-    monkeypatch.setattr(boson, "pairing", lambda f, g, weight: pairing(f, g, lambda key: 1))
-    results = {r.name: r for r in run_suite("orthonormality", 4) + run_suite("correspondence", 4)}
-    for name in ("schur-orthonormality", "power-sum-pairing", "form-preservation"):
-        assert not results[name].passed and results[name].counterexample == "pair=([2], [2])"
-    assert results["point-class-orthonormality"].passed
-    assert results["geometric-power-sum-pairing"].passed
+    Mutant("unweighted-pairing", "scalars.pairing", lambda pairing: lambda f, g, w: pairing(f, g, lambda key: 1),
+           ("orthonormality correspondence", 4),
+           {"schur-orthonormality": "pair=([2], [2])", "power-sum-pairing": "pair=([2], [2])",
+            "form-preservation": "pair=([2], [2])"},
+           passes=("point-class-orthonormality", "geometric-power-sum-pairing")),
+    Mutant("hall-form-doubled", "boson.hall_form", _always(lambda value: 2 * value), ("orthonormality", 0),
+           {"schur-orthonormality": "pair=([], [])", "power-sum-pairing": "pair=([], [])"}),
+    # geometric kernels; bilinear_form divides by euler_class inside the
+    # fixed-point sum, and the Hall-form pairings on the boson side do not read it
+    Mutant("euler-divisor-doubled-at-21", "geometry.euler_class",
+           _at(((2, 1),), lambda e: e * TScalar.monomial(2)), ("orthonormality", 4),
+           {"point-class-orthonormality": "pair=([2,1], [2,1])",
+            "geometric-power-sum-pairing": "pair=([3], [3])"},
+           passes=("schur-orthonormality", "power-sum-pairing")),
+    Mutant("schur-coordinate-writer-negated", "geometry._from_schur_coordinates", _NEGATE,
+           ("commuting-square", 1, 1), {"eta-inverse": "shape=[]"}),
+    Mutant("schur-coordinate-reader-negated", "geometry._schur_coordinates", _always(_negate_values),
+           ("commuting-square", 1, 1), {"full-square": "shape=[]"}),
+    Mutant("normalized-class-negated", "geometry.normalized_class", _NEGATE, ("commuting-square", 1, 1),
+           {"eta-inverse": "shape=[]"}),
+    Mutant("hecke-e-negated-at-1", "geometry.hecke_e", _at_index(1, operator.neg), ("serre", 2, 1),
+           {"cartan-eigenvalues": "k=1, shape=[1]"}),
+    Mutant("hecke-f-negated-at-1", "geometry.hecke_f", _at_index(1, operator.neg), ("serre", 2, 1),
+           {"cartan-eigenvalues": "k=1, shape=[1]"}),
+    Mutant("geometric-boson-negated-at-1", "geometry.geometric_boson", _at_index(1, operator.neg),
+           ("heisenberg-geometric", 1, 1),
+           {"geometric-boson-commutators": "k=-1, l=1, shape=[]",
+            "geometric-boson-adjointness": "i=1, pair=([], [1])",
+            "geometric-boson-transport": "k=1, shape=[1]"}),
+    Mutant("power-sum-class-negated", "geometry.power_sum_class", _NEGATE, ("orthonormality", 0),
+           {"geometric-power-sum-image": "shape=[]"}),
+    Mutant("weight-of-plus-one-at-0", "geometry.weight_of", _always(lambda w: {**w, 0: w.get(0, 0) + 1}),
+           ("serre", 1, 1), {"cartan-eigenvalues": "k=0, shape=[]"}),
+    # the maps of the square
+    Mutant("tau-doubled-at-21", "geometry.tau", _at((basis_state(0, (2, 1)),), lambda c: c.scale(2)),
+           ("commuting-square", 3, 1),
+           {"full-square": "shape=[2,1]", "tau-intertwining": "k=-1, shape=[2]",
+            "tau-energy-grading": "shape=[2,1]"}),
+    Mutant("eta-negated", "geometry.eta", _NEGATE, ("commuting-square", 1, 1),
+           {"full-square": "shape=[]", "eta-inverse": "shape=[]"}),
+    Mutant("eta-inverse-negated", "geometry.eta_inverse", _NEGATE, ("commuting-square", 1, 1),
+           {"eta-inverse": "shape=[]"}),
+    Mutant("phi-negated", "geometry.phi", _NEGATE, ("commuting-square", 1, 1), {"full-square": "shape=[]"}),
+    Mutant("phi-inverse-negated", "geometry.phi_inverse", _NEGATE, ("heisenberg-geometric", 1, 1),
+           {"geometric-boson-transport": "k=-1, shape=[]"}),
+    Mutant("sigma-negated", "correspondence.sigma", _NEGATE, ("correspondence", 1, 1, 0),
+           {"schur-basis-bijection": "shape=[]"}),
+    Mutant("sigma-inverse-negated", "correspondence.sigma_inverse", _NEGATE, ("correspondence", 1, 1, 0),
+           {"schur-basis-bijection": "shape=[]"}),
+    # Q(t) arithmetic
+    Mutant("monomial-division-unscaled", "scalars._canonical", _unscaled_monomial_division,
+           ("commuting-square", 2, 1), {"eta-inverse": "shape=[2]"}),
+]
 
 
-def test_corrupt_euler_divisor_in_the_fixed_point_sum_fails_both_geometric_pairings(monkeypatch):
-    # bilinear_form divides by euler_class inside the fixed-point sum; the
-    # Hall-form pairings on the boson side do not read it
-    euler_class = geometry.euler_class
-
-    def corrupt(shape):
-        value = euler_class(shape)
-        return value * TScalar.monomial(2) if shape == (2, 1) else value
-
-    monkeypatch.setattr(geometry, "euler_class", corrupt)
-    results = {r.name: r for r in run_suite("orthonormality", 4)}
-    point, power = results["point-class-orthonormality"], results["geometric-power-sum-pairing"]
-    assert not point.passed and point.counterexample == "pair=([2,1], [2,1])"
-    assert not power.passed and power.counterexample == "pair=([3], [3])"
-    assert results["schur-orthonormality"].passed and results["power-sum-pairing"].passed
+def _patch_everywhere(monkeypatch, row: Mutant) -> None:
+    """Bind row.kernel's mutant wherever the package binds the kernel, or in row.only_in alone."""
+    home, name = row.kernel.rsplit(".", 1)
+    kernel = getattr(importlib.import_module(f"bosonfermion.{home}"), name)
+    mutant = row.corrupt(kernel)
+    for module in _MODULES:
+        if row.only_in in (None, module.__name__.rpartition(".")[2]):
+            for attr, value in vars(module).items():
+                if value is kernel:
+                    monkeypatch.setattr(module, attr, mutant)
 
 
-# The sweeps read psi, psi* and alpha images from tables built once per state;
-# a wrong sign in a single image must still surface as a failing check.
-
-def test_flipped_psi_sign_at_one_slot_fails_clifford(monkeypatch):
-    wedge_in = fermion._wedge_in
-
-    def flipped(j, mono):
-        hit = wedge_in(j, mono)
-        if (j, mono) == (0, ChargedMonomial(0, Partition((1,)))):
-            sign, target = hit
-            return -sign, target
-        return hit
-
-    monkeypatch.setattr(fermion, "_wedge_in", flipped)
-    results = {r.name: r for r in clifford_suite(4, 3, 1)}
-    anti, adjoint = results["clifford-anticommutators"], results["psi-adjointness"]
-    assert not anti.passed and anti.counterexample == "i=0, j=1, state=phi[]@-1"
-    assert not adjoint.passed and adjoint.counterexample == "j=0, pair=(phi[1], phi[]@1)"
-    assert results["charge-shift"].passed and results["vacuum-annihilation"].passed
+def _clear_memo_tables() -> None:
+    """Empty every memo table of the package, each found by its cache_clear."""
+    for module in _MODULES:
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
 
 
-def test_flipped_alpha_move_fails_alpha_adjointness(monkeypatch):
-    alpha_moves = fermion._alpha_moves
-
-    def flipped(n, mono):
-        moves = list(alpha_moves(n, mono))
-        if (n, mono) == (1, ChargedMonomial(0, Partition((2, 1)))):
-            sign, target = moves[0]
-            moves[0] = -sign, target
-        return moves
-
-    monkeypatch.setattr(fermion, "_alpha_moves", flipped)
-    results = {r.name: r for r in heisenberg_fermion_suite(4, 3, 1)}
-    adjoint = results["alpha-adjointness"]
-    assert not adjoint.passed and adjoint.counterexample == "k=1, pair=(phi[1,1], phi[2,1])"
-    assert results["alpha0-charge"].passed
+def _run(row: Mutant) -> list:
+    suites, *grid = row.run
+    return [r for suite in suites.split() for r in run_suite(suite, *grid)]
 
 
-# The three Heisenberg suites share one commutator sweep, and the geometric
-# adjointness and transport checks read its image tables.
-
-def test_one_wrong_oscillator_term_fails_oscillator_commutators(monkeypatch):
-    target = boson.power_sum(Partition((2, 1)))
-
-    def corrupt(m, f):
-        image = boson.oscillator(m, f)
-        return -image if (m, f) == (1, target) else image
-
-    monkeypatch.setattr(verify, "oscillator", corrupt)
-    (comm,) = heisenberg_boson_suite(4, 3)
-    assert not comm.passed and comm.checked == 588
-    assert comm.counterexample == "k=-2, l=1, monomial=p1"
+@pytest.fixture
+def fresh_monkeypatch(monkeypatch):
+    """monkeypatch on empty memo tables, emptied again once its patches are
+    undone, so that no table keeps a value a mutant computed."""
+    _clear_memo_tables()
+    yield monkeypatch
+    monkeypatch.undo()
+    _clear_memo_tables()
 
 
-def test_flipped_ribbon_sign_at_one_shape_fails_the_geometric_suite(monkeypatch):
-    def flipped(shape, k):
-        strips = partitions.ribbons(shape, k)
-        if (shape, k) == ((2, 1), 1):
-            (sign, rho), *rest = strips
-            return ((-sign, rho), *rest)
-        return strips
-
-    monkeypatch.setattr(geometry, "ribbons", flipped)
-    results = {r.name: r for r in heisenberg_geometric_suite(4, 3)}
-    comm, adjoint = results["geometric-boson-commutators"], results["geometric-boson-adjointness"]
-    assert not comm.passed and comm.counterexample == "k=-3, l=1, shape=[]"
-    assert not adjoint.passed and adjoint.counterexample == "i=1, pair=([1,1], [2,1])"
-    assert results["geometric-boson-transport"].counterexample == "k=1, shape=[2,1]"
+@pytest.mark.parametrize("row", MUTANTS, ids=[row.id for row in MUTANTS])
+def test_verify_reports_the_mutant(row, fresh_monkeypatch):
+    assert row.fails, "a mutant that no check reports is a gap in verify, not a row"
+    clean = _run(row)
+    assert all(r.passed for r in clean)
+    _clear_memo_tables()
+    _patch_everywhere(fresh_monkeypatch, row)
+    mutated = _run(row)
+    # a mutant changes verdicts, never what a check counts
+    assert [(r.name, r.checked) for r in mutated] == [(r.name, r.checked) for r in clean]
+    results = {r.name: r for r in mutated}
+    assert {check: results[check].counterexample for check in row.fails} == row.fails
+    assert [check for check in row.passes if not results[check].passed] == []
