@@ -41,7 +41,6 @@ from .geometry import (
     NonDivisibleCoefficient,
     QuiverClass,
     bilinear_form,
-    c2_toy_check,
     cup,
     eta,
     eta_inverse,

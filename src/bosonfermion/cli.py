@@ -159,11 +159,12 @@ def _detect_state(text: str, ops: list[tuple[str, int]]):
 
 
 def _print(value, as_json: bool) -> None:
-    """Localized classes and dicts print as JSON; under --json every value
-    does, one without a JSON form as {"value": its text}."""
+    """Print a value as its text, which for a localized class is already its
+    JSON form, and a dict as JSON; under --json every value prints as JSON,
+    one without a JSON form as {"value": its text}."""
     if isinstance(value, Rational):
         value = format_rational(value)
-    if isinstance(value, geometry.LocalizedClass) or (as_json and hasattr(value, "to_json")):
+    if as_json and hasattr(value, "to_json"):
         value = value.to_json()
     elif as_json and not isinstance(value, dict):
         value = {"value": str(value)}

@@ -3,12 +3,15 @@
 The fixed points of the n-th space are labeled by partitions of n.  A class on
 the fixed-point side (QuiverClass) is a Q[t]-combination of point classes
 1_shape; a class on the ambient side (LocalizedClass) is stored through its
-restrictions to the fixed points, one Q(t) value per partition of n.
+nonzero restrictions to the fixed points, one Q(t) value per partition of n.
+Both are linear combinations on the one sparse base of ``linear``.
 
 Weight convention: a one-dimensional module of weight a has Euler class a*t,
 and the distinguished curve direction in the plane carries weight -1.  This is
 the unique choice reproducing both the tangent Euler class
-(-1)^n h(shape)^2 t^(2n) and the curve relation checked by c2_toy_check.
+(-1)^n h(shape)^2 t^(2n) and the curve relation on X_1, the plane with its one
+fixed point [1]: there the normalized class of [1] is the curve class, -t^-1
+times the fundamental class.  The c2-toy suite of ``verify`` checks it.
 """
 
 import json
@@ -123,61 +126,66 @@ class QuiverClass(LinearCombination):
         return cls({parse_partition(key): parse_tlaurent(value) for key, value in raw.items()})
 
 
-class LocalizedClass:
-    """Class on the n-th ambient space, stored by fixed-point restrictions."""
+def _scalar(value) -> TScalar:
+    """A restriction: an element of Q(t), or a rational read as a constant."""
+    return value if isinstance(value, TScalar) else TScalar.monomial(value)
 
-    __slots__ = ("n", "restrictions")
 
-    def __init__(self, n: int, restrictions: dict[Partition, TScalar] | None = None):
+class LocalizedClass(LinearCombination):
+    """Class on the n-th ambient space, stored by its nonzero restrictions to
+    the fixed points, one Q(t) value per partition of n."""
+
+    __slots__ = ("n",)
+    _coerce = staticmethod(_scalar)
+
+    def __init__(self, n: int, terms: dict[Partition, TScalar] | None = None):
         self.n = int(n)
-        self.restrictions: dict[Partition, TScalar] = {}
-        for shape, value in (restrictions or {}).items():
-            if shape.size() != self.n:
-                raise ValueError(f"partition {shape} does not have size {self.n}")
-            if not value.is_zero():
-                self.restrictions[shape] = value
+        for shape in terms or ():
+            self._check_size(shape)
+        super().__init__(terms)
+
+    def _like(self, terms: dict) -> "LocalizedClass":
+        out = self._make(terms)
+        out.n = self.n
+        return out
 
     @classmethod
     def zero(cls, n: int) -> "LocalizedClass":
         return cls(n)
 
-    def is_zero(self) -> bool:
-        return not self.restrictions
-
-    def restriction(self, shape: Partition) -> TScalar:
+    def _check_size(self, shape: Partition) -> None:
         if shape.size() != self.n:
             raise ValueError(f"partition {shape} does not have size {self.n}")
-        return self.restrictions.get(shape, TScalar.zero())
 
-    def _check_same_space(self, other: "LocalizedClass") -> None:
-        if self.n != other.n:
+    def restriction(self, shape: Partition) -> TScalar:
+        self._check_size(shape)
+        return self.coefficient(shape)
+
+    def _check_same_space(self, other) -> None:
+        if isinstance(other, LocalizedClass) and self.n != other.n:
             raise ValueError(f"classes live on different spaces: n={self.n} vs n={other.n}")
 
     def __add__(self, other: "LocalizedClass") -> "LocalizedClass":
         self._check_same_space(other)
-        return LocalizedClass(self.n, accumulate(other.restrictions.items(), dict(self.restrictions)))
-
-    def __neg__(self) -> "LocalizedClass":
-        return LocalizedClass(self.n, {s: -v for s, v in self.restrictions.items()})
+        return super().__add__(other)
 
     def __sub__(self, other: "LocalizedClass") -> "LocalizedClass":
-        return self + (-other)
-
-    def scale(self, factor) -> "LocalizedClass":
-        if not isinstance(factor, TScalar):
-            factor = TScalar.monomial(factor)
-        return LocalizedClass(self.n, {s: v * factor for s, v in self.restrictions.items()})
+        self._check_same_space(other)
+        return super().__sub__(other)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, LocalizedClass):
-            return self.n == other.n and self.restrictions == other.restrictions
+        if type(other) is type(self):
+            return self.n == other.n and self.terms == other.terms
         return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, super().__hash__()))
 
     def __str__(self) -> str:
         return json.dumps(self.to_json())
 
     def __repr__(self) -> str:
-        return f"LocalizedClass<n={self.n}, {self.restrictions}>"
+        return f"LocalizedClass<n={self.n}, {self.terms}>"
 
     def to_json(self) -> dict:
         """Every restriction, zeros included, so the output grows as p(n);
@@ -238,12 +246,8 @@ def pullback(alpha: LocalizedClass, shape: Partition) -> TScalar:
 def cup(alpha: LocalizedClass, beta: LocalizedClass) -> LocalizedClass:
     """Cup product: pointwise product of restrictions."""
     alpha._check_same_space(beta)
-    terms = {}
-    for shape, value in alpha.restrictions.items():
-        other = beta.restrictions.get(shape)
-        if other is not None:
-            terms[shape] = value * other
-    return LocalizedClass(alpha.n, terms)
+    b = beta.terms
+    return LocalizedClass(alpha.n, {shape: a * b[shape] for shape, a in alpha.terms.items() if shape in b})
 
 
 _SCALAR_ONE = TScalar.one()
@@ -252,7 +256,7 @@ _SCALAR_ONE = TScalar.one()
 def integrate(alpha: LocalizedClass) -> TScalar:
     """Pushforward to a point: the fixed-point sum of restriction / Euler class."""
     return monomial_quotient_sum(
-        (value, _SCALAR_ONE, euler_class(shape)) for shape, value in alpha.restrictions.items()
+        (value, _SCALAR_ONE, euler_class(shape)) for shape, value in alpha.terms.items()
     )
 
 
@@ -275,7 +279,7 @@ def bilinear_form(alpha: LocalizedClass, beta: LocalizedClass) -> TScalar:
     fixed-point sum of a * b / Euler class over the points both classes
     restrict to nonzero values, without building the cup product."""
     alpha._check_same_space(beta)
-    a, b = alpha.restrictions, beta.restrictions
+    a, b = alpha.terms, beta.terms
     if len(a) > len(b):
         a, b = b, a
     value = monomial_quotient_sum(
@@ -403,7 +407,7 @@ def eta_raw(c: QuiverClass) -> LocalizedClass:
 def eta_inverse(beta: LocalizedClass) -> QuiverClass:
     """Read the fixed-point coordinates back into the graded basis."""
     terms = {}
-    for shape, value in beta.restrictions.items():
+    for shape, value in beta.terms.items():
         coeff = value / TScalar.monomial(hook_product(shape))
         if not coeff.is_laurent() or not coeff.as_laurent().is_polynomial():
             raise ValueError(
@@ -427,7 +431,7 @@ def _schur_coordinates(beta: LocalizedClass) -> dict[Partition, Rational]:
     restriction c*t^n at shape is the coordinate c / h(shape)."""
     coords = {}
     n = beta.n
-    for shape, value in beta.restrictions.items():
+    for shape, value in beta.terms.items():
         terms = value.num.terms
         if not value.is_laurent() or len(terms) != 1 or n not in terms:
             raise ValueError(
@@ -480,29 +484,6 @@ def power_sum_class(shape: Partition) -> LocalizedClass:
     for part in Partition(shape):
         result = geometric_boson(-part, result)
     return result
-
-
-# --- the two-dimensional toy model --------------------------------------------
-
-def c2_toy_model(curve_weight: int = -1) -> dict[str, TScalar]:
-    """One-fixed-point model of the plane: tangent weights (w, -w) along the
-    distinguished curve and its normal direction."""
-    w = curve_weight
-    tangent_euler = TScalar.monomial(w, 1) * TScalar.monomial(-w, 1)
-    curve_class = TScalar.monomial(-w, 1)  # normal Euler class at the point
-    point_class = tangent_euler
-    return {
-        "tangent_euler": tangent_euler,
-        "curve_restriction": curve_class,
-        "point_restriction": point_class,
-    }
-
-
-def c2_toy_check(curve_weight: int = -1) -> bool:
-    """Does the curve class equal -t^(-1) times the point class in the model?"""
-    model = c2_toy_model(curve_weight)
-    expected = TScalar.monomial(-1, -1) * model["point_restriction"]
-    return model["curve_restriction"] == expected
 
 
 # --- text form of fixed-point classes -------------------------------------------

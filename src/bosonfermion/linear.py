@@ -1,11 +1,11 @@
 """Finite linear combinations over a basis: the one sparse-vector core.
 
-Laurent polynomials, bosonic polynomials, fermionic states and fixed-point
-classes are all dicts from a basis key to a nonzero coefficient.  They share
-this base class, and every operator that builds such a dict sums its
-(key, coefficient) contributions through ``accumulate``.  A coefficient is
-zero exactly when it is falsy, so the same test serves rationals and Laurent
-polynomials.
+Laurent polynomials, bosonic polynomials, fermionic states, fixed-point
+classes and localized classes are all dicts from a basis key to a nonzero
+coefficient.  They share this base class, and every operator that builds such
+a dict sums its (key, coefficient) contributions through ``accumulate``.  A
+coefficient is zero exactly when it is falsy, so the same test serves
+rationals, Laurent polynomials and elements of Q(t).
 """
 
 from typing import Iterable
@@ -46,8 +46,9 @@ class LinearCombination:
 
     Subclasses set ``_coerce``, which turns a user-supplied coefficient into
     the coefficient type (and may reject it).  ``_make`` adopts a dict that is
-    already coerced and zero-free without touching it; operators use it on
-    the output of ``accumulate``.
+    already coerced and zero-free without touching it.  The operators build
+    their results through ``self._like``, which is ``_make`` unless a subclass
+    whose values carry more than their terms overrides it to pass that on.
     """
 
     __slots__ = ("terms",)
@@ -66,6 +67,8 @@ class LinearCombination:
         out.terms = terms
         return out
 
+    _like = _make
+
     @classmethod
     def zero(cls):
         return cls._make({})
@@ -80,22 +83,22 @@ class LinearCombination:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._make(accumulate(other.terms.items(), dict(self.terms)))
+        return self._like(accumulate(other.terms.items(), dict(self.terms)))
 
     def __neg__(self):
-        return self._make({key: -c for key, c in self.terms.items()})
+        return self._like({key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         negated = ((key, -c) for key, c in other.terms.items())
-        return self._make(accumulate(negated, dict(self.terms)))
+        return self._like(accumulate(negated, dict(self.terms)))
 
     def scale(self, factor):
         factor = self._coerce(factor)
         if not factor:
-            return self._make({})
-        return self._make({key: c * factor for key, c in self.terms.items()})
+            return self._like({})
+        return self._like({key: c * factor for key, c in self.terms.items()})
 
     def __rmul__(self, factor):
         return self.scale(factor)

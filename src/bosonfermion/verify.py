@@ -31,11 +31,10 @@ from .geometry import (
     LocalizedClass,
     QuiverClass,
     bilinear_form,
-    c2_toy_check,
-    c2_toy_model,
     euler_class,
     eta,
     eta_inverse,
+    fundamental_class,
     geometric_boson,
     hecke_e,
     hecke_f,
@@ -404,17 +403,22 @@ def commuting_square_suite(max_size: int = 8, max_index: int = 4) -> list[CheckR
     return [square.result(), intertwine.result(), isometry.result(), inverse.result(), grading.result()]
 
 
-def c2_toy_suite(max_size: int = 8, max_index: int = 4) -> list[CheckResult]:
-    """The one-fixed-point model of the plane pins the weight convention."""
+def c2_toy_suite() -> list[CheckResult]:
+    """X_1 is the plane with its one fixed point [1]: tangent weight -1 along
+    the distinguished curve and 1 normal to it.  The curve class is the
+    normalized class of [1]; it restricts to its normal Euler class t, which
+    is -t^-1 times the point class.  Under the flipped weights it would
+    restrict to -t."""
     check = _Check("c2-toy")
-    check.record(c2_toy_check(), "standard convention")
-    check.record(not c2_toy_check(curve_weight=1), "flipped convention should fail")
-    model = c2_toy_model()
-    check.record(model["tangent_euler"] == TScalar.monomial(-1, 2), "tangent Euler class")
+    point = Partition((1,))
+    curve = normalized_class(point)
+    check.record(curve == fundamental_class(point).scale(TScalar.monomial(-1, -1)), "standard convention")
+    check.record(curve.restriction(point) != TScalar.monomial(-1, 1), "flipped convention should fail")
+    check.record(euler_class(point) == TScalar.monomial(-1, 2), "tangent Euler class")
     return [check.result()]
 
 
-def euler_suite(max_size: int = 10, max_index: int = 4) -> list[CheckResult]:
+def euler_suite(max_size: int = 10) -> list[CheckResult]:
     """The closed-form Euler classes and push/pull against the product over
     the boxes of the tangent weights (hook * t)(-hook * t).  Each hook is read
     off the diagram and its conjugate, not from partitions.hook, which the

@@ -12,8 +12,6 @@ from bosonfermion.geometry import (
     NonDivisibleCoefficient,
     QuiverClass,
     bilinear_form,
-    c2_toy_check,
-    c2_toy_model,
     cup,
     eta,
     eta_inverse,
@@ -76,7 +74,7 @@ def test_pushforward_pullback():
     for shape in partitions_up_to(6):
         pushed = pushforward(shape, TScalar.one())
         assert pullback(pushed, shape) == euler_class(shape)
-    assert pushforward(P(1), TScalar.one()).restrictions == {P(1): ts("-t^2")}
+    assert pushforward(P(1), TScalar.one()).terms == {P(1): ts("-t^2")}
 
 
 def test_cup_disjoint_supports():
@@ -139,7 +137,7 @@ def class_pairs(draw):
 
 def _plain_integral(alpha: LocalizedClass) -> TScalar:
     total = TScalar.zero()
-    for shape, value in alpha.restrictions.items():
+    for shape, value in alpha.terms.items():
         total = total + value / euler_class(shape)
     return total
 
@@ -301,12 +299,16 @@ def test_geometric_bosons_commute_with_transport():
 
 # --- the plane model -----------------------------------------------------------------------------------
 
-def test_c2_toy():
-    assert c2_toy_check() is True
-    assert c2_toy_check(curve_weight=1) is False
-    model = c2_toy_model()
-    assert model["tangent_euler"] == ts("-t^2")
-    assert model["curve_restriction"] == ts("t")
+def test_c2_toy_reads_x1():
+    # X_1 is the plane: the normalized class of its one fixed point is the
+    # curve class, restricting to t = -t^-1 times the point class -t^2
+    point = P(1)
+    curve = normalized_class(point)
+    assert curve.terms == {point: ts("t")}
+    assert fundamental_class(point).terms == {point: ts("-t^2")}
+    assert curve == fundamental_class(point).scale(ts("-t^-1"))
+    assert curve.restriction(point) != ts("-t")
+    assert euler_class(point) == ts("-t^2")
 
 
 # --- the commuting square --------------------------------------------------------------------------------
@@ -344,6 +346,37 @@ def test_localized_json_rejects_a_negative_degree():
         LocalizedClass.from_json({"n": -1, "restrictions": {}})
     # the library itself may still build the zero class of a negative degree
     assert LocalizedClass.zero(-1).is_zero()
+
+
+# --- the sparse base --------------------------------------------------------------------------------------
+
+def test_localized_class_keeps_its_space_through_the_base_operators():
+    for n in range(4):
+        beta = LocalizedClass(n, {shape: ts("t + 1") for shape in partitions_of(n)})
+        assert (beta - beta).n == (-beta).n == beta.scale(0).n == n
+        assert beta - beta == beta.scale(0) == LocalizedClass.zero(n)
+        assert beta - beta != LocalizedClass.zero(n + 1)
+        assert beta.scale(2) == beta + beta == -(-beta - beta)
+
+
+def test_localized_class_rejects_another_space_or_size():
+    a, b = fundamental_class(P(2)), fundamental_class(P(1))
+    with pytest.raises(ValueError, match="different spaces: n=2 vs n=1"):
+        a + b
+    with pytest.raises(ValueError, match="different spaces: n=2 vs n=1"):
+        a - b
+    with pytest.raises(ValueError, match=r"^partition \[1\] does not have size 2$"):
+        LocalizedClass(2, {P(2): ts("t"), P(1): ts("t")})
+    with pytest.raises(ValueError, match=r"^partition \[1\] does not have size 2$"):
+        a.restriction(P(1))
+
+
+def test_equal_localized_classes_hash_equal():
+    a = normalized_class(P(2)) - normalized_class(P(1, 1))
+    b = phi_inverse(parse_boson("p2"))
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert hash(LocalizedClass.zero(2) - LocalizedClass.zero(2)) == hash(LocalizedClass.zero(2))
+    assert len({a, b, LocalizedClass.zero(2), LocalizedClass.zero(3)}) == 3
 
 
 def test_quiver_json_rejects_malformed_input():

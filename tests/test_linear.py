@@ -1,5 +1,10 @@
+import importlib
+import inspect
+import pkgutil
+
+import bosonfermion
 from bosonfermion.fermion import FermionState, basis_state
-from bosonfermion.linear import accumulate, power
+from bosonfermion.linear import LinearCombination, accumulate, power
 from bosonfermion.partitions import Partition
 from bosonfermion.scalars import TLaurent, TScalar, parse_tscalar, rat
 
@@ -32,3 +37,18 @@ def test_trusted_constructor_adopts_the_dict():
     assert state.terms is terms
     assert state == basis_state(0, Partition((1,))).scale(3)
     assert FermionState({(0, Partition()): 0}).is_zero()
+
+
+def test_only_linear_combinations_are_sparse():
+    """Every class of the package with its own + sums on the one base; TScalar
+    is a field element, not a sparse vector."""
+    modules = [importlib.import_module(f"bosonfermion.{info.name}")
+               for info in pkgutil.iter_modules(bosonfermion.__path__)]
+    offenders = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name, cls in inspect.getmembers(module, inspect.isclass)
+        if cls.__module__ == module.__name__ and "__add__" in vars(cls)
+        and not issubclass(cls, LinearCombination) and cls is not TScalar
+    ]
+    assert offenders == []

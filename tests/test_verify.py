@@ -286,6 +286,9 @@ MUTANTS = [
            {"geometric-boson-commutators": "k=-1, l=1, shape=[]",
             "geometric-boson-adjointness": "i=1, pair=([], [1])",
             "geometric-boson-transport": "k=1, shape=[1]"}),
+    # c2-toy reads X_1: the curve class against the fundamental class of [1]
+    Mutant("euler-class-negated-at-1", "geometry.euler_class", _at(((1,),), operator.neg), ("c2-toy",),
+           {"c2-toy": "standard convention"}),
     Mutant("power-sum-class-negated", "geometry.power_sum_class", _NEGATE, ("orthonormality", 0),
            {"geometric-power-sum-image": "shape=[]"}),
     Mutant("weight-of-plus-one-at-0", "geometry.weight_of", _always(lambda w: {**w, 0: w.get(0, 0) + 1}),
