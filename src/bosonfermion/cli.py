@@ -201,17 +201,12 @@ def _cmd_table(args) -> int:
 
 def _cmd_verify(args) -> int:
     results = verify_mod.run_suite(args.suite, args.max_size, args.max_index, args.charge)
-    report = verify_mod.report_json(results)
     if args.json:
-        print(json.dumps(report))
+        print(json.dumps(verify_mod.report_json(results)))
     else:
         for check in results:
-            status = "PASS" if check.passed else "FAIL"
-            line = f"{status} {check.name} (checked={check.checked})"
-            if check.counterexample:
-                line += f" counterexample: {check.counterexample}"
-            print(line)
-    return 0 if report["passed"] else 1
+            print(check)
+    return 0 if all(check.passed for check in results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

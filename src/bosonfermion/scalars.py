@@ -118,13 +118,9 @@ def integer_product(f: tuple[int, dict], g: tuple[int, dict], combine) -> tuple[
     """Product of two integer vectors: the numerators of each pair of keys
     multiply into combine(key_f, key_g), over the product of the denominators."""
     (common_f, a), (common_g, b) = f, g
-    out: dict = {}
-    get = out.get
-    for key_f, x in a.items():
-        for key_g, y in b.items():
-            key = combine(key_f, key_g)
-            out[key] = get(key, 0) + x * y
-    return common_f * common_g, {key: v for key, v in out.items() if v}
+    return common_f * common_g, accumulate(
+        (combine(key_f, key_g), x * y) for key_f, x in a.items() for key_g, y in b.items()
+    )
 
 
 def integer_combination(pairs) -> tuple[int, dict]:
@@ -132,13 +128,10 @@ def integer_combination(pairs) -> tuple[int, dict]:
     of their denominators."""
     pairs = list(pairs)
     common = lcm(*[v[0] for _, v in pairs])
-    out: dict = {}
-    get = out.get
-    for s, (d, numerators) in pairs:
-        factor = s * (common // d)
-        for key, a in numerators.items():
-            out[key] = get(key, 0) + factor * a
-    return common, {key: v for key, v in out.items() if v}
+    scaled = [(s * (common // d), numerators) for s, (d, numerators) in pairs]
+    return common, accumulate(
+        (key, factor * a) for factor, numerators in scaled for key, a in numerators.items()
+    )
 
 
 class TLaurent(LinearCombination):

@@ -1,9 +1,7 @@
 """Exact verification sweeps behind the `verify` CLI subcommand and the
-acceptance tests.  Every suite returns a list of CheckResult records; a failed
-check carries a witness describing the first counterexample."""
-
-import inspect
-from dataclasses import dataclass
+acceptance tests.  Every suite is a plain function of the grid arguments it
+names, and returns one CheckResult per check: the record its sweep counted
+into, which keeps the first counterexample as its witness."""
 
 from . import fermion, geometry
 from .boson import (
@@ -62,12 +60,27 @@ from .correspondence import sigma, sigma_inverse
 from .scalars import Rational, TScalar
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    checked: int
-    counterexample: str | None = None
+    """One check of a sweep: its name, how many instances it has checked, and
+    the first counterexample, formatted only when it is found."""
+
+    __slots__ = ("name", "checked", "counterexample")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.checked = 0
+        self.counterexample = None
+
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
+
+    def record(self, ok: bool, template: str, *args) -> None:
+        """Count one check; on the first failure, format the witness
+        template.format(*args), so passing checks format nothing."""
+        self.checked += 1
+        if not ok and self.counterexample is None:
+            self.counterexample = template.format(*args)
 
     def to_json(self) -> dict:
         data = {"name": self.name, "passed": self.passed, "checked": self.checked}
@@ -75,24 +88,9 @@ class CheckResult:
             data["counterexample"] = self.counterexample
         return data
 
-
-class _Check:
-    """Accumulates pass/fail over a sweep, keeping the first counterexample."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.checked = 0
-        self.witness = None
-
-    def record(self, ok: bool, template: str, *args) -> None:
-        """Count one check; on the first failure, format the witness
-        template.format(*args), so passing checks format nothing."""
-        self.checked += 1
-        if not ok and self.witness is None:
-            self.witness = template.format(*args)
-
-    def result(self) -> CheckResult:
-        return CheckResult(self.name, self.witness is None, self.checked, self.witness)
+    def __str__(self) -> str:
+        line = f"{'PASS' if self.passed else 'FAIL'} {self.name} (checked={self.checked})"
+        return line if self.passed else f"{line} counterexample: {self.counterexample}"
 
 
 def _charges(bound: int) -> range:
@@ -101,9 +99,9 @@ def _charges(bound: int) -> range:
 
 def clifford_suite(max_size: int = 6, max_index: int = 5, charge_bound: int = 2) -> list[CheckResult]:
     """Anticommutation relations of the wedging/contracting operators."""
-    anti = _Check("clifford-anticommutators")
-    adjoint = _Check("psi-adjointness")
-    vac_ann = _Check("vacuum-annihilation")
+    anti = CheckResult("clifford-anticommutators")
+    adjoint = CheckResult("psi-adjointness")
+    vac_ann = CheckResult("vacuum-annihilation")
     shapes = partitions_up_to(max_size)
     monos = [basis_state(m, shape) for m in _charges(charge_bound) for shape in shapes]
     indices = range(-max_index, max_index + 1)
@@ -135,7 +133,7 @@ def clifford_suite(max_size: int = 6, max_index: int = 5, charge_bound: int = 2)
                     lhs = psi_of[j].terms.get(right_mono, 0)
                     rhs = psi_star_of[j].terms.get(left_mono, 0)
                     adjoint.record(lhs == rhs, "j={}, pair=({}, {})", j, monos[a], monos[b])
-    shift = _Check("charge-shift")
+    shift = CheckResult("charge-shift")
     for state, psi_of, psi_star_of in zip(monos, up, down):
         m = state.charge()
         for j in indices:
@@ -149,10 +147,10 @@ def clifford_suite(max_size: int = 6, max_index: int = 5, charge_bound: int = 2)
             ok = psi(j, vac).is_zero() if j <= m else not psi(j, vac).is_zero()
             ok = ok and (psi_star(j, vac).is_zero() if j > m else not psi_star(j, vac).is_zero())
             vac_ann.record(ok, "j={}, charge={}", j, m)
-    return [anti.result(), adjoint.result(), shift.result(), vac_ann.result()]
+    return [anti, adjoint, shift, vac_ann]
 
 
-def _heisenberg(check: _Check, op, items, indices: range, template: str) -> list[dict]:
+def _heisenberg(check: CheckResult, op, items, indices: range, template: str) -> list[dict]:
     """[A_k, A_l] = k * delta_{k,-l} with A_l = op(l, .) on each (label, value)
     of items.  Each A_l value and each product A_k A_l is built once; returns
     the tables {l: A_l value}, one per item, for the checks that read them."""
@@ -171,9 +169,9 @@ def _heisenberg(check: _Check, op, items, indices: range, template: str) -> list
 
 def heisenberg_fermion_suite(max_size: int = 8, max_index: int = 4, charge_bound: int = 2) -> list[CheckResult]:
     """Free-boson commutators on the wedge space and the charge action of alpha_0."""
-    comm = _Check("alpha-commutators")
-    charge_action = _Check("alpha0-charge")
-    adjoint = _Check("alpha-adjointness")
+    comm = CheckResult("alpha-commutators")
+    charge_action = CheckResult("alpha0-charge")
+    adjoint = CheckResult("alpha-adjointness")
     states = [basis_state(0, shape) for shape in partitions_up_to(max_size)]
     indices = range(-max_index, max_index + 1)
     images = _heisenberg(comm, alpha, [(state, state) for state in states], indices, "k={}, l={}, state={}")
@@ -189,16 +187,16 @@ def heisenberg_fermion_suite(max_size: int = 8, max_index: int = 4, charge_bound
                 lhs = left_images[-k].terms.get(right_mono, 0)
                 rhs = right_images[k].terms.get(left_mono, 0)
                 adjoint.record(lhs == rhs, "k={}, pair=({}, {})", k, left, right)
-    return [comm.result(), charge_action.result(), adjoint.result()]
+    return [comm, charge_action, adjoint]
 
 
 def heisenberg_boson_suite(max_size: int = 8, max_index: int = 4) -> list[CheckResult]:
     """Oscillator commutators on the polynomial side."""
-    comm = _Check("oscillator-commutators")
+    comm = CheckResult("oscillator-commutators")
     monomials = [power_sum(shape) for shape in partitions_up_to(max_size)]
     indices = range(-max_index, max_index + 1)
     _heisenberg(comm, oscillator, [(f, f) for f in monomials], indices, "k={}, l={}, monomial={}")
-    return [comm.result()]
+    return [comm]
 
 
 def _boson_term(k: int, beta: LocalizedClass) -> LocalizedClass:
@@ -212,9 +210,9 @@ def _boson_term(k: int, beta: LocalizedClass) -> LocalizedClass:
 def heisenberg_geometric_suite(max_size: int = 8, max_index: int = 4) -> list[CheckResult]:
     """Heisenberg relations and adjointness for the ribbon-rule operators, and
     their agreement with the oscillator transported through phi."""
-    comm = _Check("geometric-boson-commutators")
-    adjoint = _Check("geometric-boson-adjointness")
-    transport = _Check("geometric-boson-transport")
+    comm = CheckResult("geometric-boson-commutators")
+    adjoint = CheckResult("geometric-boson-adjointness")
+    transport = CheckResult("geometric-boson-transport")
     shapes = partitions_up_to(max_size)
     indices = range(-max_index, max_index + 1)
     items = [(shape, normalized_class(shape)) for shape in shapes]
@@ -240,17 +238,17 @@ def heisenberg_geometric_suite(max_size: int = 8, max_index: int = 4) -> list[Ch
             else:
                 ok = images[shape][k] == phi_inverse(moved, shape.size() - k)
             transport.record(ok, "k={}, shape={}", k, shape)
-    return [comm.result(), adjoint.result(), transport.result()]
+    return [comm, adjoint, transport]
 
 
 def serre_suite(max_size: int = 8, max_index: int = 4) -> list[CheckResult]:
     """Chevalley-Serre presentation for the box-adding and box-removing operators."""
-    ef_comm = _Check("ef-commutators")
-    eigen = _Check("cartan-eigenvalues")
-    serre = _Check("serre-relations")
-    distant = _Check("distant-commutation")
-    highest = _Check("highest-weight")
-    dimension = _Check("point-dimension-formula")
+    ef_comm = CheckResult("ef-commutators")
+    eigen = CheckResult("cartan-eigenvalues")
+    serre = CheckResult("serre-relations")
+    distant = CheckResult("distant-commutation")
+    highest = CheckResult("highest-weight")
+    dimension = CheckResult("point-dimension-formula")
     shapes = partitions_up_to(max_size)
     indices = range(-max_index, max_index + 1)
     reach = range(-max_index - 1, max_index + 2)  # and the Serre neighbours k - 1, k + 1
@@ -290,26 +288,19 @@ def serre_suite(max_size: int = 8, max_index: int = 4) -> list[CheckResult]:
         dimension.record(
             point_variety_dimension(dimension_vector(shape)) == 0, "shape={}", shape
         )
-    return [
-        ef_comm.result(),
-        eigen.result(),
-        serre.result(),
-        distant.result(),
-        highest.result(),
-        dimension.result(),
-    ]
+    return [ef_comm, eigen, serre, distant, highest, dimension]
 
 
 def orthonormality_suite(max_size: int = 8, max_index: int = 4) -> list[CheckResult]:
     """All four pairings: Schur, power-sum, point-class, and geometric power-sum;
     and phi of each geometric power-sum class against the monomial p_mu."""
     rows = [  # (check, basis vector of a shape, pairing, its value on the diagonal)
-        (_Check("schur-orthonormality"), schur, hall_form, lambda shape: 1),
-        (_Check("power-sum-pairing"), power_sum, hall_form, z_factor),
-        (_Check("point-class-orthonormality"), normalized_class, bilinear_form, lambda shape: 1),
-        (_Check("geometric-power-sum-pairing"), power_sum_class, bilinear_form, z_factor),
+        (CheckResult("schur-orthonormality"), schur, hall_form, lambda shape: 1),
+        (CheckResult("power-sum-pairing"), power_sum, hall_form, z_factor),
+        (CheckResult("point-class-orthonormality"), normalized_class, bilinear_form, lambda shape: 1),
+        (CheckResult("geometric-power-sum-pairing"), power_sum_class, bilinear_form, z_factor),
     ]
-    image = _Check("geometric-power-sum-image")
+    image = CheckResult("geometric-power-sum-image")
     for n in range(max_size + 1):
         shapes = partitions_of(n)
         built = {}
@@ -322,7 +313,7 @@ def orthonormality_suite(max_size: int = 8, max_index: int = 4) -> list[CheckRes
         # the pairing is bilinear in the class, so it cannot see a sign; phi can
         for shape, beta in built[power_sum_class].items():
             image.record(phi(beta) == power_sum(shape), "shape={}", shape)
-    return [*(check.result() for check, *_ in rows), image.result()]
+    return [*(check for check, *_ in rows), image]
 
 
 def correspondence_suite(max_size: int = 8, max_index: int = 4, charge_bound: int = 2) -> list[CheckResult]:
@@ -330,18 +321,18 @@ def correspondence_suite(max_size: int = 8, max_index: int = 4, charge_bound: in
     Jacobi-Trudi determinant and its dual, the Schur-expansion rebuild,
     intertwining of alpha_n with the oscillators, and form preservation."""
     shapes = partitions_up_to(max_size)
-    two_route = _Check("schur-two-determinants")
+    two_route = CheckResult("schur-two-determinants")
     for shape in shapes:
         narrow, dual = schur_jacobi_trudi(shape), schur_dual_jacobi_trudi(shape)
         two_route.record(schur(shape) == narrow == dual, "shape={}", shape)
-    rebuild = _Check("schur-expand-rebuild")
+    rebuild = CheckResult("schur-expand-rebuild")
     for shape in shapes:
         f = power_sum(shape)
         rebuilt = BosonPolynomial.zero()
         for out_shape, coeff in schur_expand(f).items():
             rebuilt = rebuilt + schur(out_shape).scale(coeff)
         rebuild.record(rebuilt == f, "shape={}", shape)
-    intertwine = _Check("oscillator-intertwining")
+    intertwine = CheckResult("oscillator-intertwining")
     for m in _charges(charge_bound):
         for shape in shapes:
             state = basis_state(m, shape)
@@ -353,27 +344,27 @@ def correspondence_suite(max_size: int = 8, max_index: int = 4, charge_bound: in
                 )
     states = {shape: basis_state(0, shape) for shape in shapes}
     images = {shape: sigma(state) for shape, state in states.items()}
-    bijection = _Check("schur-basis-bijection")
+    bijection = CheckResult("schur-basis-bijection")
     for shape in shapes:
         ok = schur_expand(schur(shape)) == {shape: 1} and sigma_inverse(images[shape]) == states[shape]
         bijection.record(ok, "shape={}", shape)
-    forms = _Check("form-preservation")
+    forms = CheckResult("form-preservation")
     for a in shapes:
         for b in shapes:
             forms.record(
                 fermion.hermitian_form(states[a], states[b]) == hall_form(images[a], images[b]),
                 "pair=({}, {})", a, b,
             )
-    return [two_route.result(), rebuild.result(), intertwine.result(), bijection.result(), forms.result()]
+    return [two_route, rebuild, intertwine, bijection, forms]
 
 
 def commuting_square_suite(max_size: int = 8, max_index: int = 4) -> list[CheckResult]:
     """tau/eta/phi: intertwining, isometry, bijectivity, and the square itself."""
-    square = _Check("full-square")
-    intertwine = _Check("tau-intertwining")
-    isometry = _Check("eta-isometry")
-    inverse = _Check("eta-inverse")
-    grading = _Check("tau-energy-grading")
+    square = CheckResult("full-square")
+    intertwine = CheckResult("tau-intertwining")
+    isometry = CheckResult("eta-isometry")
+    inverse = CheckResult("eta-inverse")
+    grading = CheckResult("tau-energy-grading")
     for shape in partitions_up_to(max_size):
         state = basis_state(0, shape)
         square.record(
@@ -400,7 +391,7 @@ def commuting_square_suite(max_size: int = 8, max_index: int = 4) -> list[CheckR
                 isometry.record(
                     lhs == TScalar.monomial(quiver_form(ca, units[b])), "pair=({}, {})", a, b
                 )
-    return [square.result(), intertwine.result(), isometry.result(), inverse.result(), grading.result()]
+    return [square, intertwine, isometry, inverse, grading]
 
 
 def c2_toy_suite() -> list[CheckResult]:
@@ -409,13 +400,13 @@ def c2_toy_suite() -> list[CheckResult]:
     normalized class of [1]; it restricts to its normal Euler class t, which
     is -t^-1 times the point class.  Under the flipped weights it would
     restrict to -t."""
-    check = _Check("c2-toy")
+    check = CheckResult("c2-toy")
     point = Partition((1,))
     curve = normalized_class(point)
     check.record(curve == fundamental_class(point).scale(TScalar.monomial(-1, -1)), "standard convention")
     check.record(curve.restriction(point) != TScalar.monomial(-1, 1), "flipped convention should fail")
     check.record(euler_class(point) == TScalar.monomial(-1, 2), "tangent Euler class")
-    return [check.result()]
+    return [check]
 
 
 def euler_suite(max_size: int = 10) -> list[CheckResult]:
@@ -423,8 +414,8 @@ def euler_suite(max_size: int = 10) -> list[CheckResult]:
     the boxes of the tangent weights (hook * t)(-hook * t).  Each hook is read
     off the diagram and its conjugate, not from partitions.hook, which the
     closed form reads through hook_product."""
-    closed = _Check("euler-closed-form")
-    pushpull = _Check("pullback-of-pushforward")
+    closed = CheckResult("euler-closed-form")
+    pushpull = CheckResult("pullback-of-pushforward")
     for shape in partitions_up_to(max_size):
         columns = conjugate(shape)
         by_boxes = TScalar.one()
@@ -437,7 +428,7 @@ def euler_suite(max_size: int = 10) -> list[CheckResult]:
             ok = geometry.pullback(pushed, shape) == by_boxes
             ok = ok and geometry.integrate(pushed) == TScalar.one()
             pushpull.record(ok, "shape={}", shape)
-    return [closed.result(), pushpull.result()]
+    return [closed, pushpull]
 
 
 SUITES = {
@@ -466,9 +457,10 @@ def run_suite(
     charge_bound: int | None = None,
 ) -> list[CheckResult]:
     """Run one suite, or every suite for "all".  An argument left out takes
-    the suite's own default, and a suite gets only the arguments its signature
-    names.  ValueError on a negative argument or one above MAX_GRID, and on a
-    grid so small that some check ran nothing, naming every such check."""
+    the suite's own default, and a suite gets only the arguments its
+    parameters name, read off its code object.  ValueError on a negative
+    argument or one above MAX_GRID, and on a grid so small that some check ran
+    nothing, naming every such check."""
     given = {"max_size": max_size, "max_index": max_index, "charge_bound": charge_bound}
     for key, value in given.items():
         if value is not None and value < 0:
@@ -479,7 +471,8 @@ def run_suite(
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join([*SUITES, 'all'])}")
     results = []
     for suite in SUITES if name == "all" else [name]:
-        accepted = inspect.signature(SUITES[suite]).parameters
+        code = SUITES[suite].__code__
+        accepted = code.co_varnames[:code.co_argcount]
         results.extend(SUITES[suite](**{
             key: value for key, value in given.items() if value is not None and key in accepted
         }))

@@ -314,6 +314,19 @@ def test_console_entry_point():
     assert "PASS" in proc.stdout
 
 
+def test_the_cli_imports_neither_inspect_nor_dataclasses():
+    # -S: no site hook may pull either module in on the package's behalf
+    source = str(Path(bosonfermion.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         f"import sys; sys.path.insert(0, {source!r}); import bosonfermion.cli; "
+         "print(sorted({'inspect', 'dataclasses'} & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+
 def test_hostile_exponent_on_a_monomial_returns_fast():
     proc = subprocess.run(
         [sys.executable, "-m", "bosonfermion.cli", "localize", "integrate",

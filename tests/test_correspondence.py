@@ -121,7 +121,9 @@ def test_intertwining_report_passes():
 
 def test_report_failure_carries_witness():
     # a fabricated failing check serializes with its witness
-    data = report_json([CheckResult("x", False, 1, "w")])
+    check = CheckResult("x")
+    check.record(False, "w")
+    data = report_json([check])
     assert data["passed"] is False
     assert data["checks"][0]["counterexample"] == "w"
 

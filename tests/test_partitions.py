@@ -4,6 +4,8 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
+from bosonfermion import partitions
+from bosonfermion.boson import MAX_SCHUR_DEGREE
 from bosonfermion.partitions import (
     Box,
     Partition,
@@ -164,6 +166,17 @@ def test_z_factor():
     assert z_factor(Partition((2, 1))) == 2
     assert z_factor(Partition((2, 2, 2, 1, 1, 1, 1))) == 2**3 * 6 * 24
     assert z_factor(Partition((3, 3, 2))) == 3 * 3 * 2 * 2
+
+
+def test_z_factor_memo_keeps_only_keys_of_the_schur_degrees():
+    assert partitions._Z_MEMO_BOXES == MAX_SCHUR_DEGREE
+    partitions._z_memo.cache_clear()
+    longest = Partition((1,) * 10**5)  # the most factors a p-monomial may have
+    assert z_factor(longest) == factorial(10**5)
+    assert partitions._z_memo.cache_info().currsize == 0
+    widest = Partition((1,) * MAX_SCHUR_DEGREE)
+    assert z_factor(widest) == factorial(MAX_SCHUR_DEGREE)
+    assert partitions._z_memo.cache_info().currsize == 1
 
 
 # --- addable and removable boxes -------------------------------------------------

@@ -6,12 +6,12 @@ from typing import Callable, NamedTuple
 import pytest
 
 import bosonfermion
-from bosonfermion import boson, partitions, scalars, verify
+from bosonfermion import boson, cli, partitions, scalars, verify
 from bosonfermion.fermion import basis_state
 from bosonfermion.partitions import Partition
 from bosonfermion.scalars import TScalar
 from bosonfermion.verify import (
-    _Check,
+    CheckResult,
     correspondence_suite,
     heisenberg_fermion_suite,
     heisenberg_geometric_suite,
@@ -25,14 +25,15 @@ class _Unprintable:
 
 
 def test_record_formats_only_the_first_failure():
-    check = _Check("example")
+    check = CheckResult("example")
     check.record(True, "state={}", _Unprintable())
+    assert check.passed and str(check) == "PASS example (checked=1)"
     left, right = basis_state(0, Partition((1,))), basis_state(1, Partition())
     check.record(False, "k={}, pair=({}, {})", -2, left, right)
     check.record(False, "state={}", _Unprintable())
-    result = check.result()
-    assert result.checked == 3 and not result.passed
-    assert result.counterexample == "k=-2, pair=(phi[1], phi[]@1)"
+    assert check.checked == 3 and not check.passed
+    assert check.counterexample == "k=-2, pair=(phi[1], phi[]@1)"
+    assert str(check) == "FAIL example (checked=3) counterexample: k=-2, pair=(phi[1], phi[]@1)"
 
 
 def test_cross_checks_run_and_pass():
@@ -363,3 +364,10 @@ def test_verify_reports_the_mutant(row, fresh_monkeypatch):
     results = {r.name: r for r in mutated}
     assert {check: results[check].counterexample for check in row.fails} == row.fails
     assert [check for check in row.passes if not results[check].passed] == []
+
+
+def test_verify_prints_the_fail_line_of_a_mutant(fresh_monkeypatch, capsys):
+    (row,) = [row for row in MUTANTS if row.id == "euler-class-negated-at-1"]
+    _patch_everywhere(fresh_monkeypatch, row)
+    assert cli.main(["verify", "c2-toy"]) == 1
+    assert capsys.readouterr().out == "FAIL c2-toy (checked=3) counterexample: standard convention\n"
