@@ -7,18 +7,19 @@ power-sum polynomials of a partition of n are homogeneous of degree n.
 
 from functools import cache
 from math import factorial
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 
-from .linear import LinearCombination, accumulate, power
+from .linear import LinearCombination, power
 from .partitions import Partition, conjugate, partitions_of, ribbons, z_factor
 from .scalars import (
     ONE,
     Rational,
     format_rational,
     integer_combination,
+    integer_form,
     integer_numerators,
     integer_product,
-    integer_vector,
     is_integer,
     pairing,
     rational_terms,
@@ -34,6 +35,7 @@ class BosonMonomial(NamedTuple):
 
 
 _UNIT = BosonMonomial(0, Partition())
+_q_power = attrgetter("q_power")
 _MAX_PARTS = 10**5  # factors of one p-monomial built by a product or a power, or read from JSON
 
 
@@ -90,7 +92,7 @@ class BosonPolynomial(LinearCombination):
             return NotImplemented
         if _longest(self) + _longest(other) > _MAX_PARTS:
             raise ValueError(f"a p-monomial may have at most {_MAX_PARTS} factors")
-        product = integer_product(integer_vector(self.terms), integer_vector(other.terms), _mono_mul)
+        product = integer_product(integer_form(self), integer_form(other), _mono_mul)
         return BosonPolynomial._make(rational_terms(product))
 
     def __truediv__(self, other: "BosonPolynomial") -> "BosonPolynomial":
@@ -124,7 +126,7 @@ class BosonPolynomial(LinearCombination):
         return degrees.pop()
 
     def require_q0(self) -> None:
-        if any(mono.q_power != 0 for mono in self.terms):
+        if any(map(_q_power, self.terms)):
             raise ValueError("operation requires q-power zero throughout")
 
     def __str__(self) -> str:
@@ -159,22 +161,23 @@ def _monomial_from_json(item: dict) -> BosonMonomial:
 
 def oscillator(m: int, f: BosonPolynomial) -> BosonPolynomial:
     """Action of the oscillator generator s_m: m*d/dp_m, p_{-m}, or q d/dq."""
-    if m > 0:
-        def lowered():
-            for mono, coeff in f.terms.items():
-                shape = mono.shape
-                if m in shape:
-                    i = shape.index(m)
-                    rest = tuple.__new__(Partition, shape[:i] + shape[i + 1:])
-                    yield BosonMonomial(mono.q_power, rest), coeff * m * shape.count(m)
-
-        return BosonPolynomial._make(accumulate(lowered()))
     if m < 0:  # p_{-m} times each monomial: distinct monomials stay distinct
         raised = BosonMonomial(0, Partition((-m,)))
         return BosonPolynomial._make({_mono_mul(mono, raised): coeff for mono, coeff in f.terms.items()})
-    return BosonPolynomial._make(
-        {mono: coeff * mono.q_power for mono, coeff in f.terms.items() if mono.q_power}
-    )
+    # one division per term of f's integer form; distinct monomials have distinct images
+    common, numerators = integer_form(f)
+    if m == 0:
+        return BosonPolynomial._make(
+            {mono: Rational(a * mono.q_power, common) for mono, a in numerators.items() if mono.q_power}
+        )
+    lowered = {}
+    for mono, a in numerators.items():
+        shape = mono.shape
+        if m in shape:
+            i = shape.index(m)
+            rest = tuple.__new__(Partition, shape[:i] + shape[i + 1:])
+            lowered[BosonMonomial(mono.q_power, rest)] = Rational(a * m * shape.count(m), common)
+    return BosonPolynomial._make(lowered)
 
 
 def _complete(k: int) -> tuple[int, dict]:
@@ -295,7 +298,7 @@ def hall_form(f: BosonPolynomial, g: BosonPolynomial) -> Rational:
     """Symmetric bilinear form with <p_mu, p_nu> = delta * z_mu; q^0 inputs only."""
     f.require_q0()
     g.require_q0()
-    return pairing(f.terms, g.terms, lambda mono: z_factor(mono.shape))
+    return pairing(integer_form(f), integer_form(g), lambda mono: z_factor(mono.shape))
 
 
 def schur_expand(f: BosonPolynomial) -> dict[Partition, Rational]:
@@ -306,8 +309,8 @@ def schur_expand(f: BosonPolynomial) -> dict[Partition, Rational]:
         return {}
     table = characters(f.p_degree())
     # Integer numerators over one common denominator: a single division per shape.
-    common, ints = integer_numerators(f.terms.values())
-    numerators = list(zip((mono.shape for mono in f.terms), ints))
+    common, ints = integer_form(f)
+    numerators = [(mono.shape, a) for mono, a in ints.items()]
     totals = ((shape, sum(a * row.get(mu, 0) for mu, a in numerators)) for shape, row in table.items())
     return {shape: Rational(total, common) for shape, total in totals if total}
 

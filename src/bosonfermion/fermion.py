@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 from .linear import LinearCombination, accumulate
 from .partitions import Partition, parse_partition
-from .scalars import ONE, Rational, format_rational, is_integer, pairing, read_terms
+from .scalars import ONE, Rational, format_rational, integer_form, is_integer, pairing, read_terms
 from .text import PARTITION, Grammar, join_terms, parse
 
 
@@ -237,7 +237,7 @@ def alpha(n: int, state: FermionState) -> FermionState:
 
 def hermitian_form(s1: FermionState, s2: FermionState) -> Rational:
     """Bilinear form for which the monomial basis is orthonormal."""
-    return pairing(s1.terms, s2.terms, lambda mono: 1)
+    return pairing(integer_form(s1), integer_form(s2), lambda mono: 1)
 
 
 # --- text form ---------------------------------------------------------------

@@ -37,6 +37,7 @@ from .scalars import (
     TLaurent,
     TScalar,
     format_rational,
+    integer_vector,
     is_integer,
     monomial_quotient_sum,
     pairing,
@@ -351,7 +352,7 @@ def quiver_form(a: QuiverClass, b: QuiverClass) -> Rational:
     def graded(c: QuiverClass) -> dict[Partition, Rational]:
         return {shape: _graded_coordinate(c.terms[shape], shape) for shape in shared}
 
-    return pairing(graded(a), graded(b), lambda shape: 1)
+    return pairing(integer_vector(graded(a)), integer_vector(graded(b)), lambda shape: 1)
 
 
 def _graded_coordinate(coeff: TLaurent, shape: Partition) -> Rational:

@@ -49,9 +49,15 @@ class LinearCombination:
     already coerced and zero-free without touching it.  The operators build
     their results through ``self._like``, which is ``_make`` unless a subclass
     whose values carry more than their terms overrides it to pass that on.
+
+    A value never changes after it is built: nothing writes to ``terms`` once
+    ``__init__`` or ``_make`` returns.  So a rational combination can keep its
+    integer form, which ``scalars.integer_form`` fills in ``_integer_form`` on
+    first use; nothing else writes that slot, and building a value leaves it
+    unset.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_integer_form")
 
     def __init__(self, terms: dict | None = None):
         coerce = self._coerce

@@ -81,31 +81,32 @@ def integer_numerators(coeffs) -> tuple[int, list[int]]:
     return _over_common([(int(c.numerator), int(c.denominator)) for c in coeffs])
 
 
-def pairing(f: dict, g: dict, weight) -> Rational:
-    """The sum of weight(key) * f[key] * g[key] over the keys f and g share,
-    for an integer weight; it walks the smaller dict.  Two or more shared
-    keys are summed as integer numerators and divided once by the two common
-    denominators; a single product is cheaper than clearing them."""
-    if len(f) > len(g):
-        f, g = g, f
-    shared = [(key, c, g[key]) for key, c in f.items() if key in g]
-    if len(shared) < 2:
-        total = ZERO
-        for key, c, other in shared:
-            total += c * other * weight(key)
-        return total
-    common_f, a = integer_numerators(c for _, c, _ in shared)
-    common_g, b = integer_numerators(other for _, _, other in shared)
-    total = sum(weight(key) * x * y for (key, _, _), x, y in zip(shared, a, b))
-    return Rational(total, common_f * common_g)
-
-
 # --- integer vectors: a sparse rational vector as (D, {key: c * D}) ----------
 
 def integer_vector(terms: dict) -> tuple[int, dict]:
     """A sparse {key: rational} over its least common denominator D."""
     common, numerators = integer_numerators(terms.values())
     return common, dict(zip(terms, numerators))
+
+
+def integer_form(value: LinearCombination) -> tuple[int, dict]:
+    """The integer vector of a rational combination's terms, computed on first
+    use and kept on the value, which never changes after it is built."""
+    form = getattr(value, "_integer_form", None)
+    if form is None:
+        form = value._integer_form = integer_vector(value.terms)
+    return form
+
+
+def pairing(f: tuple[int, dict], g: tuple[int, dict], weight) -> Rational:
+    """The sum of weight(key) * f[key] * g[key] over the keys two integer
+    vectors share, for an integer weight read only at those keys: the integer
+    numerators are summed, walking the smaller dict, and divided once."""
+    (common_f, a), (common_g, b) = f, g
+    if len(a) > len(b):
+        a, b = b, a
+    total = sum([weight(key) * x * b[key] for key, x in a.items() if key in b])
+    return Rational(total, common_f * common_g) if total else ZERO
 
 
 def rational_terms(vector: tuple[int, dict]) -> dict:

@@ -57,7 +57,14 @@ from .partitions import (
     z_factor,
 )
 from .correspondence import sigma, sigma_inverse
-from .scalars import Rational, TScalar
+from .scalars import (
+    Rational,
+    TScalar,
+    integer_combination,
+    integer_form,
+    integer_numerators,
+    rational_terms,
+)
 
 
 class CheckResult:
@@ -328,9 +335,11 @@ def correspondence_suite(max_size: int = 8, max_index: int = 4, charge_bound: in
     rebuild = CheckResult("schur-expand-rebuild")
     for shape in shapes:
         f = power_sum(shape)
-        rebuilt = BosonPolynomial.zero()
-        for out_shape, coeff in schur_expand(f).items():
-            rebuilt = rebuilt + schur(out_shape).scale(coeff)
+        coords = schur_expand(f)
+        # the sum of c * S_out in one pass over the integer forms, off from_schur
+        common, weights = integer_numerators(coords.values())
+        denominator, numerators = integer_combination(zip(weights, map(integer_form, map(schur, coords))))
+        rebuilt = BosonPolynomial._make(rational_terms((common * denominator, numerators)))
         rebuild.record(rebuilt == f, "shape={}", shape)
     intertwine = CheckResult("oscillator-intertwining")
     for m in _charges(charge_bound):

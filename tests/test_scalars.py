@@ -16,6 +16,7 @@ from bosonfermion.scalars import (
     _cofactors,
     _primes,
     integer_numerators,
+    integer_vector,
     pairing,
     parse_tlaurent,
     parse_tscalar,
@@ -297,9 +298,9 @@ def test_pairing_is_the_weighted_sum_over_shared_keys(f, g, weights):
         return weights.get(key, 1)
 
     direct = sum((f[key] * g[key] * weights.get(key, 1) for key in f.keys() & g.keys()), Rational(0))
-    assert pairing(f, g, weight) == direct
+    assert pairing(integer_vector(f), integer_vector(g), weight) == direct
     assert sorted(read) == sorted(f.keys() & g.keys())
-    assert pairing(g, f, weight) == direct
+    assert pairing(integer_vector(g), integer_vector(f), weight) == direct
 
 
 @given(st.lists(rationals, max_size=8))

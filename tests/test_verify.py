@@ -6,9 +6,9 @@ from typing import Callable, NamedTuple
 import pytest
 
 import bosonfermion
-from bosonfermion import boson, cli, partitions, scalars, verify
+from bosonfermion import boson, cli, geometry, partitions, scalars, verify
 from bosonfermion.fermion import basis_state
-from bosonfermion.partitions import Partition
+from bosonfermion.partitions import Partition, partitions_up_to
 from bosonfermion.scalars import TScalar
 from bosonfermion.verify import (
     CheckResult,
@@ -87,6 +87,52 @@ ALL_AT_SIZE_4 = [
 def test_run_suite_all_at_size_4_is_pinned():
     results = run_suite("all", 4)
     assert [(r.name, r.checked, r.passed) for r in results] == ALL_AT_SIZE_4
+
+
+# The same at size 8, the grid of `verify all --max-size 8`, whose printed
+# report must stay byte-identical when only the speed of the code changes.
+ALL_AT_SIZE_8 = [
+    ("clifford-anticommutators", 40535, True),
+    ("psi-adjointness", 197516, True),
+    ("charge-shift", 3685, True),
+    ("vacuum-annihilation", 55, True),
+    ("alpha-commutators", 5427, True),
+    ("alpha0-charge", 60, True),
+    ("alpha-adjointness", 17956, True),
+    ("oscillator-commutators", 5427, True),
+    ("geometric-boson-commutators", 5427, True),
+    ("geometric-boson-adjointness", 1542, True),
+    ("geometric-boson-transport", 108, True),
+    ("ef-commutators", 4824, True),
+    ("cartan-eigenvalues", 603, True),
+    ("serre-relations", 1206, True),
+    ("distant-commutation", 3752, True),
+    ("highest-weight", 9, True),
+    ("point-dimension-formula", 139, True),
+    ("schur-orthonormality", 919, True),
+    ("power-sum-pairing", 919, True),
+    ("point-class-orthonormality", 919, True),
+    ("geometric-power-sum-pairing", 919, True),
+    ("geometric-power-sum-image", 67, True),
+    ("schur-two-determinants", 67, True),
+    ("schur-expand-rebuild", 67, True),
+    ("oscillator-intertwining", 3015, True),
+    ("schur-basis-bijection", 67, True),
+    ("form-preservation", 4489, True),
+    ("full-square", 67, True),
+    ("tau-intertwining", 603, True),
+    ("eta-isometry", 919, True),
+    ("eta-inverse", 67, True),
+    ("tau-energy-grading", 67, True),
+    ("c2-toy", 3, True),
+    ("euler-closed-form", 67, True),
+    ("pullback-of-pushforward", 67, True),
+]
+
+
+def test_run_suite_all_at_size_8_is_pinned():
+    results = run_suite("all", 8)
+    assert [(r.name, r.checked, r.passed) for r in results] == ALL_AT_SIZE_8
 
 
 def test_run_suite_takes_every_argument_positionally():
@@ -364,6 +410,20 @@ def test_verify_reports_the_mutant(row, fresh_monkeypatch):
     results = {r.name: r for r in mutated}
     assert {check: results[check].counterexample for check in row.fails} == row.fails
     assert [check for check in row.passes if not results[check].passed] == []
+
+
+def test_a_verify_run_leaves_the_memoised_values_as_built(fresh_monkeypatch):
+    """The sweeps read the memoised Schur polynomials and point classes many
+    times, through their kept integer forms; none may change a value."""
+    run_suite("all", 6)
+    for shape in partitions_up_to(6):
+        value = boson.schur(shape)
+        assert value.terms == boson.schur.__wrapped__(shape).terms
+        # the form the Hall pairings of the run filled in, not a fresh one
+        assert value._integer_form == scalars.integer_vector(value.terms)
+        point = geometry.normalized_class(shape)
+        assert point.n == shape.size()
+        assert point.terms == geometry.normalized_class.__wrapped__(shape).terms
 
 
 def test_verify_prints_the_fail_line_of_a_mutant(fresh_monkeypatch, capsys):
