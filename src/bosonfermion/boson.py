@@ -13,7 +13,6 @@ from typing import Iterable, NamedTuple
 from .linear import LinearCombination, power
 from .partitions import Partition, conjugate, partitions_of, ribbons, z_factor
 from .scalars import (
-    ONE,
     Rational,
     format_rational,
     integer_combination,
@@ -22,6 +21,7 @@ from .scalars import (
     integer_product,
     is_integer,
     pairing,
+    rat,
     rational_terms,
     read_terms,
 )
@@ -67,11 +67,11 @@ class BosonPolynomial(LinearCombination):
     """Finite Q-linear combination of monomials in p1, p2, ... and q, q^-1."""
 
     __slots__ = ()
-    _coerce = staticmethod(Rational)
+    _coerce = staticmethod(rat)
 
     @classmethod
     def one(cls) -> "BosonPolynomial":
-        return cls._make({_UNIT: ONE})
+        return cls._make({_UNIT: 1})
 
     @classmethod
     def constant(cls, value) -> "BosonPolynomial":
@@ -81,11 +81,11 @@ class BosonPolynomial(LinearCombination):
     def p(cls, index: int) -> "BosonPolynomial":
         if index < 1:
             raise ValueError("p-variables are indexed from 1")
-        return cls._make({BosonMonomial(0, Partition((index,))): ONE})
+        return cls._make({BosonMonomial(0, Partition((index,))): 1})
 
     @classmethod
     def q(cls, power: int = 1) -> "BosonPolynomial":
-        return cls._make({BosonMonomial(power, Partition()): ONE})
+        return cls._make({BosonMonomial(power, Partition()): 1})
 
     def __mul__(self, other: "BosonPolynomial") -> "BosonPolynomial":
         if type(other) is not BosonPolynomial:
@@ -100,7 +100,7 @@ class BosonPolynomial(LinearCombination):
             return NotImplemented
         if list(other.terms) != [_UNIT]:
             raise ValueError("division is only supported by rational constants")
-        return self.scale(ONE / other.terms[_UNIT])
+        return self.scale(Rational(1) / other.terms[_UNIT])
 
     def __pow__(self, n: int) -> "BosonPolynomial":
         if n >= 0:
@@ -168,7 +168,7 @@ def oscillator(m: int, f: BosonPolynomial) -> BosonPolynomial:
     common, numerators = integer_form(f)
     if m == 0:
         return BosonPolynomial._make(
-            {mono: Rational(a * mono.q_power, common) for mono, a in numerators.items() if mono.q_power}
+            {mono: rat(a * mono.q_power, common) for mono, a in numerators.items() if mono.q_power}
         )
     lowered = {}
     for mono, a in numerators.items():
@@ -176,7 +176,7 @@ def oscillator(m: int, f: BosonPolynomial) -> BosonPolynomial:
         if m in shape:
             i = shape.index(m)
             rest = tuple.__new__(Partition, shape[:i] + shape[i + 1:])
-            lowered[BosonMonomial(mono.q_power, rest)] = Rational(a * m * shape.count(m), common)
+            lowered[BosonMonomial(mono.q_power, rest)] = rat(a * m * shape.count(m), common)
     return BosonPolynomial._make(lowered)
 
 
@@ -278,7 +278,7 @@ def from_schur(coords: Iterable[tuple[tuple[int, Partition], Rational]]) -> Boso
         for mu, chi in characters(shape.size())[shape].items():
             row[mu] = row.get(mu, 0) + a * chi
     return BosonPolynomial._make({
-        BosonMonomial(m, mu): Rational(total, common * z_factor(mu))
+        BosonMonomial(m, mu): rat(total, common * z_factor(mu))
         for m, row in totals.items() for mu, total in row.items() if total
     })
 
@@ -286,12 +286,12 @@ def from_schur(coords: Iterable[tuple[tuple[int, Partition], Rational]]) -> Boso
 @cache
 def schur(shape: Partition) -> BosonPolynomial:
     """S_shape = sum over mu of chi^shape(mu) / z_mu * p_mu."""
-    return from_schur([((0, shape), ONE)])
+    return from_schur([((0, shape), 1)])
 
 
 def power_sum(shape: Partition) -> BosonPolynomial:
     """The monomial p_shape = prod_i p_(shape_i) at q^0."""
-    return BosonPolynomial._make({BosonMonomial(0, shape): ONE})
+    return BosonPolynomial._make({BosonMonomial(0, shape): 1})
 
 
 def hall_form(f: BosonPolynomial, g: BosonPolynomial) -> Rational:
@@ -312,7 +312,7 @@ def schur_expand(f: BosonPolynomial) -> dict[Partition, Rational]:
     common, ints = integer_form(f)
     numerators = [(mono.shape, a) for mono, a in ints.items()]
     totals = ((shape, sum(a * row.get(mu, 0) for mu, a in numerators)) for shape, row in table.items())
-    return {shape: Rational(total, common) for shape, total in totals if total}
+    return {shape: rat(total, common) for shape, total in totals if total}
 
 
 # --- text form ---------------------------------------------------------------

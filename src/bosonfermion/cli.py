@@ -162,7 +162,7 @@ def _print(value, as_json: bool) -> None:
     """Print a value as its text, which for a localized class is already its
     JSON form, and a dict as JSON; under --json every value prints as JSON,
     one without a JSON form as {"value": its text}."""
-    if isinstance(value, Rational):
+    if isinstance(value, (int, Rational)):
         value = format_rational(value)
     if as_json and hasattr(value, "to_json"):
         value = value.to_json()

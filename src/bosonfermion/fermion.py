@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 from .linear import LinearCombination, accumulate
 from .partitions import Partition, parse_partition
-from .scalars import ONE, Rational, format_rational, integer_form, is_integer, pairing, read_terms
+from .scalars import Rational, format_rational, integer_form, is_integer, pairing, rat, read_terms
 from .text import PARTITION, Grammar, join_terms, parse
 
 
@@ -75,7 +75,7 @@ class FermionState(LinearCombination):
     """Finite Q-linear combination of charged monomials."""
 
     __slots__ = ()
-    _coerce = staticmethod(Rational)
+    _coerce = staticmethod(rat)
 
     def charge(self) -> int:
         """Common charge of all monomials; error when mixed or zero."""
@@ -124,7 +124,7 @@ def _monomial_from_json(item: dict) -> ChargedMonomial:
 
 
 def basis_state(charge: int, shape: Partition) -> FermionState:
-    return FermionState._make({ChargedMonomial(charge, Partition(shape)): ONE})
+    return FermionState._make({ChargedMonomial(charge, Partition(shape)): 1})
 
 
 def vacuum(charge: int = 0) -> FermionState:
@@ -133,7 +133,10 @@ def vacuum(charge: int = 0) -> FermionState:
 
 def _apply_monomial_op(op, j: int, state: FermionState) -> FermionState:
     """Linear extension of op(j, monomial) -> None | (sign, monomial).  Both
-    ops are injective on monomials, so no two terms land on one monomial."""
+    ops are injective on monomials, so no two terms land on one monomial.
+    Values never change, so the zero state is its own image."""
+    if not state.terms:
+        return state
     images = {}
     for mono, coeff in state.terms.items():
         hit = op(j, mono)
@@ -157,11 +160,11 @@ class GlMatrix(LinearCombination):
     """Infinite matrix with finitely many nonzero rational entries, keyed by (i, j)."""
 
     __slots__ = ()
-    _coerce = staticmethod(Rational)
+    _coerce = staticmethod(rat)
 
     @classmethod
     def unit(cls, i: int, j: int) -> "GlMatrix":
-        return cls._make({(i, j): ONE})
+        return cls._make({(i, j): 1})
 
     def transpose(self) -> "GlMatrix":
         return GlMatrix._make({(j, i): c for (i, j), c in self.terms.items()})

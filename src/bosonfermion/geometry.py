@@ -32,7 +32,6 @@ from .partitions import (
     ribbons,
 )
 from .scalars import (
-    ONE,
     Rational,
     TLaurent,
     TScalar,
@@ -43,6 +42,7 @@ from .scalars import (
     pairing,
     parse_tlaurent,
     parse_tscalar,
+    rat,
     t_power,
 )
 from .text import PARTITION, Grammar, join_terms, parse
@@ -272,7 +272,7 @@ def normalized_class(shape: Partition) -> LocalizedClass:
     fundamental class, with restriction h(shape) t^n; these are orthonormal
     for the bilinear form below and correspond to Schur polynomials."""
     shape = Partition(shape)
-    return _from_schur_coordinates(shape.size(), {shape: ONE})
+    return _from_schur_coordinates(shape.size(), {shape: 1})
 
 
 def bilinear_form(alpha: LocalizedClass, beta: LocalizedClass) -> TScalar:
@@ -400,7 +400,7 @@ def eta_raw(c: QuiverClass) -> LocalizedClass:
     size = c.homogeneous_size()
     result = LocalizedClass.zero(size)
     for shape, coeff in c.terms.items():
-        scale = TScalar.monomial(Rational((-1) ** size, hook_product(shape)), -size)
+        scale = TScalar.monomial(rat((-1) ** size, hook_product(shape)), -size)
         result = result + pushforward(shape, TScalar(coeff) * scale)
     return result
 
@@ -439,7 +439,7 @@ def _schur_coordinates(beta: LocalizedClass) -> dict[Partition, Rational]:
                 f"restriction {value} at {shape} is not in the span of the "
                 "normalized point classes over Q"
             )
-        coords[shape] = terms[n] / hook_product(shape)
+        coords[shape] = rat(terms[n], hook_product(shape))
     return coords
 
 
@@ -494,7 +494,7 @@ def format_quiver(c: QuiverClass) -> str:
         for shape in sorted(c.terms, key=_shape_sort_key):
             coeff, basis = c.terms[shape], f"1@{shape}"
             if len(coeff.terms) > 1:
-                yield ONE, f"({coeff})*{basis}"
+                yield 1, f"({coeff})*{basis}"
             else:
                 ((e, value),) = coeff.terms.items()
                 yield value, f"{t_power(e)}*{basis}" if e else basis

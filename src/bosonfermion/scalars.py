@@ -1,8 +1,13 @@
 """Exact coefficient arithmetic: rationals, Laurent polynomials in t, and Q(t).
 
-The rational backend is gmpy2's mpq when available (much faster), otherwise
-the standard library Fraction; both print as "p/q" with the "/q" omitted for
-integers.
+A coefficient is a Python int when it is integral, else a rational of the
+backend: gmpy2's mpq when available (much faster), otherwise the standard
+library Fraction (Knuth, TAOCP vol. 2, 4.5.1: a rational in lowest terms
+with denominator 1 is an integer).  Both kinds print as "p/q" with the "/q"
+omitted for integers, and an int and a rational of equal value compare and
+hash equal.  `rat` is the one exact constructor, and every division of a
+coefficient goes through it or has a backend rational operand, so no
+coefficient is ever a float.
 """
 
 from math import gcd, lcm
@@ -13,17 +18,43 @@ from .text import Grammar, join_terms, parse
 
 try:
     from gmpy2 import mpq as Rational
+
+    _coprime = Rational
 except ImportError:  # pragma: no cover
     from fractions import Fraction as Rational
 
+    def _coprime(numerator: int, denominator: int) -> Rational:
+        """The Fraction of coprime ints over a denominator above 1, built
+        without the gcd its constructor would repeat (as CPython 3.12's
+        Fraction._from_coprime_ints does)."""
+        value = object.__new__(Rational)
+        value._numerator, value._denominator = numerator, denominator
+        return value
+
 RationalLike = Union[int, "Rational"]
 
-ZERO = Rational(0)
-ONE = Rational(1)
 
-
-def rat(numerator: RationalLike, denominator: RationalLike = 1) -> Rational:
-    return Rational(numerator, denominator)
+def rat(numerator: RationalLike, denominator: RationalLike = 1) -> RationalLike:
+    """numerator / denominator exactly: an int when the denominator divides
+    the numerator, else a backend Rational in lowest terms."""
+    if type(numerator) is int and type(denominator) is int:
+        common = gcd(numerator, denominator)
+        if common == denominator:  # the one divisibility test; 0 // 0 raises
+            return numerator // common
+        if denominator > 0:
+            return _coprime(numerator // common, denominator // common)
+        if denominator:
+            return rat(-numerator, -denominator)
+        raise ZeroDivisionError(f"rat({numerator}, 0)")
+    if type(numerator) is Rational:
+        if denominator == 1:
+            return numerator if numerator.denominator != 1 else int(numerator.numerator)
+        if type(denominator) is int:
+            return rat(int(numerator.numerator), int(numerator.denominator) * denominator)
+    if type(numerator) is float or type(denominator) is float:
+        raise TypeError(f"a float is not an exact coefficient: rat({numerator!r}, {denominator!r})")
+    value = Rational(numerator) if denominator == 1 else Rational(numerator, denominator)
+    return value if value.denominator != 1 else int(value.numerator)
 
 
 def parse_rational(text: str) -> Rational:
@@ -106,13 +137,13 @@ def pairing(f: tuple[int, dict], g: tuple[int, dict], weight) -> Rational:
     if len(a) > len(b):
         a, b = b, a
     total = sum([weight(key) * x * b[key] for key, x in a.items() if key in b])
-    return Rational(total, common_f * common_g) if total else ZERO
+    return rat(total, common_f * common_g) if total else 0
 
 
 def rational_terms(vector: tuple[int, dict]) -> dict:
     """The {key: rational} of an integer vector: one division per nonzero key."""
     common, numerators = vector
-    return {key: Rational(a, common) for key, a in numerators.items() if a}
+    return {key: rat(a, common) for key, a in numerators.items() if a}
 
 
 def integer_product(f: tuple[int, dict], g: tuple[int, dict], combine) -> tuple[int, dict]:
@@ -140,20 +171,20 @@ class TLaurent(LinearCombination):
     as {exponent: coefficient}."""
 
     __slots__ = ()
-    _coerce = staticmethod(Rational)
+    _coerce = staticmethod(rat)
 
     @classmethod
     def one(cls) -> "TLaurent":
-        return cls._make({0: ONE})
+        return cls._make({0: 1})
 
     @classmethod
     def term(cls, coeff: RationalLike, exponent: int = 0) -> "TLaurent":
-        coeff = Rational(coeff)
+        coeff = rat(coeff)
         return cls._make({exponent: coeff} if coeff else {})
 
     @classmethod
     def t(cls, exponent: int = 1) -> "TLaurent":
-        return cls._make({exponent: ONE})
+        return cls._make({exponent: 1})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -174,7 +205,7 @@ class TLaurent(LinearCombination):
     def constant_value(self) -> Rational:
         """The rational value of a constant; error when t appears."""
         if not self.terms:
-            return ZERO
+            return 0
         if set(self.terms) != {0}:
             raise ValueError(f"{self} is not a constant")
         return self.terms[0]
@@ -197,7 +228,7 @@ class TLaurent(LinearCombination):
             return NotImplemented
         if list(other.terms) != [0]:
             raise ValueError(f"a Laurent polynomial divides only by a nonzero rational, not {other}")
-        return self.scale(ONE / other.terms[0])
+        return self.scale(Rational(1) / other.terms[0])
 
     def __pow__(self, n: int) -> "TLaurent":
         if n < 0:
@@ -474,7 +505,7 @@ def _canonical(num: TLaurent, den: TLaurent) -> tuple[TLaurent, TLaurent]:
     # num / den = (c_num / (c_den * lead)) * f / (g / lead), with g / lead monic
     lead = g[-1]
     scale = c_num / (c_den * lead)
-    den = TLaurent._make({e: Rational(c, lead) for e, c in enumerate(g) if c}) if len(g) > 1 else _LAURENT_ONE
+    den = TLaurent._make({e: rat(c, lead) for e, c in enumerate(g) if c}) if len(g) > 1 else _LAURENT_ONE
     return TLaurent._make({e + shift: scale * c for e, c in enumerate(f) if c}), den
 
 
@@ -507,7 +538,7 @@ def monomial_quotient_sum(rows) -> TScalar:
         common, numerators = _over_common(fractions)
         total = sum(numerators)
         if total:
-            laurent[exponent] = Rational(total, common)
+            laurent[exponent] = rat(total, common)
     total = TScalar(TLaurent._make(laurent))
     return rest + total if rest else total
 

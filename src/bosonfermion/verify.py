@@ -261,7 +261,7 @@ def serre_suite(max_size: int = 8, max_index: int = 4) -> list[CheckResult]:
     reach = range(-max_index - 1, max_index + 2)  # and the Serre neighbours k - 1, k + 1
 
     def ad2(op, once, a, b):  # op_a op_a op_b - 2 op_a op_b op_a + op_b op_a op_a, op_c = once[c]
-        return op(a, op(a, once[b])) - op(a, op(b, once[a])).scale(Rational(2)) + op(b, op(a, once[a]))
+        return op(a, op(a, once[b])) - op(a, op(b, once[a])).scale(2) + op(b, op(a, once[a]))
 
     for shape in shapes:
         basis = QuiverClass.graded_unit(shape)
@@ -274,7 +274,7 @@ def serre_suite(max_size: int = 8, max_index: int = 4) -> list[CheckResult]:
             weight = weights.get(k, 0)
             box_count = len(addable_boxes(shape, k)) - len(removable_boxes(shape, k))
             commutator = ek_f - f_ek
-            ok = commutator == basis.scale(Rational(weight)) and weight == box_count
+            ok = commutator == basis.scale(weight) and weight == box_count
             eigen.record(ok, "k={}, shape={}", k, shape)
             for l in indices:
                 if l != k:

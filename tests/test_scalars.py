@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 from itertools import islice
 from math import isqrt, lcm
 from pathlib import Path
@@ -7,6 +8,25 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bosonfermion
+from bosonfermion import (
+    BosonPolynomial,
+    FermionState,
+    GlMatrix,
+    LocalizedClass,
+    QuiverClass,
+    alpha,
+    basis_state,
+    eta,
+    gl_action,
+    oscillator,
+    phi,
+    power_sum,
+    psi,
+    psi_star,
+    sigma,
+)
+from bosonfermion.boson import from_schur
+from bosonfermion.partitions import partitions_of
 from bosonfermion.scalars import (
     Rational,
     TLaurent,
@@ -63,6 +83,147 @@ def test_rational_formatting():
     assert str(rat(3)) == "3"
     assert str(rat(-1, 3)) == "-1/3"
     assert str(rat(4, 8)) == "1/2"
+
+
+def _exact(value) -> bool:
+    """An int or a backend Rational: never a bool or a float."""
+    return type(value) is int or type(value) is Rational
+
+
+@given(st.integers(-(10**30), 10**30), st.integers(-(10**30), 10**30).filter(bool), st.booleans())
+@example(0, 1, False)
+@example(6, -3, False)
+@example(-3, -4, False)
+@example(2**70, 2**69, False)
+def test_rat_is_an_int_exactly_when_the_denominator_divides(n, d, multiple):
+    if multiple:  # half the draws divide
+        n *= d
+    value = rat(n, d)
+    assert _exact(value)
+    assert (type(value) is int) == (n % d == 0)
+    assert value == Rational(n, d) and hash(value) == hash(Rational(n, d))
+    if type(value) is Rational:  # in lowest terms over a positive denominator
+        assert value.denominator > 1 and str(value) == str(Rational(n, d))
+
+
+@given(st.fractions(), st.integers(-50, 50).filter(bool))
+@example(Fraction(4, 2), 1)
+@example(Fraction(1, 2), 2)
+def test_rat_of_a_rational_keeps_its_value(f, d):
+    value = Rational(f.numerator, f.denominator)
+    for exact, expected in ((rat(value), value), (rat(value, d), value / d)):
+        assert _exact(exact)
+        assert (type(exact) is int) == (expected.denominator == 1)
+        assert exact == expected and hash(exact) == hash(expected)
+
+
+@pytest.mark.parametrize("args", [(True,), (False,), (True, 2), (Rational(6, 3),), ("5/10",)])
+def test_rat_never_returns_a_bool(args):
+    value = rat(*args)
+    assert _exact(value) and value == Rational(*args)
+
+
+def test_rat_refuses_a_float():
+    for args in [(0.5,), (1, 2.0), (1.0, 3)]:
+        with pytest.raises(TypeError, match="^a float is not an exact coefficient"):
+            rat(*args)
+    with pytest.raises(TypeError):
+        power_sum(()).scale(1 / 3)  # every _coerce is rat
+
+
+def test_rat_refuses_a_zero_denominator():
+    for n in (0, 1, -3):
+        with pytest.raises(ZeroDivisionError):
+            rat(n, 0)
+
+
+# --- no word of operators makes a float coefficient ---------------------------------
+
+def _coefficients(value):
+    """The rational coefficients of a value, down through Laurent and Q(t) values."""
+    if isinstance(value, TScalar):
+        yield from _coefficients(value.num)
+        yield from _coefficients(value.den)
+    else:
+        for c in value.terms.values():
+            yield from _coefficients(c) if isinstance(c, (TLaurent, TScalar)) else [c]
+
+
+exact_numbers = st.one_of(st.integers(-5, 5), rationals)
+indices = st.integers(-2, 2)
+small_shapes = st.integers(0, 3).flatmap(lambda n: st.sampled_from(partitions_of(n)))
+
+
+def _sum_of(draw, terms):
+    """The sum of 1 to 3 drawn terms."""
+    parts = [draw(terms) for _ in range(draw(st.integers(1, 3)))]
+    return sum(parts[1:], parts[0])
+
+
+def _state(draw):
+    return _sum_of(draw, st.builds(lambda m, shape, c: basis_state(m, shape).scale(c),
+                                   st.integers(-1, 1), small_shapes, exact_numbers))
+
+
+def _polynomial(draw):
+    return _sum_of(draw, st.builds(lambda shape, c: power_sum(shape).scale(c), small_shapes, exact_numbers))
+
+
+def _graded_class(draw, n):
+    """A fixed-point class of size n: a sum of c * t^n * 1_shape."""
+    return _sum_of(draw, st.builds(lambda shape, c: QuiverClass.graded_unit(shape).scale(TLaurent.term(c)),
+                                   st.sampled_from(partitions_of(n)), exact_numbers))
+
+
+def _schur_terms(draw):
+    return [((0, draw(small_shapes)), draw(exact_numbers)) for _ in range(draw(st.integers(1, 3)))]
+
+
+_WORD_OPS = {  # value type -> {operator: (value, draw) -> value}
+    FermionState: {
+        "psi": lambda s, draw: psi(draw(indices), s),
+        "psi_star": lambda s, draw: psi_star(draw(indices), s),
+        "alpha": lambda s, draw: alpha(draw(indices), s),
+        "gl_action": lambda s, draw: gl_action(GlMatrix({(draw(indices), draw(indices)): draw(exact_numbers)}), s),
+        "+": lambda s, draw: s + _state(draw),
+        "-": lambda s, draw: s - _state(draw),
+        "scale": lambda s, draw: s.scale(draw(exact_numbers)),
+        "sigma": lambda s, draw: sigma(s),
+    },
+    BosonPolynomial: {
+        "oscillator": lambda f, draw: oscillator(draw(indices), f),
+        "+": lambda f, draw: f + _polynomial(draw),
+        "-": lambda f, draw: f - _polynomial(draw),
+        "scale": lambda f, draw: f.scale(draw(exact_numbers)),
+        "*": lambda f, draw: f * _polynomial(draw),
+        "/": lambda f, draw: f / BosonPolynomial.constant(draw(exact_numbers.filter(bool))),
+        "from_schur": lambda f, draw: f + from_schur(_schur_terms(draw)),
+    },
+    QuiverClass: {
+        "+": lambda c, draw: c + _graded_class(draw, c.homogeneous_size()),
+        "scale": lambda c, draw: c.scale(draw(exact_numbers)),
+        "/": lambda c, draw: c / TLaurent.term(draw(exact_numbers.filter(bool))),
+        "eta": lambda c, draw: eta(c),
+    },
+    LocalizedClass: {
+        "+": lambda beta, draw: beta + eta(_graded_class(draw, beta.n), beta.n),
+        "scale": lambda beta, draw: beta.scale(draw(exact_numbers)),
+        "phi": lambda beta, draw: phi(beta),
+    },
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_no_word_of_operators_makes_a_float_coefficient(data):
+    draw = data.draw
+    value = draw(st.sampled_from([_state, _polynomial, lambda d: _graded_class(d, d(st.integers(0, 3)))]))(draw)
+    for _ in range(draw(st.integers(1, 5))):
+        if value.is_zero():
+            break  # a zero class forgets its size
+        name = draw(st.sampled_from(sorted(_WORD_OPS[type(value)])))
+        value = _WORD_OPS[type(value)][name](value, draw)
+        assert all(map(_exact, _coefficients(value))), (name, value)
 
 
 # --- Laurent arithmetic ------------------------------------------------------------

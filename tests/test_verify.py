@@ -359,6 +359,11 @@ MUTANTS = [
     # Q(t) arithmetic
     Mutant("monomial-division-unscaled", "scalars._canonical", _unscaled_monomial_division,
            ("commuting-square", 2, 1), {"eta-inverse": "shape=[2]"}),
+    # the one exact constructor; both Schur routes truncate alike, so the two determinants still agree
+    Mutant("rat-truncates", "scalars.rat", lambda rat: lambda n, d=1: n // d, ("correspondence", 2, 1, 0),
+           {"schur-expand-rebuild": "shape=[1,1]", "oscillator-intertwining": "n=1, state=phi[2]@0",
+            "schur-basis-bijection": "shape=[2]", "form-preservation": "pair=([2], [2])"},
+           passes=("schur-two-determinants",)),
 ]
 
 
