@@ -11,7 +11,7 @@ from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 from .linear import LinearCombination, power
-from .partitions import Partition, conjugate, partitions_of, ribbons, z_factor
+from .partitions import MAX_SCHUR_DEGREE, Partition, conjugate, partitions_of, ribbons, z_factor
 from .scalars import (
     Rational,
     format_rational,
@@ -232,11 +232,6 @@ def schur_jacobi_trudi(shape: Partition) -> BosonPolynomial:
 def schur_dual_jacobi_trudi(shape: Partition) -> BosonPolynomial:
     """S_shape = det(e_{shape'_i - i + j}) over the conjugate shape' (Macdonald I.3 (3.5))."""
     return _jacobi_trudi(_elementary, conjugate(shape))
-
-
-# The largest degree of the character table, so that the memo tables of
-# `characters` and `schur` stay finite; degree 20 builds in about 2 s.
-MAX_SCHUR_DEGREE = 20
 
 
 @cache

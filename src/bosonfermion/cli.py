@@ -238,8 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run an exact verification suite", description=(
         f"Each bound is an integer from 0 to {verify_mod.MAX_GRID}; one left out takes each suite's default. "
-        "The run time roughly doubles with each step of --max-size: `verify all --max-size 12` "
-        "took 25 s on a 2-core x86-64 machine (CPython 3.11, Fraction backend)."))
+        "The run time roughly doubles with each step of --max-size."))
     p_verify.add_argument("suite", choices=[*verify_mod.SUITES, "all"])
     p_verify.add_argument("--max-size", type=int, default=None, help="largest partition size in the grids")
     p_verify.add_argument("--max-index", type=int, default=None, help="largest |index| of the operators swept")

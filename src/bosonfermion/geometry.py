@@ -17,10 +17,11 @@ times the fundamental class.  The c2-toy suite of ``verify`` checks it.
 import json
 from functools import cache
 
-from .boson import MAX_SCHUR_DEGREE, BosonPolynomial, from_schur, schur_expand
+from .boson import BosonPolynomial, from_schur, schur_expand
 from .fermion import FermionState
 from .linear import LinearCombination, accumulate
 from .partitions import (
+    MAX_SCHUR_DEGREE,
     Partition,
     addable_boxes,
     cartan_apply,
@@ -82,11 +83,8 @@ class QuiverClass(LinearCombination):
         shape = Partition(shape)
         return cls._make({shape: TLaurent.t(shape.size())})
 
-    def sizes(self) -> set[int]:
-        return {shape.size() for shape in self.terms}
-
     def homogeneous_size(self) -> int:
-        sizes = self.sizes()
+        sizes = {shape.size() for shape in self.terms}
         if len(sizes) != 1:
             raise ValueError("class mixes partitions of different sizes")
         return sizes.pop()

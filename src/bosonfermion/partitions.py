@@ -126,18 +126,20 @@ def _z(shape: Partition) -> int:
     return prod(i**m * factorial(m) for i, m in shape.multiplicities().items())
 
 
+# The largest degree of the character table, so that the memo tables of
+# `boson.characters` and `boson.schur` stay finite; degree 20 builds in about 2 s.
+MAX_SCHUR_DEGREE = 20
+
 # z_mu is read once per output monomial of every Schur expansion and once per
-# shared monomial of every Hall pairing.  Only keys of at most 20 boxes, the
-# Schur degrees (boson.MAX_SCHUR_DEGREE, which this module cannot import), are
+# shared monomial of every Hall pairing.  Only keys of the Schur degrees are
 # memoised, and 4096 entries hold all 2,714 of them.  A larger key, such as the
 # 10^5 parts of p1^100000 (z = 100000!), is computed and not stored.
-_Z_MEMO_BOXES = 20
 _z_memo = lru_cache(maxsize=4096)(_z)
 
 
 def z_factor(shape: Partition) -> int:
     """prod over part values i of i^(multiplicity) * multiplicity!."""
-    return _z_memo(shape) if sum(shape) <= _Z_MEMO_BOXES else _z(shape)
+    return _z_memo(shape) if sum(shape) <= MAX_SCHUR_DEGREE else _z(shape)
 
 
 def addable_corners(shape: Partition) -> list[Box]:

@@ -10,6 +10,7 @@ coefficient goes through it or has a backend rational operand, so no
 coefficient is ever a float.
 """
 
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Union
 
@@ -266,11 +267,11 @@ def format_tlaurent(value: TLaurent) -> str:
 # --- the gcd in Z[t]: Brown's modular algorithm ------------------------------
 # W. S. Brown, J. ACM 18 (1971); Knuth, TAOCP vol. 2, 4.6.1.
 
-# The primes below 2^31, largest first, found on first use.  The list keeps at
-# most MAX_CACHED_PRIMES (each adds about 31 bits to the lift); a gcd that needs
-# more tests the next ones afresh on every call.
+# The gcd walks the primes below 2^31, largest first, by one pure step per
+# prime.  The first MAX_CACHED_PRIMES steps are memoised (each adds about 31
+# bits to the lift); later ones are tested afresh, so that a long walk cannot
+# evict the steps every gcd takes.  Concurrent walks share only the memo.
 MAX_CACHED_PRIMES = 64
-_PRIMES: list[int] = []
 
 
 def _is_prime(n: int) -> bool:
@@ -284,14 +285,19 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=MAX_CACHED_PRIMES)
+def _prime_below(n: int) -> int | None:
+    """The largest prime below the odd number n, or None when none exceeds 61."""
+    return next((m for m in range(n - 2, 61, -2) if _is_prime(m)), None)
+
+
 def _primes():
     """The primes below 2^31 in decreasing order, 2^31 - 1 first."""
-    yield from _PRIMES
-    for n in range(_PRIMES[-1] - 2 if _PRIMES else (1 << 31) - 1, 61, -2):
-        if _is_prime(n):
-            if len(_PRIMES) < MAX_CACHED_PRIMES:
-                _PRIMES.append(n)
-            yield n
+    p, taken = (1 << 31) - 1, 0
+    while p is not None:
+        yield p
+        taken += 1
+        p = _prime_below(p) if taken <= MAX_CACHED_PRIMES else _prime_below.__wrapped__(p)
 
 
 def _monic_gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
@@ -402,12 +408,6 @@ class TScalar:
     def __bool__(self) -> bool:
         return bool(self.num.terms)
 
-    def is_polynomial(self) -> bool:
-        """True when the value lies in Q[t]."""
-        if self.is_zero():
-            return True
-        return self.den == _LAURENT_ONE and self.num.min_exp() >= 0
-
     def is_laurent(self) -> bool:
         return self.den == _LAURENT_ONE
 
@@ -415,15 +415,6 @@ class TScalar:
         if not self.is_laurent():
             raise ValueError(f"{self} is not a Laurent polynomial")
         return self.num
-
-    def constant_value(self) -> Rational:
-        return self.as_laurent().constant_value()
-
-    def t_degree(self):
-        """Top t-exponent of the value; None for zero."""
-        if self.is_zero():
-            return None
-        return self.num.max_exp() - self.den.max_exp()
 
     def __add__(self, other: "TScalar") -> "TScalar":
         if self.den is _LAURENT_ONE and other.den is _LAURENT_ONE:

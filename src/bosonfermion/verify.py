@@ -5,7 +5,6 @@ into, which keeps the first counterexample as its witness."""
 
 from . import fermion, geometry
 from .boson import (
-    MAX_SCHUR_DEGREE,
     BosonPolynomial,
     hall_form,
     oscillator,
@@ -46,6 +45,7 @@ from .geometry import (
     weight_of,
 )
 from .partitions import (
+    MAX_SCHUR_DEGREE,
     Partition,
     addable_boxes,
     boxes,

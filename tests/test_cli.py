@@ -237,6 +237,17 @@ def test_verify_help_states_the_grid_bound_and_its_cost(capsys):
         assert option in out
 
 
+def test_help_states_the_bounds_the_code_enforces():
+    from bosonfermion import cli
+    from bosonfermion.partitions import MAX_SCHUR_DEGREE
+    from bosonfermion.scalars import MAX_PRINTED_DIGITS
+
+    description = " ".join(cli.__doc__.split())
+    assert f"at most {cli.MAX_OPERATOR_INDEX} in absolute value" in description
+    assert f"up to degree {MAX_SCHUR_DEGREE}" in description
+    assert f"at most {MAX_PRINTED_DIGITS} digits" in description
+
+
 def test_verify_json_reports_the_rational_backend(capsys):
     from bosonfermion.scalars import Rational
 

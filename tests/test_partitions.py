@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bosonfermion import partitions
-from bosonfermion.boson import MAX_SCHUR_DEGREE
 from bosonfermion.partitions import (
+    MAX_SCHUR_DEGREE,
     Box,
     Partition,
     addable_boxes,
@@ -169,10 +169,10 @@ def test_z_factor():
 
 
 def test_z_factor_memo_keeps_only_keys_of_the_schur_degrees():
-    assert partitions._Z_MEMO_BOXES == MAX_SCHUR_DEGREE
     partitions._z_memo.cache_clear()
     longest = Partition((1,) * 10**5)  # the most factors a p-monomial may have
     assert z_factor(longest) == factorial(10**5)
+    assert z_factor(Partition((1,) * (MAX_SCHUR_DEGREE + 1))) == factorial(MAX_SCHUR_DEGREE + 1)
     assert partitions._z_memo.cache_info().currsize == 0
     widest = Partition((1,) * MAX_SCHUR_DEGREE)
     assert z_factor(widest) == factorial(MAX_SCHUR_DEGREE)

@@ -392,6 +392,18 @@ def _run(row: Mutant) -> list:
     return [r for suite in suites.split() for r in run_suite(suite, *grid)]
 
 
+def test_no_module_binds_a_list_set_or_bytearray():
+    """Shared state lives only in functools memo tables, which _clear_memo_tables
+    empties; a module-level container that calls extend would escape it."""
+    bound = [
+        f"{module.__name__}.{attr}"
+        for module in _MODULES
+        for attr, value in vars(module).items()
+        if isinstance(value, (list, set, bytearray)) and not attr.startswith("__")
+    ]
+    assert bound == []
+
+
 @pytest.fixture
 def fresh_monkeypatch(monkeypatch):
     """monkeypatch on empty memo tables, emptied again once its patches are
