@@ -44,7 +44,6 @@ from .geometry import (
     cup,
     eta,
     eta_inverse,
-    eta_raw,
     euler_class,
     fundamental_class,
     geometric_boson,

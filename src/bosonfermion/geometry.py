@@ -390,19 +390,6 @@ def eta(c: QuiverClass, n: int | None = None) -> LocalizedClass:
     })
 
 
-def eta_raw(c: QuiverClass) -> LocalizedClass:
-    """The un-identified pushforward form of eta, kept for degree audits: its
-    value is t^n times the value of eta."""
-    if c.is_zero():
-        return LocalizedClass.zero(0)
-    size = c.homogeneous_size()
-    result = LocalizedClass.zero(size)
-    for shape, coeff in c.terms.items():
-        scale = TScalar.monomial(rat((-1) ** size, hook_product(shape)), -size)
-        result = result + pushforward(shape, TScalar(coeff) * scale)
-    return result
-
-
 def eta_inverse(beta: LocalizedClass) -> QuiverClass:
     """Read the fixed-point coordinates back into the graded basis."""
     terms = {}

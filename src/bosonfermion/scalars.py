@@ -1,13 +1,14 @@
 """Exact coefficient arithmetic: rationals, Laurent polynomials in t, and Q(t).
 
-A coefficient is a Python int when it is integral, else a rational of the
-backend: gmpy2's mpq when available (much faster), otherwise the standard
-library Fraction (Knuth, TAOCP vol. 2, 4.5.1: a rational in lowest terms
-with denominator 1 is an integer).  Both kinds print as "p/q" with the "/q"
-omitted for integers, and an int and a rational of equal value compare and
-hash equal.  `rat` is the one exact constructor, and every division of a
-coefficient goes through it or has a backend rational operand, so no
-coefficient is ever a float.
+A coefficient is a Python int or a rational of the backend: gmpy2's mpq when
+available (much faster), otherwise the standard library Fraction (Knuth,
+TAOCP vol. 2, 4.5.1: a rational in lowest terms with denominator 1 is an
+integer).  `rat` is the one exact constructor, and it returns an int for an
+integral value.  Sums, differences and `scale` can leave an integral value a
+backend rational; such a rational compares, hashes and prints as that int,
+since both kinds print as "p/q" with the "/q" omitted for integers.  Every
+division of a coefficient goes through `rat` or has a backend rational
+operand, so no coefficient is ever a float.
 """
 
 from functools import lru_cache

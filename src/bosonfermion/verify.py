@@ -116,29 +116,36 @@ def clifford_suite(max_size: int = 6, max_index: int = 5, charge_bound: int = 2)
     # a psi image against a psi* image, or one operator order against the other
     up = [{j: psi(j, state) for j in indices} for state in monos]
     down = [{j: psi_star(j, state) for j in indices} for state in monos]
+    zero = FermionState.zero()
     for state, psi_of, psi_star_of in zip(monos, up, down):
         psi_psi = {(i, j): psi(i, psi_of[j]) for i in indices for j in indices}
         star_star = {(i, j): psi_star(i, psi_star_of[j]) for i in indices for j in indices}
+        # {psi_i, psi_j} and {psi*_i, psi*_j} are symmetric in i and j: one sum per unordered pair
+        symmetric = {}
+        for i in indices:
+            for j in range(i, max_index + 1):
+                symmetric[i, j] = symmetric[j, i] = (
+                    (psi_psi[i, j] + psi_psi[j, i]).is_zero() and (star_star[i, j] + star_star[j, i]).is_zero()
+                )
         for i in indices:
             for j in indices:
                 mixed = psi(i, psi_star_of[j]) + psi_star(j, psi_of[i])
-                expected = state if i == j else FermionState.zero()
-                ok = mixed == expected
-                ok = ok and (psi_psi[i, j] + psi_psi[j, i]).is_zero()
-                ok = ok and (star_star[i, j] + star_star[j, i]).is_zero()
+                ok = mixed == (state if i == j else zero) and symmetric[i, j]
                 anti.record(ok, "i={}, j={}, state={}", i, j, state)
     # cross-charge pairs vanish on both sides (charge shift is checked below),
     # so the adjointness sweep pairs charge m with charge m + 1 only; the grid
     # holds the states of each charge in one block of len(shapes)
+    up_terms = [[psi_of[j].terms for j in indices] for psi_of in up]
+    down_terms = [[psi_star_of[j].terms for j in indices] for psi_star_of in down]
     block = len(shapes)
     for start in range(0, len(monos) - block, block):
         for a in range(start, start + block):
-            (left_mono,), psi_of = monos[a].terms, up[a]
+            (left_mono,), psi_terms = monos[a].terms, up_terms[a]
             for b in range(start + block, start + 2 * block):
-                (right_mono,), psi_star_of = monos[b].terms, down[b]
-                for j in indices:
-                    lhs = psi_of[j].terms.get(right_mono, 0)
-                    rhs = psi_star_of[j].terms.get(left_mono, 0)
+                (right_mono,), psi_star_terms = monos[b].terms, down_terms[b]
+                for j, lhs_terms, rhs_terms in zip(indices, psi_terms, psi_star_terms):
+                    lhs = lhs_terms.get(right_mono, 0)
+                    rhs = rhs_terms.get(left_mono, 0)
                     adjoint.record(lhs == rhs, "j={}, pair=({}, {})", j, monos[a], monos[b])
     shift = CheckResult("charge-shift")
     for state, psi_of, psi_star_of in zip(monos, up, down):

@@ -5,6 +5,8 @@ from bosonfermion.fermion import (
     ChargedMonomial,
     FermionState,
     GlMatrix,
+    _alpha_moves,
+    _unit_action,
     alpha,
     basis_state,
     chevalley_e,
@@ -248,12 +250,27 @@ def test_alpha_zero_matches_occupancy_count():
             assert alpha(0, basis_state(m, shape)) == basis_state(m, shape).scale(m)
 
 
+def alpha_moves_reference(n: int, mono: ChargedMonomial) -> list:
+    """The moves of alpha_n as two steps, psi*_bead then psi_{bead - n}, over
+    the movable beads from the top: the ones of the shape's rows, then for
+    n < 0 the top -n beads of the tail."""
+    m, shape = mono
+    hits = (
+        _unit_action(bead - n, bead, mono)
+        for bead in (m - k + shape.part(k) for k in range(len(shape) + max(-n, 0)))
+    )
+    return [hit for hit in hits if hit is not None]
+
+
 def test_alpha_matches_wide_window_sum():
-    # contributions of psi_j psi*_{j+n} outside the computed window must vanish
-    for shape in partitions_up_to(5):
-        for m in (-1, 0, 2):
+    # contributions of psi_j psi*_{j+n} outside the computed window must vanish;
+    # |n| > len(shape) moves tail beads
+    for shape in partitions_up_to(6):
+        for m in range(-2, 3):
+            mono = ChargedMonomial(m, shape)
             state = phi(shape, m)
-            for n in (-3, -1, 1, 2):
+            for n in (*range(-5, 0), *range(1, 6)):
+                assert list(_alpha_moves(n, mono)) == alpha_moves_reference(n, mono), (shape, m, n)
                 wide = FermionState.zero()
                 for j in range(-25, 26):
                     wide = wide + psi(j, psi_star(j + n, state))

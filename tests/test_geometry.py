@@ -15,7 +15,6 @@ from bosonfermion.geometry import (
     cup,
     eta,
     eta_inverse,
-    eta_raw,
     euler_class,
     fundamental_class,
     geometric_boson,
@@ -218,13 +217,6 @@ def test_eta_examples():
     assert eta(QuiverClass.zero()).is_zero()
     with pytest.raises(ValueError):
         eta(parse_quiver("t*1@[1] + t^2*1@[2]"))
-
-
-def test_eta_raw_is_t_to_n_times_eta():
-    for shape in partitions_up_to(6):
-        c = QuiverClass.graded_unit(shape)
-        scaled = eta(c).scale(TScalar.monomial(1, shape.size()))
-        assert eta_raw(c) == scaled
 
 
 def test_eta_inverse_examples():

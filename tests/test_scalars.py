@@ -21,6 +21,7 @@ from bosonfermion import (
     eta,
     gl_action,
     oscillator,
+    parse_boson,
     phi,
     power_sum,
     psi,
@@ -37,6 +38,7 @@ from bosonfermion.scalars import (
     _cofactors,
     _prime_below,
     _primes,
+    format_rational,
     integer_numerators,
     integer_vector,
     pairing,
@@ -123,6 +125,16 @@ def test_rat_of_a_rational_keeps_its_value(f, d):
 def test_rat_never_returns_a_bool(args):
     value = rat(*args)
     assert _exact(value) and value == Rational(*args)
+
+
+def test_an_integral_sum_or_scale_acts_as_its_int():
+    # + and scale do not pass through rat, so an integral value can stay a backend rational
+    half = parse_boson("(1/2)*p1")
+    for whole in (half + half, half.scale(2)):
+        (c,) = whole.terms.values()
+        assert type(c) is Rational
+        assert c == 1 and hash(c) == hash(1) and format_rational(c) == "1"
+        assert whole == power_sum((1,)) and str(whole) == "p1"
 
 
 def test_rat_refuses_a_float():
