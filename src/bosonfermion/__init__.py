@@ -63,16 +63,11 @@ from .geometry import (
     weight_of,
 )
 from .partitions import (
-    Box,
     Partition,
-    addable_boxes,
-    boxes,
     dimension_vector,
-    hook,
     hook_product,
     parse_partition,
     partitions_of,
-    removable_boxes,
     z_factor,
 )
 from .scalars import Rational, TLaurent, TScalar, parse_tscalar, rat

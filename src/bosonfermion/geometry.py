@@ -23,13 +23,12 @@ from .linear import LinearCombination, accumulate
 from .partitions import (
     MAX_SCHUR_DEGREE,
     Partition,
-    addable_boxes,
     cartan_apply,
     dimension_vector,
     hook_product,
+    move_box,
     parse_partition,
     partitions_of,
-    removable_boxes,
     ribbons,
 )
 from .scalars import (
@@ -289,25 +288,19 @@ def bilinear_form(alpha: LocalizedClass, beta: LocalizedClass) -> TScalar:
 
 # --- lowering/raising operators on the fixed-point side -----------------------
 
-def _moved(shape: Partition, row: int, step: int) -> Partition:
-    """shape with one box added (step 1) or removed (step -1) at the end of
-    row; the row is a corner just found, so the result skips re-validation."""
-    parts = shape[:row] + (shape.part(row) + step,) + shape[row + 1:]
-    return tuple.__new__(Partition, parts if parts[-1] else parts[:-1])
-
-
 def hecke_e(k: int, c: QuiverClass) -> QuiverClass:
     """Remove the unique removable box of residue k (when present) and divide
     the coefficient by t; coefficients must stay in Q[t]."""
     def lowered():
         for shape, coeff in c.terms.items():
-            for box in removable_boxes(shape, k):
+            smaller = move_box(shape, k, -1)
+            if smaller is not None:
                 divided = coeff.shift(-1)
                 if not divided.is_polynomial():
                     raise NonDivisibleCoefficient(
                         f"coefficient {coeff} at {shape} is not divisible by t"
                     )
-                yield _moved(shape, box.row, -1), divided
+                yield smaller, divided
 
     return QuiverClass._make(accumulate(lowered()))
 
@@ -316,9 +309,9 @@ def hecke_f(k: int, c: QuiverClass) -> QuiverClass:
     """Add the unique addable box of residue k (when present) and multiply
     the coefficient by t."""
     return QuiverClass._make(accumulate(
-        (_moved(shape, box.row, 1), coeff.shift(1))
+        (larger, coeff.shift(1))
         for shape, coeff in c.terms.items()
-        for box in addable_boxes(shape, k)
+        if (larger := move_box(shape, k, 1)) is not None
     ))
 
 
@@ -494,7 +487,7 @@ _GRAMMAR = Grammar("class", QuiverClass, TLaurent.term, {
         lambda m: QuiverClass.unit(parse_partition(m["unit_shape"])),
     ),
     "t": ("t", lambda m: TLaurent.t()),
-})
+}, power=lambda base, n: _polynomial(base**n))  # a power, too, stays in Q[t]
 
 
 def parse_quiver(text: str) -> QuiverClass:

@@ -1,22 +1,13 @@
 """Partitions, Young diagrams, hooks, residues and dimension vectors.
 
-Diagrams use English notation: row 0 is the longest row, rows grow downward.
-A box sits in column ``col`` and row ``row`` (both counted from zero) and has
-residue ``col - row``.
+A diagram is its row lengths.  Diagrams use English notation: row 0 is the
+longest row, rows grow downward.  A box sits in column ``col`` and row ``row``
+(both counted from zero) and has residue ``col - row``.
 """
 
 from functools import cache, lru_cache
 from math import factorial, prod
-from typing import Iterable, NamedTuple
-
-
-class Box(NamedTuple):
-    col: int
-    row: int
-
-    @property
-    def residue(self) -> int:
-        return self.col - self.row
+from typing import Iterable
 
 
 class Partition(tuple):
@@ -38,9 +29,6 @@ class Partition(tuple):
     def part(self, row: int) -> int:
         """Length of row ``row`` (0-indexed); zero beyond the last row."""
         return self[row] if row < len(self) else 0
-
-    def contains_box(self, box: Box) -> bool:
-        return box.col >= 0 and box.row >= 0 and box.col < self.part(box.row)
 
     def multiplicities(self) -> dict[int, int]:
         """Map part value i to the number of rows of length i."""
@@ -80,31 +68,15 @@ def parse_partition(text: str) -> Partition:
     return shape
 
 
-def boxes(shape: Partition) -> list[Box]:
-    """All boxes of the diagram in row-major order."""
-    return [Box(j, k) for k, row_len in enumerate(shape) for j in range(row_len)]
-
-
-def arm(shape: Partition, box: Box) -> int:
-    return shape.part(box.row) - box.col - 1
-
-
-def leg(shape: Partition, box: Box) -> int:
-    return sum(1 for row_len in shape[box.row + 1:] if row_len > box.col)
-
-
-def hook(shape: Partition, box: Box) -> int:
-    """Arm plus leg plus one for a box inside the diagram."""
-    if not shape.contains_box(box):
-        raise ValueError(f"box {box} lies outside the diagram of {shape}")
-    return arm(shape, box) + leg(shape, box) + 1
-
-
 @cache
 def hook_product(shape: Partition) -> int:
+    """Product over the boxes of their hooks, arm + leg + 1: the box in
+    column col of a row of this length has arm length - col - 1, and its
+    leg is the number of rows below longer than col."""
     result = 1
-    for box in boxes(shape):
-        result *= hook(shape, box)
+    for row, length in enumerate(shape):
+        for col in range(length):
+            result *= length - col + sum(1 for below in shape[row + 1:] if below > col)
     return result
 
 
@@ -116,9 +88,9 @@ def conjugate(shape: Partition) -> Partition:
 def dimension_vector(shape: Partition) -> dict[int, int]:
     """Number of boxes of each residue; absent keys mean zero."""
     counts: dict[int, int] = {}
-    for box in boxes(shape):
-        r = box.residue
-        counts[r] = counts.get(r, 0) + 1
+    for row, length in enumerate(shape):
+        for col in range(length):
+            counts[col - row] = counts.get(col - row, 0) + 1
     return counts
 
 
@@ -142,31 +114,24 @@ def z_factor(shape: Partition) -> int:
     return _z_memo(shape) if sum(shape) <= MAX_SCHUR_DEGREE else _z(shape)
 
 
-def addable_corners(shape: Partition) -> list[Box]:
-    """Boxes whose addition yields a partition, ordered top row first."""
-    corners = []
-    for row in range(len(shape) + 1):
-        col = shape.part(row)
-        if row == 0 or shape.part(row - 1) > col:
-            corners.append(Box(col, row))
-    return corners
-
-
-def removable_corners(shape: Partition) -> list[Box]:
-    """Boxes whose removal yields a partition, ordered top row first."""
-    corners = []
-    for row, row_len in enumerate(shape):
-        if shape.part(row + 1) < row_len:
-            corners.append(Box(row_len - 1, row))
-    return corners
-
-
-def addable_boxes(shape: Partition, k: int) -> list[Box]:
-    return [b for b in addable_corners(shape) if b.residue == k]
-
-
-def removable_boxes(shape: Partition, k: int) -> list[Box]:
-    return [b for b in removable_corners(shape) if b.residue == k]
+def move_box(shape: Partition, k: int, step: int) -> Partition | None:
+    """shape with its box of residue k added (step 1) or removed (step -1), or
+    None when it has none.  The box ends its row, in column shape_row (added)
+    or shape_row - 1 (removed); shape_row - row falls strictly with the row,
+    so at most one row qualifies and the walk stops once it passes k."""
+    for row in range(len(shape) + (step == 1)):  # a box may start a new row
+        length = shape.part(row)
+        residue = length - row - (step == -1)
+        if residue > k:
+            continue
+        if residue < k:
+            return None
+        beside = row - step  # the row above (adding) or below (removing)
+        if beside >= 0 and shape.part(beside) == length:
+            return None  # as long as this row: moving the box breaks the order
+        parts = shape[:row] + (length + step,) + shape[row + 1:]
+        return tuple.__new__(Partition, parts if parts[-1] else parts[:-1])
+    return None
 
 
 @cache

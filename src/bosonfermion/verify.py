@@ -47,13 +47,11 @@ from .geometry import (
 from .partitions import (
     MAX_SCHUR_DEGREE,
     Partition,
-    addable_boxes,
-    boxes,
     conjugate,
     dimension_vector,
+    move_box,
     partitions_of,
     partitions_up_to,
-    removable_boxes,
     z_factor,
 )
 from .correspondence import sigma, sigma_inverse
@@ -279,7 +277,7 @@ def serre_suite(max_size: int = 8, max_index: int = 4) -> list[CheckResult]:
             ek_f = hecke_e(k, f_once[k])
             f_ek = hecke_f(k, e_once[k])
             weight = weights.get(k, 0)
-            box_count = len(addable_boxes(shape, k)) - len(removable_boxes(shape, k))
+            box_count = (move_box(shape, k, 1) is not None) - (move_box(shape, k, -1) is not None)
             commutator = ek_f - f_ek
             ok = commutator == basis.scale(weight) and weight == box_count
             eigen.record(ok, "k={}, shape={}", k, shape)
@@ -428,16 +426,17 @@ def c2_toy_suite() -> list[CheckResult]:
 def euler_suite(max_size: int = 10) -> list[CheckResult]:
     """The closed-form Euler classes and push/pull against the product over
     the boxes of the tangent weights (hook * t)(-hook * t).  Each hook is read
-    off the diagram and its conjugate, not from partitions.hook, which the
-    closed form reads through hook_product."""
+    off the diagram and its conjugate, not from the arm and leg product of
+    hook_product, which the closed form reads."""
     closed = CheckResult("euler-closed-form")
     pushpull = CheckResult("pullback-of-pushforward")
     for shape in partitions_up_to(max_size):
         columns = conjugate(shape)
         by_boxes = TScalar.one()
-        for box in boxes(shape):
-            h = (shape.part(box.row) - box.col) + (columns.part(box.col) - box.row) - 1
-            by_boxes = by_boxes * TScalar.monomial(h, 1) * TScalar.monomial(-h, 1)
+        for row, length in enumerate(shape):
+            for col in range(length):
+                h = (length - col) + (columns.part(col) - row) - 1
+                by_boxes = by_boxes * TScalar.monomial(h, 1) * TScalar.monomial(-h, 1)
         closed.record(euler_class(shape) == by_boxes, "shape={}", shape)
         if shape.size() <= 8:
             pushed = geometry.pushforward(shape, TScalar.one())

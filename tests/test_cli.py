@@ -295,6 +295,15 @@ def test_rational_fixed_point_coefficients_reparse(capsys):
     assert str(parse_quiver(out.strip())) == out.strip()
 
 
+def test_negative_powers_in_fixed_point_literals(capsys):
+    # a nonzero monomial has an inverse in Q[t, t^-1]; the class then keeps only Q[t] coefficients
+    assert run_cli(capsys, "apply", "F(0)", "2^-1*1@[]") == (0, "1/2*t*1@[1]\n", "")
+    assert run_cli(capsys, "apply", "F(0)", "t^-1*1@[]") == (
+        2, "", "error: fixed-point coefficient t^-1 is not in Q[t]\n")
+    assert run_cli(capsys, "apply", "F(0)", "(1+t)^-1*1@[]") == (
+        2, "", "error: t + 1 has no inverse in Q[t, t^-1]\n")
+
+
 def test_outputs_reparse(capsys):
     _, out, _ = run_cli(capsys, "schur", "[3,1]")
     reparsed = parse_boson(out.strip())

@@ -1,5 +1,6 @@
+from collections import Counter
 from functools import cache
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,21 +8,15 @@ from hypothesis import given, strategies as st
 from bosonfermion import partitions
 from bosonfermion.partitions import (
     MAX_SCHUR_DEGREE,
-    Box,
     Partition,
-    addable_boxes,
-    addable_corners,
-    boxes,
     cartan_apply,
     conjugate,
     dimension_vector,
-    hook,
     hook_product,
+    move_box,
     parse_partition,
     partitions_of,
     partitions_up_to,
-    removable_boxes,
-    removable_corners,
     ribbons,
     z_factor,
 )
@@ -37,19 +32,43 @@ def count_partitions(n: int, max_part: int) -> int:
     return sum(count_partitions(n - k, k) for k in range(1, min(n, max_part) + 1))
 
 
+def cells(shape: Partition) -> set[tuple[int, int]]:
+    """The (row, col) of every box of the diagram."""
+    return {(row, col) for row in range(len(shape)) for col in range(shape[row])}
+
+
+def moved_by_hand(shape: Partition, step: int) -> list[tuple[int, Partition]]:
+    """(residue, shape) for each box added (step 1) or removed (step -1) at the
+    end of a row, the empty row below the last included, that leaves a
+    partition; no residue ordering is assumed."""
+    found = []
+    for row in range(len(shape) + 1):
+        parts = list(shape) + [0]
+        parts[row] += step
+        if parts[row] < 0 or any(a < b for a, b in zip(parts, parts[1:])):
+            continue
+        col = parts[row] - 1 if step == 1 else parts[row]
+        found.append((col - row, Partition(p for p in parts if p)))
+    return found
+
+
 @cache
 def count_standard_tableaux(shape: Partition) -> int:
-    """Count standard fillings by recursive corner removal."""
+    """Count standard fillings by recursive removal of the largest entry's box."""
     if shape.size() == 0:
         return 1
-    total = 0
-    for corner in removable_corners(shape):
-        parts = list(shape)
-        parts[corner.row] -= 1
-        if parts[corner.row] == 0:
-            parts.pop()
-        total += count_standard_tableaux(Partition(parts))
-    return total
+    return sum(count_standard_tableaux(smaller) for _, smaller in moved_by_hand(shape, -1))
+
+
+def hooks_by_arm_and_leg(shape: Partition) -> list[int]:
+    """arm + leg + 1 of every box, row by row, with arm and leg counted apart."""
+    hooks = []
+    for row, length in enumerate(shape):
+        for col in range(length):
+            arm = length - col - 1
+            leg = sum(1 for below in shape[row + 1:] if below > col)
+            hooks.append(arm + leg + 1)
+    return hooks
 
 
 @st.composite
@@ -93,29 +112,25 @@ def test_partition_parse_round_trip(shape):
     assert parse_partition(str(shape)) == shape
 
 
-# --- boxes, hooks, residues -----------------------------------------------------
-
-def test_boxes_enumeration():
-    assert boxes(Partition()) == []
-    assert boxes(Partition((2, 1))) == [Box(0, 0), Box(1, 0), Box(0, 1)]
-    twelve = boxes(Partition((4, 4, 3, 1)))
-    assert len(twelve) == 12
-    assert twelve[0] == Box(0, 0) and twelve[-1] == Box(0, 3)
-
+# --- hooks and residues ---------------------------------------------------------
 
 def test_residues():
-    assert Box(0, 0).residue == 0
-    assert Box(1, 0).residue == 1
-    assert Box(0, 1).residue == -1
+    # the box in column col and row row has residue col - row
+    assert dimension_vector(Partition((1,))) == {0: 1}
+    assert dimension_vector(Partition((2,))) == {0: 1, 1: 1}
+    assert dimension_vector(Partition((1, 1))) == {0: 1, -1: 1}
+    for shape in partitions_up_to(8):
+        assert dimension_vector(shape) == Counter(col - row for row, col in cells(shape)), shape
 
 
 def test_hooks():
-    assert hook(Partition((1,)), Box(0, 0)) == 1
-    assert hook(Partition((2, 1)), Box(0, 0)) == 3
+    assert hooks_by_arm_and_leg(Partition((2, 1))) == [3, 1, 1]
     # the displayed staircase example: box in column 2, row 1 has hook 6
-    assert hook(Partition((6, 6, 5, 3, 2)), Box(2, 1)) == 6
-    with pytest.raises(ValueError):
-        hook(Partition((2, 1)), Box(1, 1))
+    assert hooks_by_arm_and_leg(Partition((6, 6, 5, 3, 2)))[6 + 2] == 6
+    for shape in partitions_up_to(10):
+        assert hook_product(shape) == prod(hooks_by_arm_and_leg(shape)), shape
+    for shape in (Partition((1,) * 1000), Partition((1000,))):
+        assert hook_product(shape) == prod(hooks_by_arm_and_leg(shape)) == factorial(1000)
 
 
 def test_hook_products():
@@ -157,7 +172,7 @@ def test_conjugate_transposes_the_diagram():
     assert conjugate(Partition()) == Partition()
     assert conjugate(Partition((3, 1))) == Partition((2, 1, 1))
     for shape in partitions_up_to(8):
-        assert sorted(boxes(conjugate(shape))) == sorted(Box(b.row, b.col) for b in boxes(shape))
+        assert cells(conjugate(shape)) == {(col, row) for row, col in cells(shape)}
 
 
 def test_z_factor():
@@ -179,30 +194,44 @@ def test_z_factor_memo_keeps_only_keys_of_the_schur_degrees():
     assert partitions._z_memo.cache_info().currsize == 1
 
 
-# --- addable and removable boxes -------------------------------------------------
+# --- moving the box of one residue ----------------------------------------------
 
 def test_addable_removable_examples():
-    assert addable_boxes(Partition(), 0) == [Box(0, 0)]
-    assert addable_boxes(Partition((1,)), 1) == [Box(1, 0)]
-    assert addable_boxes(Partition((1,)), -1) == [Box(0, 1)]
-    assert removable_boxes(Partition((1,)), 0) == [Box(0, 0)]
-    assert removable_boxes(Partition((1,)), 1) == []
+    assert move_box(Partition(), 0, 1) == Partition((1,))
+    assert move_box(Partition((1,)), 1, 1) == Partition((2,))
+    assert move_box(Partition((1,)), -1, 1) == Partition((1, 1))
+    assert move_box(Partition((1,)), 0, -1) == Partition()
+    assert move_box(Partition((1,)), 1, -1) is None
+    assert move_box(Partition((2, 2)), 1, 1) is None  # the row above is no longer
+    assert move_box(Partition((2, 2)), 1, -1) is None  # the row below is as long
+    assert move_box(Partition((2, 2)), 0, -1) == Partition((2, 1))
+    assert move_box(Partition((2, 2)), -2, 1) == Partition((2, 2, 1))
+    assert move_box(Partition((2, 2)), -3, 1) is None
+
+
+def test_move_box_matches_the_boxes_found_by_hand():
+    for shape in partitions_up_to(10):
+        for step in (1, -1):
+            found = moved_by_hand(shape, step)
+            for k in range(-12, 13):
+                expected = [moved for residue, moved in found if residue == k]
+                assert [move_box(shape, k, step)] == (expected or [None]), (shape, k, step)
 
 
 def test_at_most_one_corner_per_residue():
+    # each corner has its own residue, and a diagram has one more addable corner than removable ones
     for shape in partitions_up_to(10):
-        residues_add = [b.residue for b in addable_corners(shape)]
-        residues_rem = [b.residue for b in removable_corners(shape)]
-        assert len(set(residues_add)) == len(residues_add)
-        assert len(set(residues_rem)) == len(residues_rem)
-        assert not (set(residues_add) & set(residues_rem))
+        added = {k for k in range(-12, 13) if move_box(shape, k, 1) is not None}
+        removed = {k for k in range(-12, 13) if move_box(shape, k, -1) is not None}
+        assert len(added) == len(moved_by_hand(shape, 1)) == len(removed) + 1, shape
+        assert not added & removed, shape
 
 
 def test_corner_count_matches_cartan_pairing():
     for shape in partitions_up_to(10):
         counts = dimension_vector(shape)
         for k in range(-12, 13):
-            lhs = len(addable_boxes(shape, k)) - len(removable_boxes(shape, k))
+            lhs = (move_box(shape, k, 1) is not None) - (move_box(shape, k, -1) is not None)
             rhs = (1 if k == 0 else 0) - cartan_apply(counts, k)
             assert lhs == rhs, (shape, k)
 

@@ -249,6 +249,14 @@ def test_laurent_basics():
     assert TLaurent.term(3, 2).shift(-2) == TLaurent.term(3)
 
 
+def test_laurent_negative_powers_invert_only_monomials():
+    assert TLaurent.term(-3, 2) ** -2 == TLaurent.term(rat(1, 9), -4)
+    assert type((TLaurent.term(rat(1, 2)) ** -1).terms[0]) is int  # 2, through rat
+    for value in (TLaurent.zero(), TLaurent({0: 1, 1: 1})):
+        with pytest.raises(ValueError, match=r"has no inverse in Q\[t, t\^-1\]$"):
+            value ** -1
+
+
 def test_laurent_format():
     assert str(TLaurent.term(-9, 6)) == "-9*t^6"
     assert str(TLaurent({1: rat(1), -1: rat(1)})) == "t + t^-1"

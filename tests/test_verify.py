@@ -270,8 +270,12 @@ MUTANTS = [
            only_in="geometry"),
     Mutant("hook-product-plus-one", "partitions.hook_product", _always(lambda h: h + 1), ("euler", 4),
            {"euler-closed-form": "shape=[]", "pullback-of-pushforward": "shape=[]"}),
-    Mutant("hook-plus-one-at-one-box", "partitions.hook", _at(((2, 1), (0, 0)), lambda h: h + 1), ("euler", 3),
+    Mutant("hook-product-plus-one-at-21", "partitions.hook_product", _at(((2, 1),), lambda h: h + 1), ("euler", 3),
            {"euler-closed-form": "shape=[2,1]", "pullback-of-pushforward": "shape=[2,1]"}),
+    # the Hecke operators and the Serre box count read move_box; tau goes through chevalley_e/f instead
+    Mutant("move-box-drops-the-box-added-to-1-at-1", "partitions.move_box", _at(((1,), 1, 1), lambda moved: None),
+           ("serre commuting-square", 2, 1),
+           {"cartan-eigenvalues": "k=1, shape=[1]", "tau-intertwining": "k=1, shape=[1]"}),
     Mutant("z-factor-doubled-at-21", "partitions.z_factor", _at(((2, 1),), lambda z: 2 * z),
            ("orthonormality", 3),
            {"schur-orthonormality": "pair=([3], [3])", "geometric-power-sum-pairing": "pair=([2,1], [2,1])",
