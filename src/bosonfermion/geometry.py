@@ -487,7 +487,7 @@ _GRAMMAR = Grammar("class", QuiverClass, TLaurent.term, {
         lambda m: QuiverClass.unit(parse_partition(m["unit_shape"])),
     ),
     "t": ("t", lambda m: TLaurent.t()),
-}, power=lambda base, n: _polynomial(base**n))  # a power, too, stays in Q[t]
+})
 
 
 def parse_quiver(text: str) -> QuiverClass:

@@ -233,12 +233,8 @@ class TLaurent(LinearCombination):
         return self.scale(Rational(1) / other.terms[0])
 
     def __pow__(self, n: int) -> "TLaurent":
-        """A negative power inverts a nonzero monomial c*t^e to c^-1 * t^-e."""
         if n < 0:
-            if len(self.terms) != 1:
-                raise ValueError(f"{self} has no inverse in Q[t, t^-1]")
-            [(e, c)] = self.terms.items()
-            return power(TLaurent._make({-e: rat(1, c)}), -n)
+            return power(TLaurent.one() / self, -n)
         return power(self, n)
 
     def __eq__(self, other: object) -> bool:

@@ -32,8 +32,7 @@ class Grammar:
     literal into a value.  ``atoms`` maps a token name to (regex, build),
     where build turns the regex match into a value; a regex may name its own
     groups, prefixed by the token name, and atoms are tried before integers.
-    ``juxtapose`` lets adjacent factors multiply ("p2 p1"), and ``power``
-    takes a value to an integer exponent.
+    ``juxtapose`` lets adjacent factors multiply ("p2 p1").
     """
 
     def __init__(
@@ -43,13 +42,11 @@ class Grammar:
         number: Callable[[int], object],
         atoms: dict[str, tuple[str, Callable]],
         juxtapose: bool = True,
-        power: Callable[[object, int], object] = operator.pow,
     ):
         self.what = what
         self.result = result
         self.number = number
         self.juxtapose = juxtapose
-        self.power = power
         self.builders = {name: build for name, (_, build) in atoms.items()}
         alternatives = [f"(?P<{name}>{pattern})" for name, (pattern, _) in atoms.items()]
         alternatives += [r"(?P<num>\d+)", r"(?P<op>[-+*/^()])"]
@@ -148,7 +145,7 @@ class _Parser:
             kind, exponent = self.take()
             if kind != "num":
                 raise self._error("non-integer exponent")
-            value = self.combine(self.grammar.power, value, sign * exponent)
+            value = self.combine(operator.pow, value, sign * exponent)
         return value
 
     def atom(self):

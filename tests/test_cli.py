@@ -296,12 +296,12 @@ def test_rational_fixed_point_coefficients_reparse(capsys):
 
 
 def test_negative_powers_in_fixed_point_literals(capsys):
-    # a nonzero monomial has an inverse in Q[t, t^-1]; the class then keeps only Q[t] coefficients
+    # a nonzero rational inverts, as in "(1/2)*1@[]"; t does not, as in "t/t*1@[1]"
     assert run_cli(capsys, "apply", "F(0)", "2^-1*1@[]") == (0, "1/2*t*1@[1]\n", "")
     assert run_cli(capsys, "apply", "F(0)", "t^-1*1@[]") == (
-        2, "", "error: fixed-point coefficient t^-1 is not in Q[t]\n")
+        2, "", "error: a Laurent polynomial divides only by a nonzero rational, not t\n")
     assert run_cli(capsys, "apply", "F(0)", "(1+t)^-1*1@[]") == (
-        2, "", "error: t + 1 has no inverse in Q[t, t^-1]\n")
+        2, "", "error: a Laurent polynomial divides only by a nonzero rational, not t + 1\n")
 
 
 def test_outputs_reparse(capsys):

@@ -249,11 +249,11 @@ def test_laurent_basics():
     assert TLaurent.term(3, 2).shift(-2) == TLaurent.term(3)
 
 
-def test_laurent_negative_powers_invert_only_monomials():
-    assert TLaurent.term(-3, 2) ** -2 == TLaurent.term(rat(1, 9), -4)
+def test_laurent_negative_powers_invert_only_nonzero_rationals():
+    assert TLaurent.term(-3) ** -2 == TLaurent.term(rat(1, 9))
     assert type((TLaurent.term(rat(1, 2)) ** -1).terms[0]) is int  # 2, through rat
-    for value in (TLaurent.zero(), TLaurent({0: 1, 1: 1})):
-        with pytest.raises(ValueError, match=r"has no inverse in Q\[t, t\^-1\]$"):
+    for value in (TLaurent.zero(), TLaurent.t(), TLaurent({0: 1, 1: 1})):
+        with pytest.raises(ValueError, match="divides only by a nonzero rational"):
             value ** -1
 
 
