@@ -6,6 +6,7 @@ power-sum polynomials of a partition of n are homogeneous of degree n.
 """
 
 from functools import cache
+from itertools import groupby
 from math import factorial
 from operator import attrgetter
 from typing import Iterable, NamedTuple
@@ -110,13 +111,6 @@ class BosonPolynomial(LinearCombination):
         if self != BosonPolynomial.q():
             raise ValueError("negative exponents are only allowed on q")
         return BosonPolynomial.q(n)
-
-    def q_components(self) -> dict[int, "BosonPolynomial"]:
-        """Split into pieces of fixed q-power, with the q-factor removed."""
-        pieces: dict[int, dict[BosonMonomial, Rational]] = {}
-        for mono, coeff in self.terms.items():
-            pieces.setdefault(mono.q_power, {})[BosonMonomial(0, mono.shape)] = coeff
-        return {m: BosonPolynomial._make(t) for m, t in sorted(pieces.items())}
 
     def p_degree(self) -> int:
         """Common p-degree of all terms; error when inhomogeneous or zero."""
@@ -321,11 +315,8 @@ def format_boson(poly: BosonPolynomial) -> str:
     if poly.is_zero():
         return "0"
     groups = []
-    for q_power, component in poly.q_components().items():
-        text = " + ".join(
-            _format_boson_term(mono, component.terms[mono])
-            for mono in sorted(component.terms, key=_mono_sort_key)
-        )
+    for q_power, monos in groupby(sorted(poly.terms, key=_mono_sort_key), _q_power):
+        text = " + ".join(_format_boson_term(mono, poly.terms[mono]) for mono in monos)
         if q_power == 0:
             groups.append(text)
         elif text == "1":

@@ -1,6 +1,6 @@
 """The boson-fermion dictionary: charge-m monomials map to q^m Schur polynomials."""
 
-from .boson import BosonPolynomial, from_schur, schur_expand
+from .boson import BosonMonomial, BosonPolynomial, from_schur, schur_expand
 from .fermion import ChargedMonomial, FermionState
 from .linear import accumulate
 
@@ -11,14 +11,13 @@ def sigma(state: FermionState) -> BosonPolynomial:
 
 
 def sigma_inverse(f: BosonPolynomial) -> FermionState:
-    """Inverse dictionary, computed through the Schur expansion of each q-piece."""
-    def pieces():
-        for charge, component in f.q_components().items():
-            by_degree: dict[int, dict] = {}
-            for mono, coeff in component.terms.items():
-                by_degree.setdefault(mono.shape.size(), {})[mono] = coeff
-            for piece in by_degree.values():
-                for shape, coeff in schur_expand(BosonPolynomial._make(piece)).items():
-                    yield ChargedMonomial(charge, shape), coeff
-
-    return FermionState._make(accumulate(pieces()))
+    """Inverse dictionary, computed through the Schur expansion of each
+    homogeneous piece of fixed q-power, with the q-factor removed."""
+    pieces: dict[tuple[int, int], dict] = {}
+    for mono, coeff in f.terms.items():
+        pieces.setdefault((mono.q_power, mono.shape.size()), {})[BosonMonomial(0, mono.shape)] = coeff
+    return FermionState._make(accumulate(
+        (ChargedMonomial(charge, shape), coeff)
+        for (charge, _), piece in pieces.items()
+        for shape, coeff in schur_expand(BosonPolynomial._make(piece)).items()
+    ))

@@ -19,9 +19,6 @@ class ChargedMonomial(NamedTuple):
     charge: int
     shape: Partition
 
-    def energy(self) -> int:
-        return self.shape.size()
-
 
 # Both kernels walk the beads i_k = m - k + shape_k (k < len(shape)) from the
 # top until they reach j; below them every position <= m - len(shape) is filled.
@@ -85,14 +82,6 @@ class FermionState(LinearCombination):
         if len(charges) > 1:
             raise ValueError("state is not homogeneous in charge")
         return charges.pop()
-
-    def energy(self) -> int:
-        energies = {mono.energy() for mono in self.terms}
-        if not energies:
-            raise ValueError("the zero state has no energy")
-        if len(energies) > 1:
-            raise ValueError("state is not homogeneous in energy")
-        return energies.pop()
 
     def __str__(self) -> str:
         return format_fermion(self)
@@ -265,7 +254,7 @@ def hermitian_form(s1: FermionState, s2: FermionState) -> Rational:
 # --- text form ---------------------------------------------------------------
 
 def _term_sort_key(mono: ChargedMonomial):
-    return (mono.charge, mono.energy(), tuple(-p for p in mono.shape))
+    return (mono.charge, mono.shape.size(), tuple(-p for p in mono.shape))
 
 
 def format_fermion(state: FermionState) -> str:

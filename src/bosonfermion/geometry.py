@@ -155,10 +155,6 @@ class LocalizedClass(LinearCombination):
         if shape.size() != self.n:
             raise ValueError(f"partition {shape} does not have size {self.n}")
 
-    def restriction(self, shape: Partition) -> TScalar:
-        self._check_size(shape)
-        return self.coefficient(shape)
-
     def _check_same_space(self, other) -> None:
         if isinstance(other, LocalizedClass) and self.n != other.n:
             raise ValueError(f"classes live on different spaces: n={self.n} vs n={other.n}")
@@ -190,10 +186,12 @@ class LocalizedClass(LinearCombination):
         ValueError above MAX_SCHUR_DEGREE, the degrees phi and phi_inverse serve."""
         if self.n > MAX_SCHUR_DEGREE:
             raise ValueError(f"a localized class prints up to degree {MAX_SCHUR_DEGREE}, got {self.n}")
+        terms = self.terms
         return {
             "n": self.n,
             "restrictions": {
-                str(shape): str(self.restriction(shape)) for shape in partitions_of(self.n)
+                str(shape): str(terms[shape]) if shape in terms else "0"
+                for shape in partitions_of(self.n)
             },
         }
 
@@ -236,9 +234,14 @@ def pushforward(shape: Partition, value: TScalar) -> LocalizedClass:
     return LocalizedClass(shape.size(), {shape: value * euler_class(shape)})
 
 
+_SCALAR_ZERO, _SCALAR_ONE = TScalar.zero(), TScalar.one()
+
+
 def pullback(alpha: LocalizedClass, shape: Partition) -> TScalar:
     """Restriction of the class to the fixed point labeled by shape."""
-    return alpha.restriction(Partition(shape))
+    shape = Partition(shape)
+    alpha._check_size(shape)
+    return alpha.terms.get(shape, _SCALAR_ZERO)
 
 
 def cup(alpha: LocalizedClass, beta: LocalizedClass) -> LocalizedClass:
@@ -246,9 +249,6 @@ def cup(alpha: LocalizedClass, beta: LocalizedClass) -> LocalizedClass:
     alpha._check_same_space(beta)
     b = beta.terms
     return LocalizedClass(alpha.n, {shape: a * b[shape] for shape, a in alpha.terms.items() if shape in b})
-
-
-_SCALAR_ONE = TScalar.one()
 
 
 def integrate(alpha: LocalizedClass) -> TScalar:
@@ -347,13 +347,11 @@ def quiver_form(a: QuiverClass, b: QuiverClass) -> Rational:
 
 
 def _graded_coordinate(coeff: TLaurent, shape: Partition) -> Rational:
-    value = coeff.shift(-shape.size())
-    try:
-        return value.constant_value()
-    except ValueError:
-        raise ValueError(
-            f"coefficient {coeff} at {shape} is not a multiple of t^{shape.size()}"
-        ) from None
+    """The rational c of a coefficient c * t^|shape|."""
+    n = shape.size()
+    if coeff.terms.keys() != {n}:
+        raise ValueError(f"coefficient {coeff} at {shape} is not a rational multiple of t^{n}")
+    return coeff.terms[n]
 
 
 # --- the three maps of the correspondence -------------------------------------

@@ -82,10 +82,6 @@ class LinearCombination:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, key):
-        c = self.terms.get(key)
-        return self._coerce(0) if c is None else c
-
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented

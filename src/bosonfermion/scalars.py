@@ -204,14 +204,6 @@ class TLaurent(LinearCombination):
     def is_polynomial(self) -> bool:
         return all(e >= 0 for e in self.terms)
 
-    def constant_value(self) -> Rational:
-        """The rational value of a constant; error when t appears."""
-        if not self.terms:
-            return 0
-        if set(self.terms) != {0}:
-            raise ValueError(f"{self} is not a constant")
-        return self.terms[0]
-
     def shift(self, k: int) -> "TLaurent":
         return TLaurent._make({e + k: c for e, c in self.terms.items()})
 
@@ -236,13 +228,6 @@ class TLaurent(LinearCombination):
         if n < 0:
             return power(TLaurent.one() / self, -n)
         return power(self, n)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = TLaurent.term(other)
-        return super().__eq__(other)
-
-    __hash__ = LinearCombination.__hash__
 
     def __str__(self) -> str:
         return format_tlaurent(self)

@@ -40,6 +40,7 @@ from .geometry import (
     phi_inverse,
     point_variety_dimension,
     power_sum_class,
+    pullback,
     quiver_form,
     tau,
     weight_of,
@@ -418,7 +419,7 @@ def c2_toy_suite() -> list[CheckResult]:
     point = Partition((1,))
     curve = normalized_class(point)
     check.record(curve == fundamental_class(point).scale(TScalar.monomial(-1, -1)), "standard convention")
-    check.record(curve.restriction(point) != TScalar.monomial(-1, 1), "flipped convention should fail")
+    check.record(pullback(curve, point) != TScalar.monomial(-1, 1), "flipped convention should fail")
     check.record(euler_class(point) == TScalar.monomial(-1, 2), "tangent Euler class")
     return [check]
 

@@ -9,12 +9,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bosonfermion
 from bosonfermion.boson import oscillator, parse_boson
 from bosonfermion.cli import build_parser, main
 from bosonfermion.fermion import alpha, chevalley_e, chevalley_f, parse_fermion, psi, psi_star
 from bosonfermion.geometry import LocalizedClass, geometric_boson, hecke_e, hecke_f, parse_quiver
+from bosonfermion.partitions import partitions_of
 
 # `python -m bosonfermion.cli` children import the package from where this
 # process found it; pytest's pythonpath setting does not reach a subprocess.
@@ -556,3 +558,114 @@ def test_closed_stdout_exits_without_a_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=30) == 141
     assert err == ""
+
+
+# --- fuzzing the front end: every drawn request exits 0 or 2 -------------------
+# Partitions have at most 8 boxes, and no drawn text grows one: a Schur table
+# of degree near 20 takes over a second to build cold.
+
+_SHAPES = st.sampled_from([shape for n in range(9) for shape in partitions_of(n)])
+_COEFFS = st.sampled_from(["1", "2", "-1", "1/2", "-3/4", "0", "2^-1"])
+_SCALARS = st.sampled_from(["t", "2*t^3", "-t^2", "t^-1", "3", "0", "1 / (t + 1)", "(t^2 - 1)/(t - 1)", "1/(t-t)"])
+
+
+def _sum(term):
+    return st.lists(term, min_size=1, max_size=3).map(" + ".join)
+
+
+def _boson_monomial(q_power, body):
+    return f"q^{q_power} * ({body})" if q_power else body
+
+
+_LITERALS = {
+    "partition": _SHAPES.map(str),
+    "fermion": _sum(st.one_of(
+        st.builds("{}*phi{}@{}".format, _COEFFS, _SHAPES, st.integers(-3, 3)),
+        st.builds("vac({})".format, st.integers(-3, 3)),
+    )),
+    "boson": _sum(st.builds("({})*{}".format, _COEFFS, st.builds(_boson_monomial, st.integers(-2, 2), st.one_of(
+        _SHAPES.map(lambda shape: " ".join(f"p{part}" for part in shape) or "1"),
+        st.builds("(p{} + p{})^{}".format, st.integers(1, 2), st.integers(1, 2), st.integers(-1, 3)),
+    )))),
+    "quiver": _sum(st.builds("{}*t^{}*1@{}".format, _COEFFS, st.integers(-1, 4), _SHAPES)),
+}
+
+
+@st.composite
+def _localized_json(draw):
+    """Localized-class JSON: restrictions at points of size n, at other
+    points, or of the wrong type, and n of the wrong type or sign."""
+    n = draw(st.integers(0, 8))
+    points = st.one_of(st.sampled_from(partitions_of(n)), _SHAPES)
+    restrictions = draw(st.dictionaries(points.map(str), st.one_of(_SCALARS, st.integers(-2, 2)), max_size=4))
+    n = draw(st.sampled_from([n, n, n, -1, "1", None]))
+    return json.dumps(draw(st.sampled_from([{"n": n, "restrictions": restrictions}, {"n": n}, [n], n])))
+
+
+_LITERALS["localized"] = _localized_json()
+# apply: the operator tokens of each domain of states
+_OPERATORS = {"fermion": ["psi", "psi*", "alpha", "e", "f"], "quiver": ["E", "F", "e", "f"],
+              "boson": ["p"], "localized": ["p"]}
+_ALL_OPERATORS = sorted({name for names in _OPERATORS.values() for name in names})
+
+
+def _operator_word(names):
+    token = st.builds("{}({})".format, st.sampled_from(names), st.integers(-6, 6))
+    return st.lists(token, min_size=1, max_size=3).map(" ".join)
+
+
+@st.composite
+def _maybe_broken(draw, texts):
+    """A text as drawn, cut short, or with one character of the grammars put
+    in; no digit, so that no partition grows."""
+    text = draw(texts)
+    at = draw(st.integers(0, len(text)))
+    return draw(st.sampled_from([
+        text, text, text, text[:at],
+        text[:at] + draw(st.sampled_from(list("()[]{}@^*/+-,:\" tpq"))) + text[at:],
+    ]))
+
+
+def _text(kind):
+    """A literal of the kind a command reads, or as often of any kind."""
+    any_kind = st.one_of(*_LITERALS.values())
+    return _maybe_broken(st.booleans().flatmap(lambda own: _LITERALS[kind] if own else any_kind))
+
+
+_TABLE_GRAMMARS = {
+    "correspond": {"sigma": "fermion", "sigma-inverse": "boson", "tau": "fermion", "eta": "quiver",
+                   "eta-inverse": "localized", "phi": "localized", "phi-inverse": "boson", "chain": "fermion"},
+    "inner": {"fermion": "fermion", "boson": "boson", "geometric": "localized"},
+    "localize": {"euler": "partition", "class": "partition", "fundamental": "partition",
+                 "integrate": "localized", "weight": "partition"},
+}
+
+
+@st.composite
+def _cli_argv(draw):
+    """argv of one schur, apply, correspond, inner or localize request.  The
+    texts follow "--", so that argparse never reads one as an option."""
+    command = draw(st.sampled_from(["schur", "apply", *_TABLE_GRAMMARS]))
+    if command == "schur":
+        positionals = [draw(_text("partition"))]
+    elif command == "apply":
+        kind = draw(st.sampled_from(sorted(_OPERATORS)))
+        names = draw(st.sampled_from([_OPERATORS[kind], _ALL_OPERATORS]))
+        positionals = [draw(_maybe_broken(_operator_word(names))), draw(_text(kind))]
+    else:
+        key, kind = draw(st.sampled_from(sorted(_TABLE_GRAMMARS[command].items())))
+        positionals = [key, *(draw(_text(kind)) for _ in range(2 if command == "inner" else 1))]
+    return [command, *draw(st.sampled_from([[], ["--json"]])), "--", *positionals]
+
+
+@settings(max_examples=300, deadline=1000)
+@given(_cli_argv())
+def test_every_request_exits_0_or_2_with_its_message(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error:")
+    else:
+        assert err.getvalue() == ""

@@ -240,6 +240,13 @@ def test_eta_isometry_small():
                 assert lhs == TScalar.monomial(quiver_form(ca, cb))
 
 
+def test_quiver_form_reads_only_a_rational_multiple_of_the_graded_unit():
+    assert quiver_form(parse_quiver("3*t*1@[1]"), parse_quiver("2^-1*t*1@[1]")) == rat(3, 2)
+    for text in ["t^2*1@[1]", "1@[1]", "(t + t^2)*1@[1]"]:
+        with pytest.raises(ValueError, match=r" at \[1\] is not a rational multiple of t\^1$"):
+            quiver_form(parse_quiver(text), parse_quiver("t*1@[1]"))
+
+
 def test_phi_examples():
     assert phi(normalized_class(P(1))) == parse_boson("p1")
     both = normalized_class(P(2)) + normalized_class(P(1, 1))
@@ -299,7 +306,7 @@ def test_c2_toy_reads_x1():
     assert curve.terms == {point: ts("t")}
     assert fundamental_class(point).terms == {point: ts("-t^2")}
     assert curve == fundamental_class(point).scale(ts("-t^-1"))
-    assert curve.restriction(point) != ts("-t")
+    assert pullback(curve, point) != ts("-t")
     assert euler_class(point) == ts("-t^2")
 
 
@@ -360,7 +367,7 @@ def test_localized_class_rejects_another_space_or_size():
     with pytest.raises(ValueError, match=r"^partition \[1\] does not have size 2$"):
         LocalizedClass(2, {P(2): ts("t"), P(1): ts("t")})
     with pytest.raises(ValueError, match=r"^partition \[1\] does not have size 2$"):
-        a.restriction(P(1))
+        pullback(a, P(1))
 
 
 def test_equal_localized_classes_hash_equal():

@@ -1,21 +1,30 @@
 """Guard of the exported surface: each name bosonfermion/__init__.py exports is
 reached from the CLI, from verify or from README, or is listed below with the
-reason it stays exported."""
+reason it stays exported.  Each public method of an exported package class is
+called as .name somewhere in the package or named in README, or is listed
+below with its reason."""
 
 import ast
 import re
 from pathlib import Path
+from types import FunctionType
 
 import bosonfermion
 
 PACKAGE = Path(bosonfermion.__file__).parent
-READERS = [PACKAGE / "cli.py", PACKAGE / "verify.py", PACKAGE.parents[1] / "README.md"]
+README = PACKAGE.parents[1] / "README.md"
+READERS = [PACKAGE / "cli.py", PACKAGE / "verify.py", README]
 
 # Exported names that cli.py, verify.py and README.md do not name, each with its reason.
 KEPT_FOR_LIBRARY_USE = {
     "ChargedMonomial": "the (charge, partition) key of every FermionState term",
     "NonDivisibleCoefficient": "what hecke_e raises when a coefficient leaves Q[t]; callers catch it by name",
     "parse_tscalar": "reads the Q(t) restriction values a LocalizedClass is built from",
+}
+
+# Public methods (Class.method) that no package code calls and README does not name, each with its reason.
+METHODS_KEPT_FOR_LIBRARY_USE = {
+    "GlMatrix.transpose": "the adjoint of a gl matrix under the Hermitian form; the gl adjointness tests read it",
 }
 
 
@@ -42,3 +51,36 @@ def test_the_guard_table_lists_only_unreached_exports():
     for name in KEPT_FOR_LIBRARY_USE:
         assert name in exported, f"{name} is not exported"
         assert not _reached(name), f"{name} is reached; drop it from the table"
+
+
+def _public_methods() -> list[str]:
+    """Class.method for each public method that an exported package class
+    defines or inherits from a package class."""
+    methods = []
+    for name in _exported():
+        cls = getattr(bosonfermion, name)
+        if not isinstance(cls, type) or not cls.__module__.startswith("bosonfermion"):
+            continue
+        own = {attr for base in cls.__mro__ if base.__module__.startswith("bosonfermion")
+               for attr, value in vars(base).items()
+               if not attr.startswith("_") and isinstance(value, (FunctionType, classmethod, staticmethod))}
+        methods += [f"{name}.{attr}" for attr in sorted(own)]
+    return methods
+
+
+def _method_reached(method: str) -> bool:
+    attr = method.rpartition(".")[2]
+    code = "\n".join(path.read_text() for path in PACKAGE.glob("*.py"))
+    return re.search(rf"\.{attr}\b", code) is not None or re.search(rf"\b{attr}\b", README.read_text()) is not None
+
+
+def test_every_public_method_is_called_or_has_a_reason():
+    unlisted = [m for m in _public_methods() if not _method_reached(m) and m not in METHODS_KEPT_FOR_LIBRARY_USE]
+    assert unlisted == [], "public but neither called nor listed with a reason"
+
+
+def test_the_method_table_lists_only_uncalled_methods():
+    methods = set(_public_methods())
+    for method in METHODS_KEPT_FOR_LIBRARY_USE:
+        assert method in methods, f"{method} is not a public method of an exported class"
+        assert not _method_reached(method), f"{method} is called; drop it from the table"
