@@ -249,6 +249,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The subcommands whose positionals are text; their only options are --json and -h/--help.
+_TEXT_COMMANDS = ("schur", "apply", *_TABLE_COMMANDS)
+
+
+def _values_after_options(argv: list[str]) -> list[str]:
+    """argv with each text that starts with "-", such as a printed "-phi[]@2",
+    read as a value: in a subcommand whose positionals are text, the options
+    (each token that starts with "--", and -h) go first and the rest after
+    "--".  argv that holds "--" already, or no such text, is returned as it is."""
+    if not argv or argv[0] not in _TEXT_COMMANDS or "--" in argv:
+        return argv
+    command, *rest = argv
+    options, values = [], []
+    for token in rest:
+        (options if token.startswith("--") or token == "-h" else values).append(token)
+    if not any(value.startswith("-") for value in values):
+        return argv
+    return [command, *options, "--", *values]
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser, built on the first request and reused by every later one;
@@ -257,7 +277,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_values_after_options(sys.argv[1:] if argv is None else argv))
     try:
         code = args.func(args)
         sys.stdout.flush()  # a reader that closed the pipe makes this raise here, not at exit

@@ -319,6 +319,25 @@ def test_outputs_reparse(capsys):
     assert str(parse_quiver(out.strip())) == out.strip()
 
 
+def test_a_printed_value_that_starts_with_a_minus_reenters_as_it_is(capsys):
+    assert run_cli(capsys, "apply", "psi(1) psi(2)", "vac(0)") == (0, "-phi[]@2\n", "")
+    assert run_cli(capsys, "apply", "psi*(1)", "-phi[]@2") == (0, "phi[1]@1\n", "")
+    assert run_cli(capsys, "inner", "fermion", "-phi[1]", "-phi[1]") == (0, "1\n", "")
+    # --json and -h stay options wherever they stand; an unknown --option is still refused
+    expected = (0, '[{"charge": 1, "partition": [1], "coeff": "1"}]\n', "")
+    assert run_cli(capsys, "apply", "psi*(1)", "-phi[]@2", "--json") == expected
+    assert run_cli(capsys, "apply", "--json", "psi*(1)", "-phi[]@2") == expected
+    with pytest.raises(SystemExit) as exc:
+        main(["apply", "-phi[]@2", "-h"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: bosonfermion apply")
+    with pytest.raises(SystemExit) as exc:
+        main(["apply", "psi*(1)", "-phi[]@2", "--bogus"])
+    assert exc.value.code == 2 and "error: unrecognized arguments: --bogus" in capsys.readouterr().err
+    # a text that starts with "-" and is no literal fails in its grammar, not in argparse
+    assert run_cli(capsys, "apply", "psi(1)", "-x") == (
+        2, "", "error: unexpected character 'x' in polynomial literal '-x'\n")
+
+
 def test_determinism(capsys):
     first = run_cli(capsys, "apply", "alpha(-1) alpha(-1) alpha(-1)", "vac(0)")
     second = run_cli(capsys, "apply", "alpha(-1) alpha(-1) alpha(-1)", "vac(0)")

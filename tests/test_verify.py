@@ -36,6 +36,20 @@ def test_record_formats_only_the_first_failure():
     assert str(check) == "FAIL example (checked=3) counterexample: k=-2, pair=(phi[1], phi[]@1)"
 
 
+def test_record_row_counts_every_index_and_names_the_first_unequal_one():
+    row = CheckResult("row")
+    row.record_row([0, 1, -1], [0, 1, -1], range(1, 4), "k={}, pair=({}, {})", _Unprintable(), _Unprintable())
+    assert row.passed and row.checked == 3
+    left, right = basis_state(0, Partition((1,))), basis_state(1, Partition())
+    lhs, rhs, indices = [0, 1, 2, 5], [0, 1, -2, 6], range(-2, 2)
+    row.record_row(lhs, rhs, indices, "k={}, pair=({}, {})", left, right)
+    each = CheckResult("each")  # the same instances, one record each
+    for k, a, b in zip(indices, lhs, rhs):
+        each.record(a == b, "k={}, pair=({}, {})", k, left, right)
+    assert row.checked == 7 and each.checked == 4
+    assert row.counterexample == each.counterexample == "k=0, pair=(phi[1], phi[]@1)"
+
+
 def test_cross_checks_run_and_pass():
     results = {r.name: r for r in heisenberg_geometric_suite(5, 3) + correspondence_suite(4, 2, 1)}
     for name in ("geometric-boson-transport", "schur-expand-rebuild"):
@@ -242,6 +256,7 @@ def _at_index(index, change):
 
 _NEGATE = _always(operator.neg)
 _ONE_BOX = (0, (1,))  # the wedge monomial phi[1] at charge 0
+_UNIT_2 = geometry.QuiverClass.graded_unit([2])  # t^2 1_[2]
 _TWO_DETERMINANTS = ("correspondence", 4, 1, 0)
 
 MUTANTS = [
@@ -256,6 +271,11 @@ MUTANTS = [
             "psi-adjointness": "j=1, pair=(phi[]@-1, phi[1])"}),
     Mutant("alpha-move-sign", "fermion._alpha_moves", _at((1, (0, (2, 1))), _flip_first_sign),
            ("heisenberg-fermion", 4, 3, 1), {"alpha-adjointness": "k=1, pair=(phi[1,1], phi[2,1])"},
+           passes=("alpha0-charge",)),
+    # the adjointness sweep compares one row over k per pair; this witness sits past the row's first index
+    Mutant("alpha-move-sign-at-2-on-3", "fermion._alpha_moves", _at((2, (0, (3,))), _flip_first_sign),
+           ("heisenberg-fermion", 3, 2, 1),
+           {"alpha-commutators": "k=-2, l=2, state=phi[1]", "alpha-adjointness": "k=2, pair=(phi[1], phi[3])"},
            passes=("alpha0-charge",)),
     Mutant("gl-action-negated", "fermion.gl_action", _NEGATE, ("commuting-square", 1, 1),
            {"tau-intertwining": "k=0, shape=[]"}),
@@ -332,6 +352,15 @@ MUTANTS = [
            {"cartan-eigenvalues": "k=1, shape=[1]"}),
     Mutant("hecke-f-negated-at-1", "geometry.hecke_f", _at_index(1, operator.neg), ("serre", 2, 1),
            {"cartan-eigenvalues": "k=1, shape=[1]"}),
+    Mutant("hecke-e-doubled-at-1-on-2", "geometry.hecke_e", _at((1, _UNIT_2), lambda c: c.scale(2)), ("serre", 3, 2),
+           {"ef-commutators": "k=1, l=-1, shape=[2]", "cartan-eigenvalues": "k=1, shape=[1]",
+            "distant-commutation": "k=-1, l=1, shape=[2,1]"},
+           passes=("serre-relations",)),
+    # e_1 keeps its operand beside the removed box, so e_1 e_1 no longer vanishes on [2]
+    Mutant("hecke-e-keeps-its-operand-at-1-on-2", "geometry.hecke_e", _at((1, _UNIT_2), lambda c: c + _UNIT_2),
+           ("serre", 3, 2),
+           {"ef-commutators": "k=1, l=-1, shape=[2]", "cartan-eigenvalues": "k=1, shape=[1]",
+            "serre-relations": "k=1, j=0, shape=[2]", "distant-commutation": "k=-1, l=1, shape=[2,1]"}),
     Mutant("geometric-boson-negated-at-1", "geometry.geometric_boson", _at_index(1, operator.neg),
            ("heisenberg-geometric", 1, 1),
            {"geometric-boson-commutators": "k=-1, l=1, shape=[]",
