@@ -10,7 +10,7 @@ index) has sign +1, the unique extension keeping the Clifford relations exact.
 from typing import NamedTuple
 
 from .linear import LinearCombination, accumulate
-from .partitions import Partition, parse_partition
+from .partitions import Partition, parse_partition, ribbons
 from .scalars import Rational, format_rational, integer_form, is_integer, pairing, rat, read_terms
 from .text import PARTITION, Grammar, join_terms, parse
 
@@ -22,8 +22,8 @@ class ChargedMonomial(NamedTuple):
 
 # Both kernels walk the beads i_k = m - k + shape_k (k < len(shape)) from the
 # top until they reach j; below them every position <= m - len(shape) is filled.
-# The parts they and _alpha_moves build are weakly decreasing by construction,
-# so the shape skips Partition's validation.
+# The parts they build are weakly decreasing by construction, so the shape
+# skips Partition's validation.
 
 def _wedge_in(j: int, mono: ChargedMonomial):
     """Insert index j; None when occupied, else (sign, monomial)."""
@@ -198,51 +198,18 @@ def chevalley_f(k: int, state: FermionState) -> FermionState:
     return gl_action(GlMatrix.unit(k + 1, k), state)
 
 
-def _alpha_moves(n: int, mono: ChargedMonomial):
-    """Nonzero terms (sign, monomial) of sum_j psi_j psi*_{j+n} on a monomial,
-    beads from the top, then the tail beads.  Each moves one bead from
-    position k to a free target j = bead - n, which lands at position q among
-    the remaining beads: psi*_{j+n} gives (-1)^k and psi_j gives (-1)^q.  The
-    tail below the beads i_k (k < len(shape)) only lets its top -n beads
-    move, and only for n < 0; a bead whose target is occupied is skipped."""
-    m, shape = mono
-    length = len(shape)
-    floor = m - length  # every position at or below it is filled
-    beads = [m - k + part for k, part in enumerate(shape)]
-    occupied = set(beads)
-    for k in range(length + max(-n, 0)):
-        bead = beads[k] if k < length else m - k
-        target = bead - n
-        if target <= floor or target in occupied:
-            continue
-        if n > 0:  # down past the beads k + 1 .. q, each one position up and one box shorter
-            q = k
-            while q + 1 < length and beads[q + 1] > target:
-                q += 1
-            parts = [*shape[:k], *(p - 1 for p in shape[k + 1:q + 1]), target - m + q, *shape[q + 1:]]
-            while parts and not parts[-1]:
-                parts.pop()
-        else:  # up past the beads q .. k - 1, each one position down and one box longer;
-            # the tail beads among them are empty rows, so they become 1s
-            q = min(k, length)
-            while q and beads[q - 1] < target:
-                q -= 1
-            parts = [*shape[:q], target - m + q, *(p + 1 for p in shape[q:k])]
-            parts += [1] * (k - length)
-            parts += shape[k + 1:]
-        yield -1 if (k + q) & 1 else 1, ChargedMonomial(m, tuple.__new__(Partition, parts))
-
-
 def alpha(n: int, state: FermionState) -> FermionState:
-    """Free boson alpha_n; alpha_0 multiplies each monomial by its charge."""
+    """Free boson alpha_n; alpha_0 multiplies each monomial by its charge.
+    Otherwise sum_j psi_j psi*_{j+n} moves one bead by n per term, and the
+    charge shifts every bead alike: the terms are the shape's border strips."""
     if n == 0:
         return FermionState._make(
             {mono: coeff * mono.charge for mono, coeff in state.terms.items() if mono.charge}
         )
     return FermionState._make(accumulate(
-        (target, coeff if sign > 0 else -coeff)
+        (ChargedMonomial(mono.charge, shape), coeff if sign > 0 else -coeff)
         for mono, coeff in state.terms.items()
-        for sign, target in _alpha_moves(n, mono)
+        for sign, shape in ribbons(mono.shape, n)
     ))
 
 

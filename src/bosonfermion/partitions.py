@@ -134,33 +134,58 @@ def move_box(shape: Partition, k: int, step: int) -> Partition | None:
     return None
 
 
-@cache
+def _ribbons(shape: Partition, k: int) -> tuple[tuple[int, Partition], ...]:
+    if k == 0:
+        raise ValueError("a border strip has positive size")
+    length = len(shape)
+    beads = [part - i for i, part in enumerate(shape)]  # below them every position <= -length is filled
+    occupied = set(beads)
+    result = []
+    for i in range(length + max(-k, 0)):  # for k < 0 the top -k tail beads may move too
+        bead = beads[i] if i < length else -i
+        target = bead - k
+        if target <= -length or target in occupied:
+            continue
+        if k > 0:  # down past the beads i + 1 .. q, each one position up and one box shorter
+            q = i
+            while q + 1 < length and beads[q + 1] > target:
+                q += 1
+            parts = [*shape[:i], *(p - 1 for p in shape[i + 1:q + 1]), target + q, *shape[q + 1:]]
+            while parts and not parts[-1]:
+                parts.pop()
+        else:  # up past the beads q .. i - 1, each one position down and one box longer;
+            # the tail beads among them are empty rows, so they become 1s
+            q = min(i, length)
+            while q and beads[q - 1] < target:
+                q -= 1
+            parts = [*shape[:q], target + q, *(p + 1 for p in shape[q:i])]
+            parts += [1] * (i - length)
+            parts += shape[i + 1:]
+        # the parts are weakly decreasing by construction
+        result.append((-1 if (i + q) & 1 else 1, tuple.__new__(Partition, parts)))
+    return tuple(result)
+
+
+# The character table, alpha and the geometric bosons read the same strips many
+# times.  Only keys whose shape and strips both have 0 to MAX_SCHUR_DEGREE boxes
+# are memoised: 20 values of k for each of the 2,714 shapes.  Any other key,
+# such as a strip longer than the shape or one of the strips alpha(-40) adds to
+# 40 boxes, is computed and not stored.
+_ribbons_memo = cache(_ribbons)
+
+
 def ribbons(shape: Partition, k: int) -> tuple[tuple[int, Partition], ...]:
     """Border strips of size |k|: removed from shape for k > 0, added for k < 0.
 
-    Works on the beta-set {shape_i - i}: a strip moves one bead by |k| to a
-    free position, and its sign (-1)^height is (-1) to the number of beads
-    passed.  Results come as (sign, shape) pairs, top row's bead first.
+    Works on the beta-set {shape_i - i}: a strip moves the bead at slot i by
+    |k| to a free position, where it lands at slot q among the other beads,
+    and its sign (-1)^height is (-1)^(i + q).  Results come as (sign, shape)
+    pairs, top row's bead first.
     """
-    if k == 0:
-        raise ValueError("a border strip has positive size")
-    # Beads below index `count` sit at every position <= -count.
-    count = len(shape) + max(-k, 0)
-    beads = [shape.part(i) - i for i in range(count)]
-    occupied = set(beads)
-    result = []
-    for i, bead in enumerate(beads):
-        target = bead - k
-        if target <= -count or target in occupied:
-            continue
-        low, high = (target, bead) if k > 0 else (bead, target)
-        passed = sum(1 for b in beads if low < b < high)
-        moved = sorted(beads[:i] + [target] + beads[i + 1:], reverse=True)
-        parts = [b + j for j, b in enumerate(moved)]
-        while parts and parts[-1] == 0:
-            parts.pop()
-        result.append((-1 if passed % 2 else 1, Partition(parts)))
-    return tuple(result)
+    size = sum(shape)
+    if size <= MAX_SCHUR_DEGREE and 0 <= size - k <= MAX_SCHUR_DEGREE:
+        return _ribbons_memo(shape, k)
+    return _ribbons(shape, k)
 
 
 def cartan_apply(counts: dict[int, int], k: int) -> int:

@@ -5,7 +5,6 @@ from bosonfermion.fermion import (
     ChargedMonomial,
     FermionState,
     GlMatrix,
-    _alpha_moves,
     _unit_action,
     alpha,
     basis_state,
@@ -18,7 +17,7 @@ from bosonfermion.fermion import (
     psi_star,
     vacuum,
 )
-from bosonfermion.partitions import Partition, partitions_of, partitions_up_to
+from bosonfermion.partitions import Partition, partitions_of, partitions_up_to, ribbons
 from bosonfermion.scalars import rat
 
 
@@ -270,7 +269,8 @@ def test_alpha_matches_wide_window_sum():
             mono = ChargedMonomial(m, shape)
             state = phi(shape, m)
             for n in (*range(-5, 0), *range(1, 6)):
-                assert list(_alpha_moves(n, mono)) == alpha_moves_reference(n, mono), (shape, m, n)
+                lifted = [(sign, ChargedMonomial(m, moved)) for sign, moved in ribbons(shape, n)]
+                assert lifted == alpha_moves_reference(n, mono), (shape, m, n)
                 wide = FermionState.zero()
                 for j in range(-25, 26):
                     wide = wide + psi(j, psi_star(j + n, state))
@@ -279,7 +279,7 @@ def test_alpha_matches_wide_window_sum():
 
 def test_alpha_one_step_is_the_sum_of_the_chevalley_generators():
     # alpha_{-1} = sum_k psi_{k+1} psi*_k = sum_k f_k and alpha_1 = sum_k e_k;
-    # alpha moves beads in _alpha_moves, e_k and f_k go through gl_action.
+    # alpha moves beads in partitions.ribbons, e_k and f_k go through gl_action.
     # Every bead that can move one step lies in -9..9 for these charges and sizes.
     for shape in partitions_up_to(7):
         for m in range(-2, 3):

@@ -238,6 +238,54 @@ def test_corner_count_matches_cartan_pairing():
 
 # --- border strips ------------------------------------------------------------------
 
+def ribbons_reference(shape: Partition, k: int) -> list:
+    """Border strips on the beta-set {shape_i - i} by sorting: move one bead by
+    |k| to a free position, re-sort the beads, and take the sign (-1) to the
+    number of beads passed.  Top row's bead first."""
+    # Beads below index `count` sit at every position <= -count.
+    count = len(shape) + max(-k, 0)
+    beads = [shape.part(i) - i for i in range(count)]
+    occupied = set(beads)
+    result = []
+    for i, bead in enumerate(beads):
+        target = bead - k
+        if target <= -count or target in occupied:
+            continue
+        low, high = (target, bead) if k > 0 else (bead, target)
+        passed = sum(1 for b in beads if low < b < high)
+        moved = sorted(beads[:i] + [target] + beads[i + 1:], reverse=True)
+        parts = [b + j for j, b in enumerate(moved)]
+        while parts and parts[-1] == 0:
+            parts.pop()
+        result.append((-1 if passed % 2 else 1, Partition(parts)))
+    return result
+
+
+def test_ribbons_match_the_sorted_bead_reference():
+    for shape in partitions_up_to(10):
+        for k in (*range(-12, 0), *range(1, 13)):
+            assert list(ribbons(shape, k)) == ribbons_reference(shape, k), (shape, k)
+
+
+def test_ribbons_memo_keeps_only_keys_of_the_schur_degrees(capsys):
+    from bosonfermion import cli
+
+    partitions._ribbons_memo.cache_clear()
+    widest = Partition((1,) * MAX_SCHUR_DEGREE)
+    assert ribbons(widest, -1) == ((1, Partition((2,) + (1,) * (MAX_SCHUR_DEGREE - 1))),
+                                   (1, Partition((1,) * (MAX_SCHUR_DEGREE + 1))))
+    assert ribbons(Partition((MAX_SCHUR_DEGREE + 1,)), 1) == ((1, Partition((MAX_SCHUR_DEGREE,))),)
+    assert ribbons(Partition((2,)), 3) == ()  # larger than the shape: no strip
+    assert partitions._ribbons_memo.cache_info().currsize == 0
+    assert ribbons(widest, 1) == ((1, Partition((1,) * (MAX_SCHUR_DEGREE - 1))),)
+    assert ribbons(Partition(), -MAX_SCHUR_DEGREE)[0] == (1, Partition((MAX_SCHUR_DEGREE,)))
+    assert partitions._ribbons_memo.cache_info().currsize == 2
+    # alpha moves beads through ribbons; states of 40 and 80 boxes leave no entry
+    assert cli.main(["apply", "alpha(-40) alpha(-40)", "vac(0)"]) == 0
+    assert capsys.readouterr().out.startswith("phi[80]")
+    assert partitions._ribbons_memo.cache_info().currsize == 2
+
+
 def test_ribbons_examples():
     assert ribbons(Partition((2, 1)), 3) == ((-1, Partition()),)
     assert ribbons(Partition(), -2) == ((1, Partition((2,))), (-1, Partition((1, 1))))
@@ -264,8 +312,9 @@ def test_single_box_ribbon_paths_count_standard_tableaux(n):
 
 def test_ribbons_match_wedge_bosons():
     # the ribbon-rule geometric boson against the wedge definition of alpha,
+    # sum_j psi_j psi*_{j+k} over a window that holds every bead that can move,
     # carried to the geometric side by eta . tau, with no Schur polynomial
-    from bosonfermion.fermion import alpha, basis_state
+    from bosonfermion.fermion import FermionState, basis_state, psi, psi_star
     from bosonfermion.geometry import eta, geometric_boson, tau
 
     for n in range(8):
@@ -275,8 +324,10 @@ def test_ribbons_match_wedge_bosons():
             for k in range(-4, 5):
                 if k == 0 or k > n:
                     continue
-                expected = eta(tau(alpha(k, state)), n - k)
-                assert geometric_boson(k, beta) == expected, (k, shape)
+                wide = FermionState.zero()
+                for j in range(-20, 21):
+                    wide = wide + psi(j, psi_star(j + k, state))
+                assert geometric_boson(k, beta) == eta(tau(wide), n - k), (k, shape)
 
 
 # --- enumeration -------------------------------------------------------------------

@@ -269,19 +269,25 @@ MUTANTS = [
            ("clifford", 2, 1, 1),
            {"clifford-anticommutators": "i=1, j=1, state=phi[]@-1",
             "psi-adjointness": "j=1, pair=(phi[]@-1, phi[1])"}),
-    Mutant("alpha-move-sign", "fermion._alpha_moves", _at((1, (0, (2, 1))), _flip_first_sign),
+    # alpha moves beads through ribbons, here corrupted for the fermionic reader alone
+    Mutant("alpha-move-sign", "partitions.ribbons", _at(((2, 1), 1), _flip_first_sign),
            ("heisenberg-fermion", 4, 3, 1), {"alpha-adjointness": "k=1, pair=(phi[1,1], phi[2,1])"},
-           passes=("alpha0-charge",)),
+           passes=("alpha0-charge",), only_in="fermion"),
     # the adjointness sweep compares one row over k per pair; this witness sits past the row's first index
-    Mutant("alpha-move-sign-at-2-on-3", "fermion._alpha_moves", _at((2, (0, (3,))), _flip_first_sign),
+    Mutant("alpha-move-sign-at-2-on-3", "partitions.ribbons", _at(((3,), 2), _flip_first_sign),
            ("heisenberg-fermion", 3, 2, 1),
            {"alpha-commutators": "k=-2, l=2, state=phi[1]", "alpha-adjointness": "k=2, pair=(phi[1], phi[3])"},
-           passes=("alpha0-charge",)),
+           passes=("alpha0-charge",), only_in="fermion"),
     Mutant("gl-action-negated", "fermion.gl_action", _NEGATE, ("commuting-square", 1, 1),
            {"tau-intertwining": "k=0, shape=[]"}),
     # combinatorial kernels
+    # the next two patch ribbons for every reader; each branch is pinned by a check with one side
+    # that does not read it: Jacobi-Trudi in schur-two-determinants (remove), and in
+    # oscillator-intertwining (add) the oscillator side, whose sigma reads only the remove branch
     Mutant("character-ribbon-sign", "partitions.ribbons", _at(((3, 1), 2), _flip_signs), _TWO_DETERMINANTS,
            {"schur-two-determinants": "shape=[3,1]"}),
+    Mutant("added-ribbon-sign", "partitions.ribbons", _at(((1,), -1), _flip_first_sign), ("correspondence", 2, 1, 0),
+           {"oscillator-intertwining": "n=-1, state=phi[1]@0"}),
     Mutant("geometric-ribbon-sign", "partitions.ribbons", _at(((2, 1), 1), _flip_first_sign),
            ("heisenberg-geometric", 4, 3),
            {"geometric-boson-commutators": "k=-3, l=1, shape=[]",
