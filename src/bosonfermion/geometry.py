@@ -15,7 +15,6 @@ times the fundamental class.  The c2-toy suite of ``verify`` checks it.
 """
 
 import json
-from functools import cache
 
 from .boson import BosonPolynomial, from_schur, schur_expand
 from .fermion import FermionState
@@ -30,6 +29,7 @@ from .partitions import (
     parse_partition,
     partitions_of,
     ribbons,
+    schur_memo,
 )
 from .scalars import (
     Rational,
@@ -219,7 +219,7 @@ def _shape_sort_key(shape: Partition):
 
 # --- Euler classes and the intersection pairing -------------------------------
 
-@cache
+@schur_memo
 def euler_class(shape: Partition) -> TScalar:
     """Tangent Euler class at a fixed point: (-1)^n h(shape)^2 t^(2n), the
     product over the boxes of (hook * t)(-hook * t)."""
@@ -263,7 +263,7 @@ def fundamental_class(shape: Partition) -> LocalizedClass:
     return pushforward(shape, TScalar.one())
 
 
-@cache
+@schur_memo
 def normalized_class(shape: Partition) -> LocalizedClass:
     """Sign-and-hook normalized point class (-1)^n t^-n / h(shape) times the
     fundamental class, with restriction h(shape) t^n; these are orthonormal

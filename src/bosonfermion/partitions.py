@@ -5,7 +5,7 @@ longest row, rows grow downward.  A box sits in column ``col`` and row ``row``
 (both counted from zero) and has residue ``col - row``.
 """
 
-from functools import cache, lru_cache
+from functools import cache, wraps
 from math import factorial, prod
 from typing import Iterable
 
@@ -68,7 +68,33 @@ def parse_partition(text: str) -> Partition:
     return shape
 
 
-@cache
+# The largest degree of Schur data: `boson.characters` and `boson.schur` raise
+# above it, and a schur_memo table stores no key with a partition of more
+# boxes.  Degree 20 builds in about 2 s.
+MAX_SCHUR_DEGREE = 20
+
+
+def schur_memo(raw):
+    """Memoise raw(shape), or raw(shape, k) whose results are partitions of
+    |shape| - k boxes, storing a key only when every partition the call reads
+    or returns has 0 to MAX_SCHUR_DEGREE boxes: at most the 2,714 shapes of
+    those degrees, with 20 values of k each.  Any other key, such as the 10^5
+    parts of p1^100000 or a strip alpha(-40) adds, is computed and not stored."""
+    keyed = raw if raw.__code__.co_argcount == 2 else lambda shape, k: raw(shape)
+    table = cache(keyed)
+
+    @wraps(raw)
+    def memoised(shape, k=0):
+        size = sum(shape)
+        if size <= MAX_SCHUR_DEGREE and 0 <= size - k <= MAX_SCHUR_DEGREE:
+            return table(shape, k)
+        return keyed(shape, k)
+
+    memoised.cache_clear, memoised.cache_info = table.cache_clear, table.cache_info
+    return memoised
+
+
+@schur_memo
 def hook_product(shape: Partition) -> int:
     """Product over the boxes of their hooks, arm + leg + 1: the box in
     column col of a row of this length has arm length - col - 1, and its
@@ -94,24 +120,10 @@ def dimension_vector(shape: Partition) -> dict[int, int]:
     return counts
 
 
-def _z(shape: Partition) -> int:
-    return prod(i**m * factorial(m) for i, m in shape.multiplicities().items())
-
-
-# The largest degree of the character table, so that the memo tables of
-# `boson.characters` and `boson.schur` stay finite; degree 20 builds in about 2 s.
-MAX_SCHUR_DEGREE = 20
-
-# z_mu is read once per output monomial of every Schur expansion and once per
-# shared monomial of every Hall pairing.  Only keys of the Schur degrees are
-# memoised, and 4096 entries hold all 2,714 of them.  A larger key, such as the
-# 10^5 parts of p1^100000 (z = 100000!), is computed and not stored.
-_z_memo = lru_cache(maxsize=4096)(_z)
-
-
+@schur_memo
 def z_factor(shape: Partition) -> int:
     """prod over part values i of i^(multiplicity) * multiplicity!."""
-    return _z_memo(shape) if sum(shape) <= MAX_SCHUR_DEGREE else _z(shape)
+    return prod(i**m * factorial(m) for i, m in shape.multiplicities().items())
 
 
 def move_box(shape: Partition, k: int, step: int) -> Partition | None:
@@ -134,7 +146,15 @@ def move_box(shape: Partition, k: int, step: int) -> Partition | None:
     return None
 
 
-def _ribbons(shape: Partition, k: int) -> tuple[tuple[int, Partition], ...]:
+@schur_memo
+def ribbons(shape: Partition, k: int) -> tuple[tuple[int, Partition], ...]:
+    """Border strips of size |k|: removed from shape for k > 0, added for k < 0.
+
+    Works on the beta-set {shape_i - i}: a strip moves the bead at slot i by
+    |k| to a free position, where it lands at slot q among the other beads,
+    and its sign (-1)^height is (-1)^(i + q).  Results come as (sign, shape)
+    pairs, top row's bead first.
+    """
     if k == 0:
         raise ValueError("a border strip has positive size")
     length = len(shape)
@@ -164,28 +184,6 @@ def _ribbons(shape: Partition, k: int) -> tuple[tuple[int, Partition], ...]:
         # the parts are weakly decreasing by construction
         result.append((-1 if (i + q) & 1 else 1, tuple.__new__(Partition, parts)))
     return tuple(result)
-
-
-# The character table, alpha and the geometric bosons read the same strips many
-# times.  Only keys whose shape and strips both have 0 to MAX_SCHUR_DEGREE boxes
-# are memoised: 20 values of k for each of the 2,714 shapes.  Any other key,
-# such as a strip longer than the shape or one of the strips alpha(-40) adds to
-# 40 boxes, is computed and not stored.
-_ribbons_memo = cache(_ribbons)
-
-
-def ribbons(shape: Partition, k: int) -> tuple[tuple[int, Partition], ...]:
-    """Border strips of size |k|: removed from shape for k > 0, added for k < 0.
-
-    Works on the beta-set {shape_i - i}: a strip moves the bead at slot i by
-    |k| to a free position, where it lands at slot q among the other beads,
-    and its sign (-1)^height is (-1)^(i + q).  Results come as (sign, shape)
-    pairs, top row's bead first.
-    """
-    size = sum(shape)
-    if size <= MAX_SCHUR_DEGREE and 0 <= size - k <= MAX_SCHUR_DEGREE:
-        return _ribbons_memo(shape, k)
-    return _ribbons(shape, k)
 
 
 def cartan_apply(counts: dict[int, int], k: int) -> int:

@@ -59,7 +59,7 @@ def test_criterion_03b_bosonic_heisenberg():
 def test_criterion_04_orthonormality():
     # <S,S> = delta, <p,p> = z delta, <[.],[.]> = delta, and the geometric
     # power-sum pairing, all for n <= 8
-    _gate(4, "orthonormality and pairings", orthonormality_suite(8, 4))
+    _gate(4, "orthonormality and pairings", orthonormality_suite(8))
 
 
 def test_criterion_05_euler_classes():

@@ -5,7 +5,6 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, strategies as st
 
-from bosonfermion import partitions
 from bosonfermion.partitions import (
     MAX_SCHUR_DEGREE,
     Partition,
@@ -184,14 +183,14 @@ def test_z_factor():
 
 
 def test_z_factor_memo_keeps_only_keys_of_the_schur_degrees():
-    partitions._z_memo.cache_clear()
+    z_factor.cache_clear()
     longest = Partition((1,) * 10**5)  # the most factors a p-monomial may have
     assert z_factor(longest) == factorial(10**5)
     assert z_factor(Partition((1,) * (MAX_SCHUR_DEGREE + 1))) == factorial(MAX_SCHUR_DEGREE + 1)
-    assert partitions._z_memo.cache_info().currsize == 0
+    assert z_factor.cache_info().currsize == 0
     widest = Partition((1,) * MAX_SCHUR_DEGREE)
     assert z_factor(widest) == factorial(MAX_SCHUR_DEGREE)
-    assert partitions._z_memo.cache_info().currsize == 1
+    assert z_factor.cache_info().currsize == 1
 
 
 # --- moving the box of one residue ----------------------------------------------
@@ -270,20 +269,20 @@ def test_ribbons_match_the_sorted_bead_reference():
 def test_ribbons_memo_keeps_only_keys_of_the_schur_degrees(capsys):
     from bosonfermion import cli
 
-    partitions._ribbons_memo.cache_clear()
+    ribbons.cache_clear()
     widest = Partition((1,) * MAX_SCHUR_DEGREE)
     assert ribbons(widest, -1) == ((1, Partition((2,) + (1,) * (MAX_SCHUR_DEGREE - 1))),
                                    (1, Partition((1,) * (MAX_SCHUR_DEGREE + 1))))
     assert ribbons(Partition((MAX_SCHUR_DEGREE + 1,)), 1) == ((1, Partition((MAX_SCHUR_DEGREE,))),)
     assert ribbons(Partition((2,)), 3) == ()  # larger than the shape: no strip
-    assert partitions._ribbons_memo.cache_info().currsize == 0
+    assert ribbons.cache_info().currsize == 0
     assert ribbons(widest, 1) == ((1, Partition((1,) * (MAX_SCHUR_DEGREE - 1))),)
     assert ribbons(Partition(), -MAX_SCHUR_DEGREE)[0] == (1, Partition((MAX_SCHUR_DEGREE,)))
-    assert partitions._ribbons_memo.cache_info().currsize == 2
+    assert ribbons.cache_info().currsize == 2
     # alpha moves beads through ribbons; states of 40 and 80 boxes leave no entry
     assert cli.main(["apply", "alpha(-40) alpha(-40)", "vac(0)"]) == 0
     assert capsys.readouterr().out.startswith("phi[80]")
-    assert partitions._ribbons_memo.cache_info().currsize == 2
+    assert ribbons.cache_info().currsize == 2
 
 
 def test_ribbons_examples():

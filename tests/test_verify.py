@@ -8,7 +8,7 @@ import pytest
 import bosonfermion
 from bosonfermion import boson, cli, geometry, partitions, scalars, verify
 from bosonfermion.fermion import basis_state
-from bosonfermion.partitions import Partition, partitions_up_to
+from bosonfermion.partitions import MAX_SCHUR_DEGREE, Partition, partitions_up_to
 from bosonfermion.scalars import TScalar
 from bosonfermion.verify import (
     CheckResult,
@@ -418,12 +418,35 @@ def _patch_everywhere(monkeypatch, row: Mutant) -> None:
                     monkeypatch.setattr(module, attr, mutant)
 
 
+def _memo_tables() -> dict:
+    """Every memo table of the package, each found by its cache_clear, by the
+    module attribute that binds it."""
+    return {f"{module.__name__}.{attr}": value for module in _MODULES
+            for attr, value in vars(module).items() if hasattr(value, "cache_clear")}
+
+
 def _clear_memo_tables() -> None:
-    """Empty every memo table of the package, each found by its cache_clear."""
-    for module in _MODULES:
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
+    """Empty every memo table of the package."""
+    for table in _memo_tables().values():
+        table.cache_clear()
+
+
+def test_requests_above_the_schur_degrees_leave_every_memo_table_as_it_was():
+    """A long-lived process serves shapes of any size; only keys of the Schur
+    degrees are stored, so larger requests leave every table as it was."""
+    assert cli.main(["schur", "[x]"]) == 2  # builds the parser, which every request reads
+    before = {name: table.cache_info().currsize for name, table in _memo_tables().items()}
+    for n in (MAX_SCHUR_DEGREE + 1, 2 * MAX_SCHUR_DEGREE):
+        codes = [cli.main(argv) for argv in (
+            ["localize", "euler", f"[{n},{n}]"],
+            ["localize", "class", f"[{n}]"],
+            ["localize", "fundamental", f"[{n},1]"],
+            ["correspond", "eta", f"t^{n + 1}*1@[{n},1]"],
+            ["apply", "alpha(-40) alpha(-40)", "vac(0)"],
+            ["inner", "boson", "p1^30", "p1^30"],
+        )]
+        assert codes == [0, 2, 2, 2, 0, 0]  # a localized class prints up to degree 20
+    assert {name: table.cache_info().currsize for name, table in _memo_tables().items()} == before
 
 
 def _run(row: Mutant) -> list:
