@@ -15,6 +15,7 @@ times the fundamental class.  The c2-toy suite of ``verify`` checks it.
 """
 
 import json
+from functools import cache
 
 from .boson import BosonPolynomial, from_schur, schur_expand
 from .fermion import FermionState
@@ -36,8 +37,10 @@ from .scalars import (
     TLaurent,
     TScalar,
     format_rational,
+    integer_form,
     integer_vector,
     is_integer,
+    monomial_coefficient,
     monomial_quotient_sum,
     pairing,
     parse_tlaurent,
@@ -150,6 +153,17 @@ class LocalizedClass(LinearCombination):
     @classmethod
     def zero(cls, n: int) -> "LocalizedClass":
         return cls(n)
+
+    def _rational_terms(self) -> dict[Partition, Rational] | None:
+        """{shape: c} when every restriction is a rational multiple c * t^n,
+        as for every class verify pairs, else None."""
+        n, coords = self.n, {}
+        for shape, value in self.terms.items():
+            c = monomial_coefficient(value, n)
+            if c is None:
+                return None
+            coords[shape] = c
+        return coords
 
     def _check_size(self, shape: Partition) -> None:
         if shape.size() != self.n:
@@ -272,18 +286,36 @@ def normalized_class(shape: Partition) -> LocalizedClass:
     return _from_schur_coordinates(shape.size(), {shape: 1})
 
 
+@cache
+def _euler_weights(n: int) -> tuple[int, dict[Partition, int]]:
+    """(E, {shape: w}) over the partitions of n <= MAX_SCHUR_DEGREE: with e the
+    t^(2n) coefficient of euler_class(shape), E = lcm |e| and w = (-1)^n E / e,
+    so that (-1)^n c c' t^(2n) / euler_class(shape) = c c' w / E."""
+    return integer_vector({
+        shape: rat((-1) ** n, monomial_coefficient(euler_class(shape), 2 * n)) for shape in partitions_of(n)
+    })
+
+
 def bilinear_form(alpha: LocalizedClass, beta: LocalizedClass) -> TScalar:
     """Intersection pairing (-1)^n * integral of the cup product: the
     fixed-point sum of a * b / Euler class over the points both classes
-    restrict to nonzero values, without building the cup product."""
+    restrict to nonzero values, without building the cup product.  When both
+    restrict to rational multiples c * t^n, n <= MAX_SCHUR_DEGREE, the sum is
+    the integer pairing of their coordinates c with the Euler weights."""
     alpha._check_same_space(beta)
+    n = alpha.n
+    if n <= MAX_SCHUR_DEGREE:
+        f, g = integer_form(alpha), integer_form(beta)
+        if f is not None and g is not None:
+            common, weights = _euler_weights(n)
+            return TScalar.monomial(rat(pairing(f, g, weights.__getitem__), common))
     a, b = alpha.terms, beta.terms
     if len(a) > len(b):
         a, b = b, a
     value = monomial_quotient_sum(
         (a[shape], b[shape], euler_class(shape)) for shape in a if shape in b
     )
-    return -value if alpha.n % 2 else value
+    return -value if n % 2 else value
 
 
 # --- lowering/raising operators on the fixed-point side -----------------------
@@ -409,13 +441,13 @@ def _schur_coordinates(beta: LocalizedClass) -> dict[Partition, Rational]:
     coords = {}
     n = beta.n
     for shape, value in beta.terms.items():
-        terms = value.num.terms
-        if not value.is_laurent() or len(terms) != 1 or n not in terms:
+        c = monomial_coefficient(value, n)
+        if c is None:
             raise ValueError(
                 f"restriction {value} at {shape} is not in the span of the "
                 "normalized point classes over Q"
             )
-        coords[shape] = rat(terms[n], hook_product(shape))
+        coords[shape] = rat(c, hook_product(shape))
     return coords
 
 

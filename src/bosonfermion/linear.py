@@ -51,10 +51,10 @@ class LinearCombination:
     whose values carry more than their terms overrides it to pass that on.
 
     A value never changes after it is built: nothing writes to ``terms`` once
-    ``__init__`` or ``_make`` returns.  So a rational combination can keep its
-    integer form, which ``scalars.integer_form`` fills in ``_integer_form`` on
-    first use; nothing else writes that slot, and building a value leaves it
-    unset.
+    ``__init__`` or ``_make`` returns.  So a value can keep the integer form
+    of its rational terms (``_rational_terms``), which ``scalars.integer_form``
+    fills in ``_integer_form`` on first use; nothing else writes that slot,
+    and building a value leaves it unset.
     """
 
     __slots__ = ("terms", "_integer_form")
@@ -78,6 +78,11 @@ class LinearCombination:
     @classmethod
     def zero(cls):
         return cls._make({})
+
+    def _rational_terms(self) -> dict | None:
+        """The {key: rational} whose integer form the value keeps: its terms,
+        for a combination with rational coefficients."""
+        return self.terms
 
     def is_zero(self) -> bool:
         return not self.terms

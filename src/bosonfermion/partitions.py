@@ -74,21 +74,37 @@ def parse_partition(text: str) -> Partition:
 MAX_SCHUR_DEGREE = 20
 
 
+class _Unstored(Exception):
+    """Carries the value of a call whose key schur_memo does not store."""
+
+
 def schur_memo(raw):
     """Memoise raw(shape), or raw(shape, k) whose results are partitions of
     |shape| - k boxes, storing a key only when every partition the call reads
     or returns has 0 to MAX_SCHUR_DEGREE boxes: at most the 2,714 shapes of
     those degrees, with 20 values of k each.  Any other key, such as the 10^5
-    parts of p1^100000 or a strip alpha(-40) adds, is computed and not stored."""
+    parts of p1^100000 or a strip alpha(-40) adds, is computed and not stored.
+
+    A hit is one lookup in the functools.cache table; the size gate runs only
+    on a miss, which raises _Unstored to keep an oversized key out, since the
+    table stores no call that raised."""
     keyed = raw if raw.__code__.co_argcount == 2 else lambda shape, k: raw(shape)
-    table = cache(keyed)
+
+    def gated(shape, k):
+        value = keyed(shape, k)
+        size = sum(shape)
+        if size <= MAX_SCHUR_DEGREE and 0 <= size - k <= MAX_SCHUR_DEGREE:
+            return value
+        raise _Unstored(value)
+
+    table = cache(gated)
 
     @wraps(raw)
     def memoised(shape, k=0):
-        size = sum(shape)
-        if size <= MAX_SCHUR_DEGREE and 0 <= size - k <= MAX_SCHUR_DEGREE:
+        try:
             return table(shape, k)
-        return keyed(shape, k)
+        except _Unstored as unstored:
+            return unstored.args[0]
 
     memoised.cache_clear, memoised.cache_info = table.cache_clear, table.cache_info
     return memoised

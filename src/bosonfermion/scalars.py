@@ -122,13 +122,16 @@ def integer_vector(terms: dict) -> tuple[int, dict]:
     return common, dict(zip(terms, numerators))
 
 
-def integer_form(value: LinearCombination) -> tuple[int, dict]:
-    """The integer vector of a rational combination's terms, computed on first
-    use and kept on the value, which never changes after it is built."""
-    form = getattr(value, "_integer_form", None)
-    if form is None:
-        form = value._integer_form = integer_vector(value.terms)
-    return form
+def integer_form(value: LinearCombination) -> tuple[int, dict] | None:
+    """The integer vector of a combination's rational terms, or None when it
+    has none, computed on first use and kept on the value, which never
+    changes after it is built."""
+    try:
+        return value._integer_form
+    except AttributeError:
+        terms = value._rational_terms()
+        form = value._integer_form = None if terms is None else integer_vector(terms)
+        return form
 
 
 def pairing(f: tuple[int, dict], g: tuple[int, dict], weight) -> Rational:
@@ -455,6 +458,12 @@ class TScalar:
 
     def __repr__(self) -> str:
         return f"TScalar({self})"
+
+
+def monomial_coefficient(value: TScalar, exponent: int) -> Rational | None:
+    """The rational c when value is c * t^exponent with c nonzero, else None."""
+    terms = value.num.terms
+    return terms.get(exponent) if value.den is _LAURENT_ONE and len(terms) == 1 else None
 
 
 def _primitive(poly: TLaurent) -> tuple[Rational, list[int]]:

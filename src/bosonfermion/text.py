@@ -2,8 +2,9 @@
 
 A literal is an expression in integers, the atoms of its value type, the
 binary operators + - * /, unary signs, parentheses, and ^ with an integer
-exponent.  Each value type supplies a Grammar: how an integer becomes a
-value and which atoms exist (t; p<i> and q; phi[..]@m and vac(m); 1@[..]).
+exponent, bare or in parentheses ("t^-2", "t^(-2)").  Each value type
+supplies a Grammar: how an integer becomes a value and which atoms exist
+(t; p<i> and q; phi[..]@m and vac(m); 1@[..]).
 The arithmetic is done by the values' own operators, so a combination the
 type does not define ("phi[1]*phi[1]", "p1/p2") is rejected with ValueError.
 """
@@ -138,15 +139,21 @@ class _Parser:
         value = self.atom()
         if self.peek() == "^":
             self.pos += 1
-            sign = 1
-            if self.peek() == "-":
-                self.pos += 1
-                sign = -1
-            kind, exponent = self.take()
-            if kind != "num":
-                raise self._error("non-integer exponent")
-            value = self.combine(operator.pow, value, sign * exponent)
+            value = self.combine(operator.pow, value, self.exponent())
         return value
+
+    def exponent(self) -> int:
+        """The integer after ^: digits with an optional minus sign, or digits
+        in parentheses with an optional sign ("t^-2", "t^(2)", "t^(-2)")."""
+        bracketed = self.peek() == "("
+        self.pos += bracketed
+        signs = ("+", "-") if bracketed else ("-",)
+        sign = self.take()[0] if self.peek() in signs else "+"
+        kind, exponent = self.take()
+        if kind != "num" or bracketed and self.peek() != ")":
+            raise self._error("non-integer exponent")
+        self.pos += bracketed
+        return -exponent if sign == "-" else exponent
 
     def atom(self):
         kind, payload = self.take()

@@ -41,7 +41,7 @@ from bosonfermion.partitions import (
     partitions_up_to,
     z_factor,
 )
-from bosonfermion.scalars import TLaurent, TScalar, parse_tscalar, rat
+from bosonfermion.scalars import TLaurent, TScalar, integer_form, parse_tscalar, rat
 
 
 def P(*parts) -> Partition:
@@ -154,6 +154,44 @@ def test_fixed_point_sum_matches_a_plain_tscalar_sum(pair):
     sign = TScalar.monomial(-1 if alpha.n % 2 else 1)
     assert bilinear_form(alpha, beta) == sign * integrate(cup(alpha, beta))
     assert bilinear_form(alpha, beta) == sign * _plain_integral(cup(alpha, beta))
+
+
+# bilinear_form pairs two classes whose restrictions are all c * t^n as integer
+# vectors with per-degree Euler weights, and any other pair by the fixed-point sum.
+_coordinates = st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(bool).map(
+    lambda f: rat(f.numerator, f.denominator)
+)
+
+
+@st.composite
+def graded_class_pairs(draw):
+    """(alpha, beta, integral) on X_n, n <= 8: every restriction is c * t^n when
+    integral, else one restriction of one class is a Q(t) value or c * t^(n+1)."""
+    n = draw(st.integers(0, 8))
+    shapes = partitions_of(n)
+    restrictions = [
+        {shape: TScalar.monomial(draw(_coordinates), n)
+         for shape in draw(st.lists(st.sampled_from(shapes), unique=True, max_size=12))}
+        for _ in range(2)
+    ]
+    integral = draw(st.booleans())
+    if not integral:
+        c = draw(_coordinates)
+        off = draw(st.sampled_from([TScalar.monomial(c, n + 1), TScalar.monomial(c, n) / ts("t + 1")]))
+        restrictions[draw(st.integers(0, 1))][draw(st.sampled_from(shapes))] = off
+    return LocalizedClass(n, restrictions[0]), LocalizedClass(n, restrictions[1]), integral
+
+
+@given(graded_class_pairs())
+@example((normalized_class(P(2, 1)), normalized_class(P(2, 1)), True))
+@example((power_sum_class(P(2, 1)), fundamental_class(P(2, 1)), False))
+def test_bilinear_form_is_the_localization_sum_on_both_routes(case):
+    alpha, beta, integral = case
+    total = TScalar.zero()
+    for shape in alpha.terms.keys() & beta.terms.keys():
+        total = total + alpha.terms[shape] * beta.terms[shape] / euler_class(shape)
+    assert bilinear_form(alpha, beta) == TScalar.monomial((-1) ** alpha.n) * total
+    assert (integer_form(alpha) is not None and integer_form(beta) is not None) == integral
 
 
 # --- Hecke operators ----------------------------------------------------------------------

@@ -193,6 +193,18 @@ def test_z_factor_memo_keeps_only_keys_of_the_schur_degrees():
     assert z_factor.cache_info().currsize == 1
 
 
+def test_a_memo_counts_every_call_and_stores_only_keys_of_the_schur_degrees():
+    """A hit is one lookup and a miss computes; cache_info counts both, and a
+    call above the Schur degrees is a miss that stores nothing."""
+    hook_product.cache_clear()
+    small, large = Partition((2, 1)), Partition((MAX_SCHUR_DEGREE + 1,))
+    assert [hook_product(small) for _ in range(3)] == [3, 3, 3]
+    assert [hook_product(large) for _ in range(2)] == [factorial(MAX_SCHUR_DEGREE + 1)] * 2
+    info = hook_product.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 3, 1)
+    assert hook_product.__wrapped__(large) == factorial(MAX_SCHUR_DEGREE + 1)
+
+
 # --- moving the box of one residue ----------------------------------------------
 
 def test_addable_removable_examples():

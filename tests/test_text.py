@@ -148,7 +148,6 @@ REJECTED = [
     (parse_tscalar, "t +"),
     (parse_tscalar, "x"),
     (parse_tscalar, ""),
-    (parse_tscalar, "t^(2)"),
     (parse_tscalar, "2 t"),
     (parse_tscalar, "t^2^2"),
     (parse_tscalar, "t^+2"),
@@ -168,6 +167,51 @@ REJECTED = [
 def test_literal_is_rejected(parse, literal):
     with pytest.raises(ValueError):
         parse(literal)
+
+
+# One atom of each grammar; every grammar reads ^, and a fermionic state has no powers.
+POWER_BASES = [(parse_tscalar, "t"), (parse_boson, "p1"), (parse_boson, "q"), (parse_quiver, "t"),
+               (parse_fermion, "phi[1]")]
+
+
+def _outcome(parse, literal):
+    try:
+        return str(parse(literal))
+    except ValueError as error:
+        return str(error).replace(repr(literal), "LITERAL")
+
+
+@pytest.mark.parametrize("parse, base", POWER_BASES)
+@pytest.mark.parametrize("bracketed, bare", [("^(2)", "^2"), ("^(-2)", "^-2"), ("^(+2)", "^2"), ("^( 0 )", "^0")])
+def test_a_parenthesised_exponent_reads_as_the_bare_one(parse, base, bracketed, bare):
+    """An exponent in parentheses is the same integer: its literal parses to
+    the same value, or fails with the same message."""
+    suffix = "*1@[1,1]" if parse is parse_quiver else ""
+    assert _outcome(parse, base + bracketed + suffix) == _outcome(parse, base + bare + suffix)
+
+
+@pytest.mark.parametrize("parse, base", POWER_BASES)
+@pytest.mark.parametrize("exponent, message", [
+    ("^(1/2)", "non-integer exponent"),
+    ("^(x)", "unexpected character 'x'"),
+    ("^(2", "non-integer exponent"),
+    ("^((2))", "non-integer exponent"),
+    ("^(-)", "non-integer exponent"),
+])
+def test_an_exponent_that_is_not_one_integer_in_parentheses_is_refused(parse, base, exponent, message):
+    literal = base + exponent
+    with pytest.raises(ValueError, match=re.escape(f"{message} in ")):
+        parse(literal)
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["inner", "boson", "p1^(2)", "p1^2"], "2\n"),
+    (["correspond", "eta", "t^(2)*1@[1,1]"], '{"n": 2, "restrictions": {"[2]": "0", "[1,1]": "2*t^2"}}\n'),
+    (["localize", "integrate", '{"n": 1, "restrictions": {"[1]": "t^(-2)"}}'], "-t^-4\n"),
+])
+def test_a_parenthesised_exponent_is_served(capsys, argv, out):
+    assert main(argv) == 0
+    assert capsys.readouterr() == (out, "")
 
 
 def _readme_examples():

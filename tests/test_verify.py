@@ -333,18 +333,24 @@ MUTANTS = [
     # the three Heisenberg suites share one commutator sweep
     Mutant("oscillator-term", "boson.oscillator", _at((1, boson.power_sum(Partition((2, 1)))), operator.neg),
            ("heisenberg-boson", 4, 3), {"oscillator-commutators": "k=-2, l=1, monomial=p1"}),
-    # hall_form weights each shared monomial by z_mu; the point-class checks do not read it
+    # hall_form weights each shared monomial by z_mu, and bilinear_form each shared point by its
+    # Euler weight, which is 1 on every point of degree 2 or less
     Mutant("unweighted-pairing", "scalars.pairing", lambda pairing: lambda f, g, w: pairing(f, g, lambda key: 1),
            ("orthonormality correspondence", 4),
            {"schur-orthonormality": "pair=([2], [2])", "power-sum-pairing": "pair=([2], [2])",
-            "form-preservation": "pair=([2], [2])"},
-           passes=("point-class-orthonormality", "geometric-power-sum-pairing")),
+            "point-class-orthonormality": "pair=([2,1], [2,1])",
+            "geometric-power-sum-pairing": "pair=([3], [3])", "form-preservation": "pair=([2], [2])"}),
     Mutant("hall-form-doubled", "boson.hall_form", _always(lambda value: 2 * value), ("orthonormality", 0),
            {"schur-orthonormality": "pair=([], [])", "power-sum-pairing": "pair=([], [])"}),
-    # geometric kernels; bilinear_form divides by euler_class inside the
-    # fixed-point sum, and the Hall-form pairings on the boson side do not read it
+    # geometric kernels; bilinear_form reads its per-point weights off euler_class,
+    # and the Hall-form pairings on the boson side do not read it
     Mutant("euler-divisor-doubled-at-21", "geometry.euler_class",
            _at(((2, 1),), lambda e: e * TScalar.monomial(2)), ("orthonormality", 4),
+           {"point-class-orthonormality": "pair=([2,1], [2,1])",
+            "geometric-power-sum-pairing": "pair=([3], [3])"},
+           passes=("schur-orthonormality", "power-sum-pairing")),
+    # the Euler weights keep the sign of euler_class: weights read off its absolute value pass this row
+    Mutant("euler-class-negated-at-21", "geometry.euler_class", _at(((2, 1),), operator.neg), ("orthonormality", 4),
            {"point-class-orthonormality": "pair=([2,1], [2,1])",
             "geometric-power-sum-pairing": "pair=([3], [3])"},
            passes=("schur-orthonormality", "power-sum-pairing")),
@@ -437,6 +443,8 @@ def test_requests_above_the_schur_degrees_leave_every_memo_table_as_it_was():
     assert cli.main(["schur", "[x]"]) == 2  # builds the parser, which every request reads
     before = {name: table.cache_info().currsize for name, table in _memo_tables().items()}
     for n in (MAX_SCHUR_DEGREE + 1, 2 * MAX_SCHUR_DEGREE):
+        # restrictions c * t^n, the form bilinear_form pairs with its Euler weights up to degree 20
+        point = f'{{"n": {n}, "restrictions": {{"[{n}]": "t^{n}", "[{n - 1},1]": "2*t^{n}"}}}}'
         codes = [cli.main(argv) for argv in (
             ["localize", "euler", f"[{n},{n}]"],
             ["localize", "class", f"[{n}]"],
@@ -444,8 +452,9 @@ def test_requests_above_the_schur_degrees_leave_every_memo_table_as_it_was():
             ["correspond", "eta", f"t^{n + 1}*1@[{n},1]"],
             ["apply", "alpha(-40) alpha(-40)", "vac(0)"],
             ["inner", "boson", "p1^30", "p1^30"],
+            ["inner", "geometric", point, point],
         )]
-        assert codes == [0, 2, 2, 2, 0, 0]  # a localized class prints up to degree 20
+        assert codes == [0, 2, 2, 2, 0, 0, 0]  # a localized class prints up to degree 20
     assert {name: table.cache_info().currsize for name, table in _memo_tables().items()} == before
 
 
