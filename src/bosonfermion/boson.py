@@ -8,7 +8,7 @@ power-sum polynomials of a partition of n are homogeneous of degree n.
 from functools import cache
 from itertools import groupby
 from math import factorial
-from operator import attrgetter
+from operator import add, attrgetter, sub
 from typing import Iterable, NamedTuple
 
 from .linear import LinearCombination, power
@@ -228,47 +228,77 @@ def schur_dual_jacobi_trudi(shape: Partition) -> BosonPolynomial:
     return _jacobi_trudi(_elementary, conjugate(shape))
 
 
-@cache
-def characters(n: int) -> dict[Partition, dict[Partition, int]]:
-    """Character table of S_n as {shape: {cycle type mu: chi^shape(mu) != 0}}.
-
-    Murnaghan-Nakayama: chi^shape(mu) is the sum of sign * chi^rho(mu_2, ...)
-    over the border strips (sign, rho) of size mu_1 in ribbons(shape, mu_1).
-    """
+def _schur_degree(n: int) -> int:
+    """n, when Schur data of degree n is available; ValueError otherwise."""
     if not 0 <= n <= MAX_SCHUR_DEGREE:
         raise ValueError(f"Schur data is available for degrees 0 to {MAX_SCHUR_DEGREE}, got {n}")
-    if n == 0:
-        return {Partition(): {Partition(): 1}}
-    columns = [(mu, mu[0], mu[1:], characters(n - mu[0])) for mu in partitions_of(n)]
+    return n
+
+
+@cache
+def characters(n: int) -> dict[Partition, list[int]]:
+    """Character table of S_n as {shape: [chi^shape(mu) for mu in partitions_of(n)]},
+    zeros included.
+
+    Murnaghan-Nakayama by blocks: the cycle types with first part k are
+    (k, rest) for the rests of n - k with parts <= k, a suffix of
+    partitions_of(n - k) from some start, and the blocks for k = n, ..., 1
+    follow one another in partitions_of(n).  So the k-block of a row is the
+    sum of sign * characters(n - k)[rho][start:] over ribbons(shape, k).
+    """
+    if _schur_degree(n) == 0:
+        return {Partition(): [1]}
+    blocks = []
+    for k in range(n, 0, -1):
+        rests = partitions_of(n - k)
+        start = next(i for i, rest in enumerate(rests) if not rest or rest[0] <= k)
+        blocks.append((k, start, len(rests) - start, characters(n - k)))
     table = {}
     for shape in partitions_of(n):
-        row = {}
-        for mu, first, rest, smaller in columns:
-            value = sum(sign * smaller[rho].get(rest, 0) for sign, rho in ribbons(shape, first))
-            if value:
-                row[mu] = value
+        row = []
+        for k, start, width, smaller in blocks:
+            block = [0] * width
+            for sign, rho in ribbons(shape, k):
+                block = list(map(add if sign > 0 else sub, block, smaller[rho][start:]))
+            row += block
         table[shape] = row
     return table
+
+
+@cache
+def _z_row(n: int) -> list[int]:
+    """z_mu for mu in partitions_of(n), for the degrees of characters."""
+    return [z_factor(mu) for mu in partitions_of(_schur_degree(n))]
+
+
+@cache
+def _columns(n: int) -> dict[Partition, int]:
+    """The index of each cycle type mu in partitions_of(n), for the degrees of characters."""
+    return {mu: i for i, mu in enumerate(partitions_of(_schur_degree(n)))}
 
 
 def from_schur(coords: Iterable[tuple[tuple[int, Partition], Rational]]) -> BosonPolynomial:
     """The sum of c * q^m * S_shape over the pairs ((m, shape), c), with
     S_shape = sum over mu of chi^shape(mu) / z_mu * p_mu.
 
-    The inverse of schur_expand: the characters are summed per (m, mu) as
-    integer numerators over one common denominator, so that each output
-    coefficient costs a single division by common * z_mu.
+    The inverse of schur_expand: the character rows are summed per (q power,
+    degree) as integer numerators over one common denominator, so that each
+    nonzero output coefficient costs a single division by common * z_mu.
     """
     coords = list(coords)
     common, numerators = integer_numerators(c for _, c in coords)
-    totals: dict[int, dict[Partition, int]] = {}
+    totals: dict[tuple[int, int], list[int]] = {}
     for ((m, shape), _), a in zip(coords, numerators):
-        row = totals.setdefault(m, {})
-        for mu, chi in characters(shape.size())[shape].items():
-            row[mu] = row.get(mu, 0) + a * chi
+        n = shape.size()
+        row = characters(n)[shape]
+        total = totals.get((m, n))
+        totals[m, n] = [a * chi for chi in row] if total is None else [
+            t + a * chi for t, chi in zip(total, row)
+        ]
     return BosonPolynomial._make({
-        BosonMonomial(m, mu): rat(total, common * z_factor(mu))
-        for m, row in totals.items() for mu, total in row.items() if total
+        BosonMonomial(m, mu): rat(total, common * z)
+        for (m, n), row in totals.items()
+        for mu, z, total in zip(partitions_of(n), _z_row(n), row) if total
     })
 
 
@@ -292,15 +322,18 @@ def hall_form(f: BosonPolynomial, g: BosonPolynomial) -> Rational:
 
 def schur_expand(f: BosonPolynomial) -> dict[Partition, Rational]:
     """Coefficients of a homogeneous q^0 polynomial in the Schur basis: p_mu
-    is the sum over shapes of chi^shape(mu) * S_shape."""
+    is the sum over shapes of chi^shape(mu) * S_shape, read from each row
+    at mu's index in partitions_of(n)."""
     f.require_q0()
     if f.is_zero():
         return {}
-    table = characters(f.p_degree())
+    n = f.p_degree()
+    table = characters(n)
     # Integer numerators over one common denominator: a single division per shape.
     common, ints = integer_form(f)
-    numerators = [(mono.shape, a) for mono, a in ints.items()]
-    totals = ((shape, sum(a * row.get(mu, 0) for mu, a in numerators)) for shape, row in table.items())
+    index = _columns(n)
+    numerators = [(index[mono.shape], a) for mono, a in ints.items()]
+    totals = ((shape, sum(a * row[i] for i, a in numerators)) for shape, row in table.items())
     return {shape: rat(total, common) for shape, total in totals if total}
 
 

@@ -70,7 +70,8 @@ def parse_partition(text: str) -> Partition:
 
 # The largest degree of Schur data: `boson.characters` and `boson.schur` raise
 # above it, and a schur_memo table stores no key with a partition of more
-# boxes.  Degree 20 builds in about 2 s.
+# boxes.  The character tables of degrees 0 to 20 build in about 0.4 s
+# (Python 3.11, one core).
 MAX_SCHUR_DEGREE = 20
 
 

@@ -1,3 +1,5 @@
+from math import factorial
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -18,7 +20,7 @@ from bosonfermion.boson import (
     schur_expand,
     schur_jacobi_trudi,
 )
-from bosonfermion.partitions import Partition, partitions_of, partitions_up_to, z_factor
+from bosonfermion.partitions import Partition, hook_product, partitions_of, partitions_up_to, z_factor
 from bosonfermion.scalars import integer_form, integer_vector, rat, rational_terms
 
 
@@ -126,8 +128,8 @@ def test_schur_homogeneous():
 def _dense_table(n: int) -> list[list[int]]:
     """chi^shape(mu) for shapes (rows) and cycle types (columns) in partitions_of order."""
     table = characters(n)
-    assert all(0 not in row.values() for row in table.values())
-    return [[table[shape].get(mu, 0) for mu in partitions_of(n)] for shape in partitions_of(n)]
+    assert list(table) == list(partitions_of(n))
+    return [table[shape] for shape in partitions_of(n)]
 
 
 def test_character_tables_of_s3_and_s4():
@@ -144,16 +146,39 @@ def test_character_tables_of_s3_and_s4():
         [1, 0, -1, -1, 3],
         [-1, 1, 1, -1, 1],
     ]
-    assert characters(0) == {P(): {P(): 1}}
+    assert characters(0) == {P(): [1]}
 
 
 def test_character_columns_are_orthogonal():
     for n in range(11):
         table = characters(n)
-        for mu in partitions_of(n):
-            for nu in partitions_of(n):
-                total = sum(row.get(mu, 0) * row.get(nu, 0) for row in table.values())
+        for i, mu in enumerate(partitions_of(n)):
+            for j, nu in enumerate(partitions_of(n)):
+                total = sum(row[i] * row[j] for row in table.values())
                 assert total == (z_factor(mu) if mu == nu else 0)
+
+
+def test_character_rows_are_orthogonal():
+    # sum over mu of chi^shape(mu) chi^other(mu) / z_mu, times n!: n!/z_mu is the size of the class mu
+    for n in range(13):
+        table = characters(n)
+        class_sizes = [factorial(n) // z_factor(mu) for mu in partitions_of(n)]
+        for shape, row in table.items():
+            for other, other_row in table.items():
+                total = sum(size * a * b for size, a, b in zip(class_sizes, row, other_row))
+                assert total == (factorial(n) if shape == other else 0), (shape, other)
+
+
+def test_character_rows_at_every_schur_degree():
+    """Each row is dense in partitions_of order; its first and last entries
+    have closed forms that read no border strip: chi(1^n) = n!/h(shape), and
+    chi((n)) is (-1)^k on the hook (n - k, 1^k) and 0 on any other shape."""
+    for n in range(1, MAX_SCHUR_DEGREE + 1):
+        for shape, row in characters(n).items():
+            assert len(row) == len(partitions_of(n))
+            assert row[-1] == factorial(n) // hook_product(shape)
+            legs = len(shape) - 1
+            assert row[0] == ((-1) ** legs if shape[0] + legs == n else 0), shape
 
 
 def test_schur_matches_jacobi_trudi():

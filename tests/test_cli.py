@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -17,6 +18,7 @@ from bosonfermion.cli import build_parser, main
 from bosonfermion.fermion import alpha, chevalley_e, chevalley_f, parse_fermion, psi, psi_star
 from bosonfermion.geometry import LocalizedClass, geometric_boson, hecke_e, hecke_f, parse_quiver
 from bosonfermion.partitions import partitions_of
+from bosonfermion.scalars import Rational
 
 # `python -m bosonfermion.cli` children import the package from where this
 # process found it; pytest's pythonpath setting does not reach a subprocess.
@@ -342,6 +344,23 @@ def test_determinism(capsys):
     first = run_cli(capsys, "apply", "alpha(-1) alpha(-1) alpha(-1)", "vac(0)")
     second = run_cli(capsys, "apply", "alpha(-1) alpha(-1) alpha(-1)", "vac(0)")
     assert first == second
+
+
+# The md5 of what `verify all --max-size 8` prints, as text and as --json: a
+# change that only speeds the code up prints the same bytes.
+_VERIFY_ALL_8_MD5 = {
+    (): "db2187646079ca5a789a8942442c4405",
+    ("--json",): "e7e9170c06ea657fa978ebd8bc559cca",
+}
+
+
+@pytest.mark.parametrize("flags", list(_VERIFY_ALL_8_MD5), ids=["text", "json"])
+def test_verify_all_at_size_8_prints_the_pinned_bytes(capsys, flags):
+    if flags and Rational.__module__ != "fractions":
+        pytest.skip(f'--json names the rational backend, here "{Rational.__module__}", not "fractions"')
+    code, out, err = run_cli(capsys, "verify", "all", "--max-size", "8", *flags)
+    assert (code, err) == (0, "")
+    assert hashlib.md5(out.encode()).hexdigest() == _VERIFY_ALL_8_MD5[flags]
 
 
 def test_console_entry_point():

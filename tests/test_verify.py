@@ -237,7 +237,15 @@ def _times_z_at_21(f):
 
 
 def _doubled_row_2(table):
-    return {**table, (2,): {mu: 2 * chi for mu, chi in table[(2,)].items()}}
+    return {**table, (2,): [2 * chi for chi in table[(2,)]]}
+
+
+def _negated_entry_21_at_111(table):
+    # a row misaligned with partitions_of(3) moves this entry
+    row = list(table[(2, 1)])
+    i = partitions.partitions_of(3).index((1, 1, 1))
+    row[i] = -row[i]
+    return {**table, (2, 1): row}
 
 
 def _unscaled_monomial_division(canonical):
@@ -318,6 +326,11 @@ MUTANTS = [
            {"schur-two-determinants": "shape=[2]", "schur-expand-rebuild": "shape=[2]",
             "oscillator-intertwining": "n=-1, state=phi[1]@0", "schur-basis-bijection": "shape=[2]",
             "form-preservation": "pair=([2], [2])"}),
+    Mutant("character-entry-negated", "boson.characters", _at((3,), _negated_entry_21_at_111),
+           ("correspondence", 3, 1, 0),
+           {"schur-two-determinants": "shape=[2,1]", "schur-expand-rebuild": "shape=[3]",
+            "oscillator-intertwining": "n=-1, state=phi[2]@0", "schur-basis-bijection": "shape=[3]",
+            "form-preservation": "pair=([3], [2,1])"}),
     Mutant("from-schur-skips-z-division", "boson.from_schur", _always(_times_z_at_21), ("correspondence", 4),
            {"schur-two-determinants": "shape=[3]"}),
     Mutant("schur-expand-negated", "boson.schur_expand", _always(_negate_values), ("correspondence", 1, 1, 0),
