@@ -23,7 +23,7 @@ class ChargedMonomial(NamedTuple):
 # Both kernels walk the beads i_k = m - k + shape_k (k < len(shape)) from the
 # top until they reach j; below them every position <= m - len(shape) is filled.
 # The parts they build are weakly decreasing by construction, so the shape
-# skips Partition's validation.
+# skips Partition's validation, and the monomial NamedTuple's constructor.
 
 def _wedge_in(j: int, mono: ChargedMonomial):
     """Insert index j; None when occupied, else (sign, monomial)."""
@@ -44,7 +44,7 @@ def _wedge_in(j: int, mono: ChargedMonomial):
     parts.extend(shape[s:])
     while parts and not parts[-1]:
         parts.pop()
-    return -1 if s & 1 else 1, ChargedMonomial(m + 1, tuple.__new__(Partition, parts))
+    return -1 if s & 1 else 1, tuple.__new__(ChargedMonomial, (m + 1, tuple.__new__(Partition, parts)))
 
 
 def _contract_out(j: int, mono: ChargedMonomial):
@@ -65,7 +65,7 @@ def _contract_out(j: int, mono: ChargedMonomial):
     parts = [p + 1 for p in shape[:s]]
     parts += [1] * (s - len(shape))  # a slot in the tail: the empty rows above it become 1s
     parts += shape[s + 1:]
-    return -1 if s & 1 else 1, ChargedMonomial(m - 1, tuple.__new__(Partition, parts))
+    return -1 if s & 1 else 1, tuple.__new__(ChargedMonomial, (m - 1, tuple.__new__(Partition, parts)))
 
 
 class FermionState(LinearCombination):
@@ -123,9 +123,7 @@ def vacuum(charge: int = 0) -> FermionState:
 def _apply_monomial_op(op, j: int, state: FermionState) -> FermionState:
     """Linear extension of op(j, monomial) -> None | (sign, monomial).  Both
     ops are injective on monomials, so no two terms land on one monomial.
-    Values never change, so the zero state is its own image."""
-    if not state.terms:
-        return state
+    The callers return a zero state as it is, before they get here."""
     images = {}
     for mono, coeff in state.terms.items():
         hit = op(j, mono)
@@ -137,11 +135,15 @@ def _apply_monomial_op(op, j: int, state: FermionState) -> FermionState:
 
 def psi(j: int, state: FermionState) -> FermionState:
     """Wedging operator: creates a particle in state j, raising charge by one."""
+    if not state.terms:
+        return state
     return _apply_monomial_op(_wedge_in, j, state)
 
 
 def psi_star(j: int, state: FermionState) -> FermionState:
     """Contracting operator: annihilates the particle in state j, lowering charge."""
+    if not state.terms:
+        return state
     return _apply_monomial_op(_contract_out, j, state)
 
 
@@ -202,6 +204,8 @@ def alpha(n: int, state: FermionState) -> FermionState:
     """Free boson alpha_n; alpha_0 multiplies each monomial by its charge.
     Otherwise sum_j psi_j psi*_{j+n} moves one bead by n per term, and the
     charge shifts every bead alike: the terms are the shape's border strips."""
+    if not state.terms:
+        return state
     if n == 0:
         return FermionState._make(
             {mono: coeff * mono.charge for mono, coeff in state.terms.items() if mono.charge}

@@ -323,6 +323,9 @@ def bilinear_form(alpha: LocalizedClass, beta: LocalizedClass) -> TScalar:
 def hecke_e(k: int, c: QuiverClass) -> QuiverClass:
     """Remove the unique removable box of residue k (when present) and divide
     the coefficient by t; coefficients must stay in Q[t]."""
+    if not c.terms:
+        return c
+
     def lowered():
         for shape, coeff in c.terms.items():
             smaller = move_box(shape, k, -1)
@@ -340,6 +343,8 @@ def hecke_e(k: int, c: QuiverClass) -> QuiverClass:
 def hecke_f(k: int, c: QuiverClass) -> QuiverClass:
     """Add the unique addable box of residue k (when present) and multiply
     the coefficient by t."""
+    if not c.terms:
+        return c
     return QuiverClass._make(accumulate(
         (larger, coeff.shift(1))
         for shape, coeff in c.terms.items()

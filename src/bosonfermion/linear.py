@@ -54,7 +54,8 @@ class LinearCombination:
     ``__init__`` or ``_make`` returns.  So a value can keep the integer form
     of its rational terms (``_rational_terms``), which ``scalars.integer_form``
     fills in ``_integer_form`` on first use; nothing else writes that slot,
-    and building a value leaves it unset.
+    and building a value leaves it unset.  For the same reason a zero operand
+    is returned as it is: ``-z`` is ``z``, and ``x + z`` and ``z + x`` are ``x``.
     """
 
     __slots__ = ("terms", "_integer_form")
@@ -90,9 +91,15 @@ class LinearCombination:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         return self._like(accumulate(other.terms.items(), dict(self.terms)))
 
     def __neg__(self):
+        if not self.terms:
+            return self
         return self._like({key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):

@@ -112,6 +112,20 @@ def _charges(bound: int) -> range:
     return range(-bound, bound + 1)
 
 
+def _coefficient_rows(images: list) -> dict:
+    """{monomial: [its coefficient in images[i] for each i]} over the monomials
+    the images hold; a monomial none holds has the row of zeros."""
+    rows = {}
+    width = len(images)
+    for i, image in enumerate(images):
+        for mono, c in image.terms.items():
+            row = rows.get(mono)
+            if row is None:
+                row = rows[mono] = [0] * width
+            row[i] = c
+    return rows
+
+
 def clifford_suite(max_size: int = 6, max_index: int = 5, charge_bound: int = 2) -> list[CheckResult]:
     """Anticommutation relations of the wedging/contracting operators."""
     anti = CheckResult("clifford-anticommutators")
@@ -143,18 +157,20 @@ def clifford_suite(max_size: int = 6, max_index: int = 5, charge_bound: int = 2)
                 anti.record(ok and symmetric[i, j], "i={}, j={}, state={}", i, j, state)
     # cross-charge pairs vanish on both sides (charge shift is checked below),
     # so the adjointness sweep pairs charge m with charge m + 1 only; the grid
-    # holds the states of each charge in one block of len(shapes)
-    up_terms = [[psi_of[j].terms for j in indices] for psi_of in up]
-    down_terms = [[psi_star_of[j].terms for j in indices] for psi_star_of in down]
+    # holds the states of each charge in one block of len(shapes).  Each state
+    # has one row over j per monomial its images reach, so a pair reads the
+    # row of <b| psi_j |a> and the row of <a| psi*_j |b> with one lookup each
+    up_rows = [_coefficient_rows([psi_of[j] for j in indices]) for psi_of in up]
+    down_rows = [_coefficient_rows([psi_star_of[j] for j in indices]) for psi_star_of in down]
+    zeros = [0] * len(indices)
     block = len(shapes)
     for start in range(0, len(monos) - block, block):
         for a in range(start, start + block):
-            (left_mono,), psi_terms = monos[a].terms, up_terms[a]
+            (left_mono,), psi_rows = monos[a].terms, up_rows[a]
             for b in range(start + block, start + 2 * block):
-                (right_mono,), psi_star_terms = monos[b].terms, down_terms[b]
+                (right_mono,) = monos[b].terms
                 adjoint.record_row(
-                    [terms.get(right_mono, 0) for terms in psi_terms],
-                    [terms.get(left_mono, 0) for terms in psi_star_terms],
+                    psi_rows.get(right_mono, zeros), down_rows[b].get(left_mono, zeros),
                     indices, "j={}, pair=({}, {})", monos[a], monos[b],
                 )
     shift = CheckResult("charge-shift")
@@ -206,15 +222,15 @@ def heisenberg_fermion_suite(max_size: int = 8, max_index: int = 4, charge_bound
             state = basis_state(m, shape)
             charge_action.record(alpha(0, state) == state.scale(m), "state={}", state)
     raising = range(1, max_index + 1)
-    lowered = [[once[-k].terms for k in raising] for once in images]
-    raised = [[once[k].terms for k in raising] for once in images]
-    for left, lowered_terms in zip(states, lowered):
+    lowered = [_coefficient_rows([once[-k] for k in raising]) for once in images]
+    raised = [_coefficient_rows([once[k] for k in raising]) for once in images]
+    zeros = [0] * len(raising)
+    for left, lowered_rows in zip(states, lowered):
         (left_mono,) = left.terms
-        for right, raised_terms in zip(states, raised):
+        for right, raised_rows in zip(states, raised):
             (right_mono,) = right.terms
             adjoint.record_row(
-                [terms.get(right_mono, 0) for terms in lowered_terms],
-                [terms.get(left_mono, 0) for terms in raised_terms],
+                lowered_rows.get(right_mono, zeros), raised_rows.get(left_mono, zeros),
                 raising, "k={}, pair=({}, {})", left, right,
             )
     return [comm, charge_action, adjoint]

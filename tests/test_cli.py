@@ -13,12 +13,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bosonfermion
-from bosonfermion.boson import oscillator, parse_boson
+from bosonfermion import cli
+from bosonfermion.boson import BosonPolynomial, oscillator, parse_boson
 from bosonfermion.cli import build_parser, main
-from bosonfermion.fermion import alpha, chevalley_e, chevalley_f, parse_fermion, psi, psi_star
-from bosonfermion.geometry import LocalizedClass, geometric_boson, hecke_e, hecke_f, parse_quiver
+from bosonfermion.fermion import FermionState, alpha, chevalley_e, chevalley_f, parse_fermion, psi, psi_star
+from bosonfermion.geometry import (
+    LocalizedClass,
+    QuiverClass,
+    geometric_boson,
+    hecke_e,
+    hecke_f,
+    parse_quiver,
+)
 from bosonfermion.partitions import partitions_of
-from bosonfermion.scalars import Rational
+from bosonfermion.scalars import Rational, parse_rational, parse_tscalar
 
 # `python -m bosonfermion.cli` children import the package from where this
 # process found it; pytest's pythonpath setting does not reach a subprocess.
@@ -603,8 +611,8 @@ def test_closed_stdout_exits_without_a_traceback():
 # of degree near 20 takes over a second to build cold.
 
 _SHAPES = st.sampled_from([shape for n in range(9) for shape in partitions_of(n)])
-_COEFFS = st.sampled_from(["1", "2", "-1", "1/2", "-3/4", "0", "2^-1"])
-_SCALARS = st.sampled_from(["t", "2*t^3", "-t^2", "t^-1", "3", "0", "1 / (t + 1)", "(t^2 - 1)/(t - 1)", "1/(t-t)"])
+_COEFFS = ["1", "2", "-1", "1/2", "-3/4", "0"]
+_SCALARS = ["t", "2*t^3", "-t^2", "t^-1", "3", "0", "1 / (t + 1)", "(t^2 - 1)/(t - 1)"]
 
 
 def _sum(term):
@@ -615,32 +623,50 @@ def _boson_monomial(q_power, body):
     return f"q^{q_power} * ({body})" if q_power else body
 
 
-_LITERALS = {
-    "partition": _SHAPES.map(str),
-    "fermion": _sum(st.one_of(
-        st.builds("{}*phi{}@{}".format, _COEFFS, _SHAPES, st.integers(-3, 3)),
-        st.builds("vac({})".format, st.integers(-3, 3)),
-    )),
-    "boson": _sum(st.builds("({})*{}".format, _COEFFS, st.builds(_boson_monomial, st.integers(-2, 2), st.one_of(
-        _SHAPES.map(lambda shape: " ".join(f"p{part}" for part in shape) or "1"),
-        st.builds("(p{} + p{})^{}".format, st.integers(1, 2), st.integers(1, 2), st.integers(-1, 3)),
-    )))),
-    "quiver": _sum(st.builds("{}*t^{}*1@{}".format, _COEFFS, st.integers(-1, 4), _SHAPES)),
-}
-
-
 @st.composite
-def _localized_json(draw):
-    """Localized-class JSON: restrictions at points of size n, at other
-    points, or of the wrong type, and n of the wrong type or sign."""
+def _localized_json(draw, whole):
+    """Localized-class JSON.  A whole one has restrictions at points of size
+    n only; the others also put them at other points, or of the wrong type,
+    or give n of the wrong type or sign."""
     n = draw(st.integers(0, 8))
-    points = st.one_of(st.sampled_from(partitions_of(n)), _SHAPES)
-    restrictions = draw(st.dictionaries(points.map(str), st.one_of(_SCALARS, st.integers(-2, 2)), max_size=4))
+    points = st.sampled_from(partitions_of(n))
+    scalars = st.sampled_from(_SCALARS)
+    if not whole:
+        points = st.one_of(points, _SHAPES)
+        scalars = st.one_of(st.sampled_from([*_SCALARS, "1/(t-t)"]), st.integers(-2, 2))
+    restrictions = draw(st.dictionaries(points.map(str), scalars, max_size=4))
+    if whole:
+        return json.dumps({"n": n, "restrictions": restrictions})
     n = draw(st.sampled_from([n, n, n, -1, "1", None]))
     return json.dumps(draw(st.sampled_from([{"n": n, "restrictions": restrictions}, {"n": n}, [n], n])))
 
 
-_LITERALS["localized"] = _localized_json()
+def _literals(whole):
+    """The literal strategies by kind.  Whole literals are in range for every
+    reader of their kind: charge 0, q^0, powers at least 0, and fixed-point
+    coefficients divisible by t^2.  The others go out of range too, and may
+    write a coefficient as a power, which bosonic literals refuse."""
+    coeffs = st.sampled_from(_COEFFS if whole else [*_COEFFS, "2^-1"])
+    charges = st.just(0) if whole else st.integers(-3, 3)
+    q_powers = st.just(0) if whole else st.integers(-2, 2)
+    powers = st.integers(0 if whole else -1, 3)
+    t_powers = st.integers(2 if whole else -1, 4)
+    return {
+        "partition": _SHAPES.map(str),
+        "fermion": _sum(st.one_of(
+            st.builds("{}*phi{}@{}".format, coeffs, _SHAPES, charges),
+            st.builds("vac({})".format, charges),
+        )),
+        "boson": _sum(st.builds("({})*{}".format, coeffs, st.builds(_boson_monomial, q_powers, st.one_of(
+            _SHAPES.map(lambda shape: " ".join(f"p{part}" for part in shape) or "1"),
+            st.builds("(p{} + p{})^{}".format, st.integers(1, 2), st.integers(1, 2), powers),
+        )))),
+        "quiver": _sum(st.builds("{}*t^{}*1@{}".format, coeffs, t_powers, _SHAPES)),
+        "localized": _localized_json(whole),
+    }
+
+
+_LITERALS = {whole: _literals(whole) for whole in (False, True)}
 # apply: the operator tokens of each domain of states
 _OPERATORS = {"fermion": ["psi", "psi*", "alpha", "e", "f"], "quiver": ["E", "F", "e", "f"],
               "boson": ["p"], "localized": ["p"]}
@@ -664,10 +690,14 @@ def _maybe_broken(draw, texts):
     ]))
 
 
-def _text(kind):
-    """A literal of the kind a command reads, or as often of any kind."""
-    any_kind = st.one_of(*_LITERALS.values())
-    return _maybe_broken(st.booleans().flatmap(lambda own: _LITERALS[kind] if own else any_kind))
+def _text(kind, whole):
+    """A literal of the kind a command reads; unless whole, as often one of
+    any kind, and maybe broken."""
+    literals = _LITERALS[whole]
+    if whole:
+        return literals[kind]
+    any_kind = st.one_of(*literals.values())
+    return _maybe_broken(st.booleans().flatmap(lambda own: literals[kind] if own else any_kind))
 
 
 _TABLE_GRAMMARS = {
@@ -681,29 +711,88 @@ _TABLE_GRAMMARS = {
 
 @st.composite
 def _cli_argv(draw):
-    """argv of one schur, apply, correspond, inner or localize request.  The
-    texts follow "--", so that argparse never reads one as an option."""
+    """argv of one schur, apply, correspond, inner or localize request.  Three
+    requests in four are whole: their texts and operators are of the kinds
+    the command reads, and none is broken.  The texts follow "--", so that
+    argparse never reads one as an option."""
+    whole = draw(st.sampled_from([True, True, True, False]))
     command = draw(st.sampled_from(["schur", "apply", *_TABLE_GRAMMARS]))
     if command == "schur":
-        positionals = [draw(_text("partition"))]
+        positionals = [draw(_text("partition", whole))]
     elif command == "apply":
         kind = draw(st.sampled_from(sorted(_OPERATORS)))
-        names = draw(st.sampled_from([_OPERATORS[kind], _ALL_OPERATORS]))
-        positionals = [draw(_maybe_broken(_operator_word(names))), draw(_text(kind))]
+        if whole:
+            word = _operator_word(_OPERATORS[kind])
+        else:
+            word = _maybe_broken(_operator_word(draw(st.sampled_from([_OPERATORS[kind], _ALL_OPERATORS]))))
+        positionals = [draw(word), draw(_text(kind, whole))]
     else:
         key, kind = draw(st.sampled_from(sorted(_TABLE_GRAMMARS[command].items())))
-        positionals = [key, *(draw(_text(kind)) for _ in range(2 if command == "inner" else 1))]
+        positionals = [key, *(draw(_text(kind, whole)) for _ in range(2 if command == "inner" else 1))]
     return [command, *draw(st.sampled_from([[], ["--json"]])), "--", *positionals]
 
 
-@settings(max_examples=300, deadline=1000)
-@given(_cli_argv())
-def test_every_request_exits_0_or_2_with_its_message(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 2)
-    if code == 2:
-        assert out.getvalue() == "" and err.getvalue().startswith("error:")
-    else:
+# the kind of value each table entry prints on exit 0, None for JSON that no reader reads
+_PRINTED = {
+    "correspond": {"sigma": "boson", "sigma-inverse": "fermion", "tau": "quiver", "eta": "localized",
+                   "eta-inverse": "quiver", "phi": "boson", "phi-inverse": "localized", "chain": "boson"},
+    "inner": {"fermion": "rational", "boson": "rational", "geometric": "scalar"},
+    "localize": {"euler": "scalar", "class": "localized", "fundamental": "localized", "integrate": "scalar",
+                 "weight": None},
+}
+# kind -> (reader of its text, reader of its --json form); a value without a
+# JSON form prints {"value": its text} under --json
+_READERS = {
+    "fermion": (parse_fermion, FermionState.from_json),
+    "boson": (parse_boson, BosonPolynomial.from_json),
+    "quiver": (parse_quiver, QuiverClass.from_json),
+    "localized": (lambda text: LocalizedClass.from_json(json.loads(text)), LocalizedClass.from_json),
+    "rational": (parse_rational, lambda data: parse_rational(data["value"])),
+    "scalar": (parse_tscalar, lambda data: parse_tscalar(data["value"])),
+}
+
+
+def _printed_kind(argv):
+    """The kind of value that argv prints on exit 0, or None when no reader reads it."""
+    command, positionals = argv[0], argv[argv.index("--") + 1:]
+    if command == "schur":
+        return "boson"
+    if command == "apply":  # a value of its state's kind
+        word, state = positionals
+        return cli._detect_state(state, cli._parse_ops(word))[0]
+    if positionals[0] == "chain" and "--json" in argv:  # the chain beside sigma, and whether they agree
+        return None
+    return _PRINTED[command][positionals[0]]
+
+
+def test_every_request_exits_0_or_2_with_its_message():
+    """Every drawn request exits 0 or 2.  A value printed on exit 0 re-enters
+    through the reader of its kind and prints the same bytes, and at least a
+    third of the draws exit 0, so the success paths are reached."""
+    codes = []
+
+    @settings(max_examples=300, deadline=1000)
+    @given(_cli_argv())
+    def request(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        codes.append(code)
+        assert code in (0, 2)
+        if code == 2:
+            assert out.getvalue() == "" and err.getvalue().startswith("error:")
+            return
         assert err.getvalue() == ""
+        kind = _printed_kind(argv)
+        if kind is not None:
+            as_json = "--json" in argv
+            read_text, read_json = _READERS[kind]
+            printed = out.getvalue().removesuffix("\n")
+            value = read_json(json.loads(printed)) if as_json else read_text(printed)
+            again = io.StringIO()
+            with contextlib.redirect_stdout(again):
+                cli._print(value, as_json)
+            assert again.getvalue() == out.getvalue()
+
+    request()
+    assert 3 * codes.count(0) >= len(codes), f"{codes.count(0)} of {len(codes)} draws exit 0"

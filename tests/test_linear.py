@@ -2,8 +2,19 @@ import importlib
 import inspect
 import pkgutil
 
+import pytest
+
 import bosonfermion
-from bosonfermion.fermion import FermionState, basis_state
+from bosonfermion.boson import BosonPolynomial, power_sum
+from bosonfermion.fermion import FermionState, alpha, basis_state, psi, psi_star
+from bosonfermion.geometry import (
+    LocalizedClass,
+    QuiverClass,
+    fundamental_class,
+    hecke_e,
+    hecke_f,
+    normalized_class,
+)
 from bosonfermion.linear import LinearCombination, accumulate, power
 from bosonfermion.partitions import Partition
 from bosonfermion.scalars import TLaurent, TScalar, parse_tscalar, rat
@@ -52,3 +63,43 @@ def test_only_linear_combinations_are_sparse():
         and not issubclass(cls, LinearCombination) and cls is not TScalar
     ]
     assert offenders == []
+
+
+def _values_and_zeros():
+    """(nonzero value, zero of its type) for each sparse type the sweeps add."""
+    shape = Partition((2, 1))
+    return [
+        (basis_state(1, shape).scale(rat(1, 2)) + basis_state(1, Partition((3,))), FermionState.zero()),
+        (power_sum(shape) + power_sum(Partition((3,))).scale(2), BosonPolynomial.zero()),
+        (QuiverClass.graded_unit(shape) + QuiverClass.unit(Partition((3,))), QuiverClass.zero()),
+        (normalized_class(shape) + fundamental_class(Partition((3,))), LocalizedClass.zero(3)),
+        (TLaurent({-1: rat(2), 3: rat(1, 3)}), TLaurent.zero()),
+    ]
+
+
+@pytest.mark.parametrize("x, z", _values_and_zeros(), ids=lambda value: type(value).__name__)
+def test_a_zero_operand_changes_no_value(x, z):
+    assert z.is_zero() and not x.is_zero()
+    assert x + z == x and z + x == x
+    assert x - z == x and z - x == -x
+    assert -z == z and (-z).is_zero()
+    assert z.scale(rat(3)) == z and z.scale(0) == z
+    assert type(x + z) is type(z + x) is type(-z) is type(x)
+
+
+def test_the_sweep_operators_send_a_zero_to_a_zero_of_its_type():
+    state, quiver = FermionState.zero(), QuiverClass.zero()
+    for j in (-2, 0, 3):
+        for image in (psi(j, state), psi_star(j, state), alpha(j, state)):
+            assert type(image) is FermionState and image.is_zero()
+        for image in (hecke_e(j, quiver), hecke_f(j, quiver)):
+            assert type(image) is QuiverClass and image.is_zero()
+
+
+def test_adding_zeros_on_different_spaces_still_raises():
+    with pytest.raises(ValueError, match="different spaces"):
+        LocalizedClass.zero(2) + LocalizedClass.zero(3)
+    with pytest.raises(ValueError, match="different spaces"):
+        LocalizedClass.zero(2) - LocalizedClass.zero(3)
+    with pytest.raises(ValueError, match="different spaces"):
+        normalized_class(Partition((2,))) + LocalizedClass.zero(3)

@@ -7,7 +7,7 @@ import pytest
 
 import bosonfermion
 from bosonfermion import boson, cli, geometry, partitions, scalars, verify
-from bosonfermion.fermion import basis_state
+from bosonfermion.fermion import ChargedMonomial, basis_state
 from bosonfermion.partitions import MAX_SCHUR_DEGREE, Partition, partitions_up_to
 from bosonfermion.scalars import TScalar
 from bosonfermion.verify import (
@@ -257,6 +257,15 @@ def _unscaled_monomial_division(canonical):
     return corrupt
 
 
+def _moved_to(target):
+    """Keep a kernel hit's sign and land it on target."""
+    return lambda hit: (hit[0], target)
+
+
+def _first_moved_to(target):
+    return lambda hits: [_moved_to(target)(hits[0]), *hits[1:]]
+
+
 def _at_index(index, change):
     """Apply change to the value of an operator kernel (index, operand) at one index."""
     return lambda kernel: lambda k, x: change(kernel(k, x)) if k == index else kernel(k, x)
@@ -277,6 +286,13 @@ MUTANTS = [
            ("clifford", 2, 1, 1),
            {"clifford-anticommutators": "i=1, j=1, state=phi[]@-1",
             "psi-adjointness": "j=1, pair=(phi[]@-1, phi[1])"}),
+    # the adjointness sweeps read rows keyed by target monomial: a hit moved to another
+    # monomial of the right charge keeps its sign and still breaks both relations
+    Mutant("psi-star-target-moved-at-one-slot", "fermion._contract_out",
+           _at((1, _ONE_BOX), _moved_to(ChargedMonomial(-1, Partition((1,))))), ("clifford", 2, 1, 1),
+           {"clifford-anticommutators": "i=1, j=1, state=phi[]@-1",
+            "psi-adjointness": "j=1, pair=(phi[]@-1, phi[1])"},
+           passes=("charge-shift", "vacuum-annihilation")),
     # alpha moves beads through ribbons, here corrupted for the fermionic reader alone
     Mutant("alpha-move-sign", "partitions.ribbons", _at(((2, 1), 1), _flip_first_sign),
            ("heisenberg-fermion", 4, 3, 1), {"alpha-adjointness": "k=1, pair=(phi[1,1], phi[2,1])"},
@@ -285,6 +301,10 @@ MUTANTS = [
     Mutant("alpha-move-sign-at-2-on-3", "partitions.ribbons", _at(((3,), 2), _flip_first_sign),
            ("heisenberg-fermion", 3, 2, 1),
            {"alpha-commutators": "k=-2, l=2, state=phi[1]", "alpha-adjointness": "k=2, pair=(phi[1], phi[3])"},
+           passes=("alpha0-charge",), only_in="fermion"),
+    Mutant("alpha-strip-target-moved-at-3", "partitions.ribbons", _at(((3,), 1), _first_moved_to(Partition((1, 1)))),
+           ("heisenberg-fermion", 3, 2, 1),
+           {"alpha-commutators": "k=-2, l=1, state=phi[1]", "alpha-adjointness": "k=1, pair=(phi[2], phi[3])"},
            passes=("alpha0-charge",), only_in="fermion"),
     Mutant("gl-action-negated", "fermion.gl_action", _NEGATE, ("commuting-square", 1, 1),
            {"tau-intertwining": "k=0, shape=[]"}),
