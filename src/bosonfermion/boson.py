@@ -7,7 +7,7 @@ power-sum polynomials of a partition of n are homogeneous of degree n.
 
 from functools import cache
 from itertools import groupby
-from math import factorial
+from math import comb, factorial
 from operator import add, attrgetter, sub
 from typing import Iterable, NamedTuple
 
@@ -16,7 +16,6 @@ from .partitions import MAX_SCHUR_DEGREE, Partition, conjugate, partitions_of, r
 from .scalars import (
     Rational,
     format_rational,
-    integer_combination,
     integer_form,
     integer_numerators,
     integer_product,
@@ -46,7 +45,7 @@ def _mono_mul(a: BosonMonomial, b: BosonMonomial) -> BosonMonomial:
     shape = a.shape or b.shape
     if a.shape and b.shape:
         shape = tuple.__new__(Partition, sorted(a.shape + b.shape, reverse=True))
-    return BosonMonomial(a.q_power + b.q_power, shape)
+    return tuple.__new__(BosonMonomial, (a.q_power + b.q_power, shape))
 
 
 def _longest(f: "BosonPolynomial") -> int:
@@ -156,7 +155,7 @@ def _monomial_from_json(item: dict) -> BosonMonomial:
 def oscillator(m: int, f: BosonPolynomial) -> BosonPolynomial:
     """Action of the oscillator generator s_m: m*d/dp_m, p_{-m}, or q d/dq."""
     if m < 0:  # p_{-m} times each monomial: distinct monomials stay distinct
-        raised = BosonMonomial(0, Partition((-m,)))
+        raised = tuple.__new__(BosonMonomial, (0, Partition((-m,))))
         return BosonPolynomial._make({_mono_mul(mono, raised): coeff for mono, coeff in f.terms.items()})
     # one division per term of f's integer form; distinct monomials have distinct images
     common, numerators = integer_form(f)
@@ -170,52 +169,80 @@ def oscillator(m: int, f: BosonPolynomial) -> BosonPolynomial:
         if m in shape:
             i = shape.index(m)
             rest = tuple.__new__(Partition, shape[:i] + shape[i + 1:])
-            lowered[BosonMonomial(mono.q_power, rest)] = rat(a * m * shape.count(m), common)
+            lowered[tuple.__new__(BosonMonomial, (mono.q_power, rest))] = rat(a * m * shape.count(m), common)
     return BosonPolynomial._make(lowered)
 
 
-def _complete(k: int) -> tuple[int, dict]:
-    """h_k = sum over mu of p_mu / z_mu as the integer vector (k!, {(0, mu): k!/z_mu})."""
+@cache
+def _complete(k: int) -> list[int]:
+    """h_k = sum over mu of p_mu / z_mu as the dense row [k!/z_mu] over partitions_of(k)."""
     common = factorial(k)
-    return common, {BosonMonomial(0, mu): common // z_factor(mu) for mu in partitions_of(k)}
+    return [common // z for z in _z_row(k)]
 
 
-def _elementary(k: int) -> tuple[int, dict]:
-    """e_k = sum over mu of (-1)^(k - len(mu)) p_mu / z_mu as an integer vector over k!."""
+@cache
+def _elementary(k: int) -> list[int]:
+    """e_k = sum over mu of (-1)^(k - len(mu)) p_mu / z_mu as a dense row over k!."""
     common = factorial(k)
-    return common, {BosonMonomial(0, mu): (-1) ** (k - len(mu)) * common // z_factor(mu)
-                    for mu in partitions_of(k)}
+    return [(-1) ** (k - len(mu)) * common // z for mu, z in zip(partitions_of(k), _z_row(k))]
+
+
+@cache
+def _union(k: int, d: int) -> list[list[int]]:
+    """Entry [i][j] is the index in partitions_of(k + d) of mu_i + nu_j, the parts
+    of mu_i in partitions_of(k) and nu_j in partitions_of(d) joined: p_mu p_nu."""
+    index = _columns(k + d)
+    return [[index[tuple(sorted(mu + nu, reverse=True))] for nu in partitions_of(d)] for mu in partitions_of(k)]
 
 
 def _jacobi_trudi(generator, parts: Partition) -> BosonPolynomial:
     """det(g_{parts_i - i + j}) over 0 <= i, j < len(parts), with g_k = generator(k)
     for k >= 0 and 0 below: Laplace expansion with memoised minors, sparsest rows
-    first.  Each g_k is built once, and entries and minors stay integer vectors,
-    so each output coefficient is divided once."""
+    first.  Each entry and each minor of degree d is a dense integer row over
+    partitions_of(d) scaled by d!, so each output coefficient is divided once."""
+    size = _schur_degree(parts.size())  # before any table stores a key
     n = len(parts)
     degrees = [[parts[i] - i + j for j in range(n)] for i in range(n)]
     order = sorted(range(n), key=lambda i: sum(1 for k in degrees[i] if k >= 0))
     inversions = sum(1 for a in range(n) for b in range(a + 1, n) if order[a] > order[b])
-    entries = {k: generator(k) for k in {k for row in degrees for k in row if k >= 0}}
-    rows = [[entries.get(k) for k in degrees[i]] for i in order]
-    result = BosonPolynomial._make(rational_terms(_minor(rows, frozenset(range(n)), {})))
-    return -result if inversions % 2 else result
+    rows = [[(k, generator(k)) if k >= 0 else None for k in degrees[i]] for i in order]
+    total = _minor(rows, frozenset(range(n)), size, {}) or ()
+    sign, common = (-1 if inversions % 2 else 1), factorial(size)
+    return BosonPolynomial._make({
+        tuple.__new__(BosonMonomial, (0, mu)): rat(sign * c, common) for mu, c in zip(partitions_of(size), total) if c
+    })
 
 
-def _minor(rows: list, cols: frozenset, memo: dict) -> tuple[int, dict]:
-    """The minor of the last len(cols) rows on the columns cols, expanded
-    along its first row; a zero entry is None.  The memo is passed, not
-    closed over, so it is freed as soon as the determinant returns."""
+def _minor(rows: list, cols: frozenset, degree: int, memo: dict) -> list[int] | None:
+    """The minor of the last len(cols) rows on the columns cols, of p-degree
+    degree, expanded along its first row: a dense row over partitions_of(degree)
+    scaled by degree!, or None when it is zero.  A zero entry is None, and each
+    entry is a pair (k, g_k).  g_k times a minor of degree d lands through
+    _union(k, d), scaled by binomial(k + d, k) to stay over (k + d)!.  The memo
+    is passed, not closed over, so it is freed as soon as the determinant returns."""
+    if degree < 0:
+        return None
     if not cols:
-        return 1, {_UNIT: 1}
-    cached = memo.get(cols)
-    if cached is None:
+        return [1]
+    if cols not in memo:
         row = rows[len(rows) - len(cols)]
-        cached = memo[cols] = integer_combination(
-            (1 if idx % 2 == 0 else -1, integer_product(row[c], _minor(rows, cols - {c}, memo), _mono_mul))
-            for idx, c in enumerate(sorted(cols)) if row[c] is not None
-        )
-    return cached
+        total = [0] * len(partitions_of(degree))
+        for idx, c in enumerate(sorted(cols)):
+            if row[c] is None:
+                continue
+            k, entry = row[c]
+            rest = _minor(rows, cols - {c}, degree - k, memo)
+            if rest is None:
+                continue
+            scale = comb(degree, k) if idx % 2 == 0 else -comb(degree, k)
+            for a, targets in zip(entry, _union(k, degree - k)):
+                if a:
+                    a *= scale
+                    for b, t in zip(rest, targets):
+                        if b:
+                            total[t] += a * b
+        memo[cols] = total if any(total) else None
+    return memo[cols]
 
 
 def schur_jacobi_trudi(shape: Partition) -> BosonPolynomial:
@@ -296,7 +323,7 @@ def from_schur(coords: Iterable[tuple[tuple[int, Partition], Rational]]) -> Boso
             t + a * chi for t, chi in zip(total, row)
         ]
     return BosonPolynomial._make({
-        BosonMonomial(m, mu): rat(total, common * z)
+        tuple.__new__(BosonMonomial, (m, mu)): rat(total, common * z)
         for (m, n), row in totals.items()
         for mu, z, total in zip(partitions_of(n), _z_row(n), row) if total
     })

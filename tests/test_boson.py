@@ -9,6 +9,7 @@ from bosonfermion.boson import (
     BosonPolynomial,
     _complete,
     _elementary,
+    _union,
     characters,
     from_schur,
     hall_form,
@@ -21,7 +22,7 @@ from bosonfermion.boson import (
     schur_jacobi_trudi,
 )
 from bosonfermion.partitions import Partition, hook_product, partitions_of, partitions_up_to, z_factor
-from bosonfermion.scalars import integer_form, integer_vector, rat, rational_terms
+from bosonfermion.scalars import integer_form, integer_vector, rat
 
 
 def P(*parts) -> Partition:
@@ -90,9 +91,14 @@ def test_oscillator_commutators_small():
 
 # --- Schur polynomials ----------------------------------------------------------------
 
+def _from_dense(k: int, row: list[int]) -> BosonPolynomial:
+    """The polynomial of a dense row over partitions_of(k), scaled by k!."""
+    return BosonPolynomial({BosonMonomial(0, mu): rat(c, factorial(k)) for mu, c in zip(partitions_of(k), row)})
+
+
 def test_complete_and_elementary_generators():
-    h = [BosonPolynomial._make(rational_terms(_complete(k))) for k in range(11)]
-    e = [BosonPolynomial._make(rational_terms(_elementary(k))) for k in range(11)]
+    h = [_from_dense(k, _complete(k)) for k in range(11)]
+    e = [_from_dense(k, _elementary(k)) for k in range(11)]
     assert h[0] == e[0] == BosonPolynomial.one()
     assert h[1] == e[1] == poly("p1")
     assert h[2] == poly("(1/2)*p1^2 + (1/2)*p2")
@@ -112,7 +118,7 @@ def test_schur_examples():
 
 
 def test_schur_dual_jacobi_trudi_matches_the_narrow_determinant():
-    for shape in partitions_up_to(9):
+    for shape in partitions_up_to(12):
         assert schur_dual_jacobi_trudi(shape) == schur_jacobi_trudi(shape)
 
 
@@ -182,8 +188,18 @@ def test_character_rows_at_every_schur_degree():
 
 
 def test_schur_matches_jacobi_trudi():
-    for shape in partitions_up_to(9):
+    for shape in partitions_up_to(12):
         assert schur(shape) == schur_jacobi_trudi(shape)
+
+
+def test_union_joins_the_parts():
+    for n in range(13):
+        for k in range(n + 1):
+            table = _union(k, n - k)
+            shapes = partitions_of(n)
+            assert [[shapes[t] for t in row] for row in table] == [
+                [Partition(sorted(mu + nu, reverse=True)) for nu in partitions_of(n - k)] for mu in partitions_of(k)
+            ], (k, n - k)
 
 
 # The product on integer numerators, against the term-by-term product of its

@@ -363,6 +363,9 @@ MUTANTS = [
     Mutant("jacobi-trudi-negated-on-two-rows", "boson._jacobi_trudi",
            lambda jt: lambda g, parts: -jt(g, parts) if len(parts) == 2 else jt(g, parts),
            ("correspondence", 2, 1, 0), {"schur-two-determinants": "shape=[2]"}),
+    # a determinant's products land through the union table, which schur and schur_expand do not read
+    Mutant("union-p1-p1-on-p2", "boson._union", _at((1, 1), lambda table: [[0]]), _TWO_DETERMINANTS,
+           {"schur-two-determinants": "shape=[2]"}, passes=("schur-expand-rebuild",)),
     # the three Heisenberg suites share one commutator sweep
     Mutant("oscillator-term", "boson.oscillator", _at((1, boson.power_sum(Partition((2, 1)))), operator.neg),
            ("heisenberg-boson", 4, 3), {"oscillator-commutators": "k=-2, l=1, monomial=p1"}),
@@ -488,6 +491,18 @@ def test_requests_above_the_schur_degrees_leave_every_memo_table_as_it_was():
             ["inner", "geometric", point, point],
         )]
         assert codes == [0, 2, 2, 2, 0, 0, 0]  # a localized class prints up to degree 20
+    assert {name: table.cache_info().currsize for name, table in _memo_tables().items()} == before
+
+
+def test_determinants_above_the_schur_degrees_raise_and_store_nothing():
+    """A determinant checks its degree before it reads any table, so a shape of
+    21 boxes raises and leaves every memo table as it was."""
+    _clear_memo_tables()
+    before = {name: table.cache_info().currsize for name, table in _memo_tables().items()}
+    for determinant in (boson.schur_jacobi_trudi, boson.schur_dual_jacobi_trudi):
+        for parts in ((21,), (20, 1), (11, 10), (1,) * 21):
+            with pytest.raises(ValueError, match="Schur data is available for degrees 0 to 20, got 21"):
+                determinant(Partition(parts))
     assert {name: table.cache_info().currsize for name, table in _memo_tables().items()} == before
 
 
