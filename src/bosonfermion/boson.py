@@ -11,18 +11,16 @@ from math import comb, factorial
 from operator import add, attrgetter, sub
 from typing import Iterable, NamedTuple
 
-from .linear import LinearCombination, power
+from .linear import LinearCombination, accumulate, power
 from .partitions import MAX_SCHUR_DEGREE, Partition, conjugate, partitions_of, ribbons, z_factor
 from .scalars import (
     Rational,
     format_rational,
     integer_form,
     integer_numerators,
-    integer_product,
     is_integer,
     pairing,
     rat,
-    rational_terms,
     read_terms,
 )
 from .text import Grammar, parse
@@ -92,8 +90,9 @@ class BosonPolynomial(LinearCombination):
             return NotImplemented
         if _longest(self) + _longest(other) > _MAX_PARTS:
             raise ValueError(f"a p-monomial may have at most {_MAX_PARTS} factors")
-        product = integer_product(integer_form(self), integer_form(other), _mono_mul)
-        return BosonPolynomial._make(rational_terms(product))
+        return BosonPolynomial._make(accumulate(
+            (_mono_mul(a, b), x * y) for a, x in self.terms.items() for b, y in other.terms.items()
+        ))
 
     def __truediv__(self, other: "BosonPolynomial") -> "BosonPolynomial":
         if type(other) is not BosonPolynomial:
@@ -197,19 +196,18 @@ def _union(k: int, d: int) -> list[list[int]]:
 
 def _jacobi_trudi(generator, parts: Partition) -> BosonPolynomial:
     """det(g_{parts_i - i + j}) over 0 <= i, j < len(parts), with g_k = generator(k)
-    for k >= 0 and 0 below: Laplace expansion with memoised minors, sparsest rows
-    first.  Each entry and each minor of degree d is a dense integer row over
-    partitions_of(d) scaled by d!, so each output coefficient is divided once."""
+    for k >= 0 and 0 below: Laplace expansion with memoised minors, on the matrix
+    with its rows and its columns reversed (the same determinant), so the last,
+    sparsest rows come first.  Each entry and each minor of degree d is a dense
+    integer row over partitions_of(d) scaled by d!: one division per coefficient."""
     size = _schur_degree(parts.size())  # before any table stores a key
     n = len(parts)
-    degrees = [[parts[i] - i + j for j in range(n)] for i in range(n)]
-    order = sorted(range(n), key=lambda i: sum(1 for k in degrees[i] if k >= 0))
-    inversions = sum(1 for a in range(n) for b in range(a + 1, n) if order[a] > order[b])
-    rows = [[(k, generator(k)) if k >= 0 else None for k in degrees[i]] for i in order]
+    degrees = [[parts[n - 1 - i] + i - j for j in range(n)] for i in range(n)]
+    rows = [[(k, generator(k)) if k >= 0 else None for k in row] for row in degrees]
     total = _minor(rows, frozenset(range(n)), size, {}) or ()
-    sign, common = (-1 if inversions % 2 else 1), factorial(size)
+    common = factorial(size)
     return BosonPolynomial._make({
-        tuple.__new__(BosonMonomial, (0, mu)): rat(sign * c, common) for mu, c in zip(partitions_of(size), total) if c
+        tuple.__new__(BosonMonomial, (0, mu)): rat(c, common) for mu, c in zip(partitions_of(size), total) if c
     })
 
 

@@ -194,7 +194,7 @@ def _cmd_table(args) -> int:
     """correspond, inner and localize: read each text argument, then apply
     the entry of the command's table that the first argument names."""
     reader, function = args.table[getattr(args, args.key)]
-    # a list, not a generator: see scalars._over_common on CPython's tuple free lists
+    # a list, not a generator: see scalars.integer_numerators on CPython's tuple free lists
     _print(function(*[reader(getattr(args, name)) for name in args.texts]), args.json)
     return 0
 

@@ -41,7 +41,6 @@ from .scalars import (
     integer_vector,
     is_integer,
     monomial_coefficient,
-    monomial_quotient_sum,
     pairing,
     parse_tlaurent,
     parse_tscalar,
@@ -248,7 +247,7 @@ def pushforward(shape: Partition, value: TScalar) -> LocalizedClass:
     return LocalizedClass(shape.size(), {shape: value * euler_class(shape)})
 
 
-_SCALAR_ZERO, _SCALAR_ONE = TScalar.zero(), TScalar.one()
+_SCALAR_ZERO = TScalar.zero()
 
 
 def pullback(alpha: LocalizedClass, shape: Partition) -> TScalar:
@@ -267,9 +266,9 @@ def cup(alpha: LocalizedClass, beta: LocalizedClass) -> LocalizedClass:
 
 def integrate(alpha: LocalizedClass) -> TScalar:
     """Pushforward to a point: the fixed-point sum of restriction / Euler class."""
-    return monomial_quotient_sum(
-        (value, _SCALAR_ONE, euler_class(shape)) for shape, value in alpha.terms.items()
-    )
+    quotients = [value / euler_class(shape) for shape, value in alpha.terms.items()]
+    # Laurent quotients first, so that a Q(t) denominator joins the sum only at the Q(t) rows
+    return sum(sorted(quotients, key=TScalar.is_laurent, reverse=True), _SCALAR_ZERO)
 
 
 def fundamental_class(shape: Partition) -> LocalizedClass:
@@ -297,11 +296,10 @@ def _euler_weights(n: int) -> tuple[int, dict[Partition, int]]:
 
 
 def bilinear_form(alpha: LocalizedClass, beta: LocalizedClass) -> TScalar:
-    """Intersection pairing (-1)^n * integral of the cup product: the
-    fixed-point sum of a * b / Euler class over the points both classes
-    restrict to nonzero values, without building the cup product.  When both
-    restrict to rational multiples c * t^n, n <= MAX_SCHUR_DEGREE, the sum is
-    the integer pairing of their coordinates c with the Euler weights."""
+    """Intersection pairing: (-1)^n times the integral of the cup product, the
+    fixed-point sum of a * b / Euler class.  When both classes restrict to
+    rational multiples c * t^n, n <= MAX_SCHUR_DEGREE, the sum is the integer
+    pairing of their coordinates c with the Euler weights."""
     alpha._check_same_space(beta)
     n = alpha.n
     if n <= MAX_SCHUR_DEGREE:
@@ -309,12 +307,7 @@ def bilinear_form(alpha: LocalizedClass, beta: LocalizedClass) -> TScalar:
         if f is not None and g is not None:
             common, weights = _euler_weights(n)
             return TScalar.monomial(rat(pairing(f, g, weights.__getitem__), common))
-    a, b = alpha.terms, beta.terms
-    if len(a) > len(b):
-        a, b = b, a
-    value = monomial_quotient_sum(
-        (a[shape], b[shape], euler_class(shape)) for shape in a if shape in b
-    )
+    value = integrate(cup(alpha, beta))
     return -value if n % 2 else value
 
 

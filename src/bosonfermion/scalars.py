@@ -99,19 +99,15 @@ def read_terms(data, read_key) -> dict:
     return accumulate((read_key(item), parse_rational(item["coeff"])) for item in data)
 
 
-def _over_common(fractions: list[tuple[int, int]]) -> tuple[int, list[int]]:
-    """(D, [p * D / q, ...]): integer fractions p/q over the lcm D of the q."""
+def integer_numerators(coeffs) -> tuple[int, list[int]]:
+    """(D, [c * D, ...]): the rationals over their least common denominator D.
+    Numerators and denominators go through int(), so mpq serves as Fraction does."""
+    fractions = [(int(c.numerator), int(c.denominator)) for c in coeffs]
     # lcm(*list), not lcm(*generator): on CPython 3.11 each call with a
     # generator left about 90 bytes on the tuple free lists (up to 2,000
     # blocks per size), which raised the peak memory of the verify grids
     common = lcm(*[q for _, q in fractions])
     return common, [p * (common // q) for p, q in fractions]
-
-
-def integer_numerators(coeffs) -> tuple[int, list[int]]:
-    """(D, [c * D, ...]): the rationals over their least common denominator D.
-    Numerators and denominators go through int(), so mpq serves as Fraction does."""
-    return _over_common([(int(c.numerator), int(c.denominator)) for c in coeffs])
 
 
 # --- integer vectors: a sparse rational vector as (D, {key: c * D}) ----------
@@ -149,15 +145,6 @@ def rational_terms(vector: tuple[int, dict]) -> dict:
     """The {key: rational} of an integer vector: one division per nonzero key."""
     common, numerators = vector
     return {key: rat(a, common) for key, a in numerators.items() if a}
-
-
-def integer_product(f: tuple[int, dict], g: tuple[int, dict], combine) -> tuple[int, dict]:
-    """Product of two integer vectors: the numerators of each pair of keys
-    multiply into combine(key_f, key_g), over the product of the denominators."""
-    (common_f, a), (common_g, b) = f, g
-    return common_f * common_g, accumulate(
-        (combine(key_f, key_g), x * y) for key_f, x in a.items() for key_g, y in b.items()
-    )
 
 
 def integer_combination(pairs) -> tuple[int, dict]:
@@ -493,40 +480,6 @@ def _canonical(num: TLaurent, den: TLaurent) -> tuple[TLaurent, TLaurent]:
     scale = c_num / (c_den * lead)
     den = TLaurent._make({e: rat(c, lead) for e, c in enumerate(g) if c}) if len(g) > 1 else _LAURENT_ONE
     return TLaurent._make({e + shift: scale * c for e, c in enumerate(f) if c}), den
-
-
-def monomial_quotient_sum(rows) -> TScalar:
-    """The sum of a * b / d over the rows (a, b, d) of TScalars, each d a
-    nonzero monomial c * t^e: the fixed-point sum of localization.
-
-    Where a and b are Laurent polynomials, the products are collected per t
-    exponent as integer fractions and summed over one common denominator,
-    with a single division per exponent; any other row is added as a TScalar.
-    """
-    by_exponent: dict[int, list[tuple[int, int]]] = {}
-    rest = TScalar.zero()
-    for a, b, d in rows:
-        if a.den is not _LAURENT_ONE or b.den is not _LAURENT_ONE:
-            rest = rest + a * b / d
-            continue
-        ((e, c),) = d.num.terms.items()
-        c_num, c_den = int(c.numerator), int(c.denominator)
-        if c_num < 0:
-            c_num, c_den = -c_num, -c_den
-        for e1, c1 in a.num.terms.items():
-            p1, q1 = int(c1.numerator) * c_den, int(c1.denominator) * c_num
-            for e2, c2 in b.num.terms.items():
-                by_exponent.setdefault(e1 + e2 - e, []).append(
-                    (p1 * int(c2.numerator), q1 * int(c2.denominator))
-                )
-    laurent = {}
-    for exponent, fractions in by_exponent.items():
-        common, numerators = _over_common(fractions)
-        total = sum(numerators)
-        if total:
-            laurent[exponent] = rat(total, common)
-    total = TScalar(TLaurent._make(laurent))
-    return rest + total if rest else total
 
 
 # --- parsing ---------------------------------------------------------------

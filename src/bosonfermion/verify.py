@@ -253,6 +253,9 @@ def _boson_term(k: int, beta: LocalizedClass) -> LocalizedClass:
         return LocalizedClass.zero(beta.n - k)
 
 
+TRANSPORT_SIZE = 4  # heisenberg-geometric checks the transport on the shapes up to this size
+
+
 def heisenberg_geometric_suite(max_size: int = 8, max_index: int = 4) -> list[CheckResult]:
     """Heisenberg relations and adjointness for the ribbon-rule operators, and
     their agreement with the oscillator transported through phi."""
@@ -270,7 +273,7 @@ def heisenberg_geometric_suite(max_size: int = 8, max_index: int = 4) -> list[Ch
                     lhs = bilinear_form(images[small][-i], normalized_class(large))
                     rhs = bilinear_form(normalized_class(small), images[large][i])
                     adjoint.record(lhs == rhs, "i={}, pair=({}, {})", i, small, large)
-    for shape in partitions_up_to(min(max_size, 4)):
+    for shape in partitions_up_to(min(max_size, TRANSPORT_SIZE)):
         beta = normalized_class(shape)
         image = phi(beta)
         for k in indices:
@@ -490,9 +493,26 @@ SUITES = {
 }
 
 
-# The largest grid size, operator index and charge bound of run_suite: the
-# degree up to which the dictionary suites have Schur data at all.
+# The largest value of each grid argument of run_suite.  Two suites read
+# Schur data above max_size; SCHUR_REACH bounds the degree they reach.
 MAX_GRID = MAX_SCHUR_DEGREE
+
+# (formula, value on the grid arguments) of the highest Schur degree a suite
+# reads, where it is above max_size: sigma of the alpha_{-n} images in
+# correspondence, phi_inverse of the transport images in heisenberg-geometric.
+SCHUR_REACH = {
+    "heisenberg-geometric": (f"min(max_size, {TRANSPORT_SIZE}) + max_index",
+                             lambda grid: min(grid["max_size"], TRANSPORT_SIZE) + grid["max_index"]),
+    "correspondence": ("max_size + max_index", lambda grid: grid["max_size"] + grid["max_index"]),
+}
+
+
+def _arguments(suite, given: dict) -> dict:
+    """The grid arguments a suite runs with: each parameter, read off the
+    suite's code object, takes its given value or else its default."""
+    names = suite.__code__.co_varnames[:suite.__code__.co_argcount]
+    defaults = dict(zip(reversed(names), reversed(suite.__defaults__ or ())))
+    return {key: defaults[key] if given[key] is None else given[key] for key in names}
 
 
 def run_suite(
@@ -503,8 +523,9 @@ def run_suite(
 ) -> list[CheckResult]:
     """Run one suite, or every suite for "all".  An argument left out takes
     the suite's own default, and a suite gets only the arguments its
-    parameters name, read off its code object.  ValueError on a negative
-    argument or one above MAX_GRID, and on a grid so small that some check ran
+    parameters name.  ValueError, before any suite runs, on a negative
+    argument or one above MAX_GRID, on a grid whose Schur data would reach
+    past MAX_SCHUR_DEGREE, and on a grid so small that some check ran
     nothing, naming every such check."""
     given = {"max_size": max_size, "max_index": max_index, "charge_bound": charge_bound}
     for key, value in given.items():
@@ -514,13 +535,12 @@ def run_suite(
             raise ValueError(f"{key} must be at most {MAX_GRID}, got {value}")
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join([*SUITES, 'all'])}")
-    results = []
-    for suite in SUITES if name == "all" else [name]:
-        code = SUITES[suite].__code__
-        accepted = code.co_varnames[:code.co_argcount]
-        results.extend(SUITES[suite](**{
-            key: value for key, value in given.items() if value is not None and key in accepted
-        }))
+    runs = [(suite, _arguments(SUITES[suite], given)) for suite in (SUITES if name == "all" else [name])]
+    for suite, arguments in runs:
+        formula, reach = SCHUR_REACH.get(suite, ("", lambda grid: 0))
+        if reach(arguments) > MAX_SCHUR_DEGREE:
+            raise ValueError(f"{formula} must be at most {MAX_SCHUR_DEGREE} for {suite}, got {reach(arguments)}")
+    results = [result for suite, arguments in runs for result in SUITES[suite](**arguments)]
     empty = [r.name for r in results if r.checked == 0]
     if empty:  # a check that ran nothing would report a vacuous PASS
         raise ValueError(f"the grid is too small: {', '.join(empty)} checked nothing")

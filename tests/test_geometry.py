@@ -194,6 +194,23 @@ def test_bilinear_form_is_the_localization_sum_on_both_routes(case):
     assert (integer_form(alpha) is not None and integer_form(beta) is not None) == integral
 
 
+@pytest.mark.parametrize("n", [12, 20])
+def test_the_two_routes_of_bilinear_form_agree_on_a_dense_pair(n):
+    """A dense pair of c * t^n classes takes the integer route; a Q(t)
+    restriction added where the other class is zero changes no shared point,
+    but sends the pair through integrate(cup(...))."""
+    shapes = partitions_of(n)
+    alpha = LocalizedClass(n, {shape: TScalar.monomial(rat(i % 7 - 3 or 5, i % 4 + 1), n)
+                               for i, shape in enumerate(shapes[1:])})
+    beta = LocalizedClass(n, {shape: TScalar.monomial(rat(i % 5 - 2 or 3, i % 3 + 2), n)
+                              for i, shape in enumerate(shapes)})
+    off = LocalizedClass(n, {**beta.terms, shapes[0]: TScalar.monomial(1, n) / ts("t + 1")})
+    assert integer_form(alpha) is not None and integer_form(beta) is not None and integer_form(off) is None
+    value = bilinear_form(alpha, beta)
+    assert bilinear_form(alpha, off) == bilinear_form(off, alpha) == value
+    assert value == TScalar.monomial((-1) ** n) * integrate(cup(alpha, beta))
+
+
 # --- Hecke operators ----------------------------------------------------------------------
 
 def test_hecke_examples():

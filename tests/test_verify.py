@@ -1,6 +1,8 @@
 import importlib
 import operator
 import pkgutil
+import re
+import time
 from typing import Callable, NamedTuple
 
 import pytest
@@ -166,6 +168,25 @@ def test_run_suite_rejects_a_grid_argument_above_the_limit(argument):
     assert verify.MAX_GRID == boson.MAX_SCHUR_DEGREE == 20
     with pytest.raises(ValueError, match=f"^{argument} must be at most 20, got 21$"):
         run_suite("clifford", **{argument: 21})
+
+
+@pytest.mark.parametrize("suite", ["correspondence", "heisenberg-geometric"])
+def test_a_suite_runs_at_the_edge_of_its_schur_reach(suite):
+    assert all(r.passed for r in run_suite(suite, 1, 19))
+
+
+@pytest.mark.parametrize("suite, grid, message", [
+    ("correspondence", (1, 20), "max_size + max_index must be at most 20 for correspondence, got 21"),
+    ("correspondence", (17,), "max_size + max_index must be at most 20 for correspondence, got 21"),
+    ("heisenberg-geometric", (1, 20),
+     "min(max_size, 4) + max_index must be at most 20 for heisenberg-geometric, got 21"),
+    ("heisenberg-geometric", (5, 17),
+     "min(max_size, 4) + max_index must be at most 20 for heisenberg-geometric, got 21"),
+    ("all", (1, 20), "min(max_size, 4) + max_index must be at most 20 for heisenberg-geometric, got 21"),
+])
+def test_run_suite_refuses_a_grid_past_the_schur_reach_of_a_suite(suite, grid, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_suite(suite, *grid)
 
 
 def test_run_suite_rejects_a_grid_that_leaves_a_check_empty():
@@ -503,6 +524,19 @@ def test_determinants_above_the_schur_degrees_raise_and_store_nothing():
         for parts in ((21,), (20, 1), (11, 10), (1,) * 21):
             with pytest.raises(ValueError, match="Schur data is available for degrees 0 to 20, got 21"):
                 determinant(Partition(parts))
+    assert {name: table.cache_info().currsize for name, table in _memo_tables().items()} == before
+
+
+def test_verify_all_past_the_schur_reach_exits_at_once_and_stores_nothing(capsys):
+    """verify all --max-size 17 reaches degree 21 through correspondence at the
+    default index 4; it is refused before any suite runs."""
+    assert cli.main(["schur", "[x]"]) == 2  # builds the parser, which every request reads
+    capsys.readouterr()
+    before = {name: table.cache_info().currsize for name, table in _memo_tables().items()}
+    start = time.perf_counter()
+    assert cli.main(["verify", "all", "--max-size", "17"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == "error: max_size + max_index must be at most 20 for correspondence, got 21\n"
     assert {name: table.cache_info().currsize for name, table in _memo_tables().items()} == before
 
 
