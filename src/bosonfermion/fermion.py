@@ -157,37 +157,17 @@ class GlMatrix(LinearCombination):
     def unit(cls, i: int, j: int) -> "GlMatrix":
         return cls._make({(i, j): 1})
 
-    def transpose(self) -> "GlMatrix":
-        return GlMatrix._make({(j, i): c for (i, j), c in self.terms.items()})
-
     def __repr__(self) -> str:
         return f"GlMatrix({self.terms!r})"
 
 
-def _unit_action(i: int, j: int, mono: ChargedMonomial):
-    """psi_i psi*_j on a monomial: None or (sign, monomial)."""
-    removed = _contract_out(j, mono)
-    if removed is None:
-        return None
-    sign1, mid = removed
-    added = _wedge_in(i, mid)
-    if added is None:
-        return None
-    sign2, target = added
-    return sign1 * sign2, target
-
-
 def gl_action(a: GlMatrix, state: FermionState) -> FermionState:
     """Infinite-wedge action: sum of a_ij psi_i psi*_j, charge preserving."""
-    def images():
-        for (i, j), entry in a.terms.items():
-            for mono, coeff in state.terms.items():
-                hit = _unit_action(i, j, mono)
-                if hit is not None:
-                    sign, target = hit
-                    yield target, entry * coeff * sign
-
-    return FermionState._make(accumulate(images()))
+    return FermionState._make(accumulate(
+        (target, entry * coeff)
+        for (i, j), entry in a.terms.items()
+        for target, coeff in psi(i, psi_star(j, state)).terms.items()
+    ))
 
 
 def chevalley_e(k: int, state: FermionState) -> FermionState:

@@ -5,7 +5,6 @@ from bosonfermion.fermion import (
     ChargedMonomial,
     FermionState,
     GlMatrix,
-    _unit_action,
     alpha,
     basis_state,
     chevalley_e,
@@ -196,18 +195,36 @@ def test_gl_matrix_is_a_sparse_combination_of_units():
     a = GlMatrix({(1, 0): 2, (0, 1): rat(-1, 3), (3, 3): 0})
     assert a.terms == {(1, 0): rat(2), (0, 1): rat(-1, 3)}
     assert a == GlMatrix.unit(1, 0).scale(2) + GlMatrix.unit(0, 1).scale(rat(-1, 3))
-    assert a.transpose().transpose() == a and a.transpose().terms[(0, 1)] == 2
     assert gl_action(a - a, phi((2, 1))).is_zero()
 
 
 def test_gl_adjointness():
     shapes = partitions_up_to(4)
     a = GlMatrix({(2, 0): rat(1), (-1, 1): rat(3, 2)})
-    at = a.transpose()
+    at = GlMatrix({(j, i): c for (i, j), c in a.terms.items()})
     for x in shapes:
         for y in shapes:
             sx, sy = phi(x), phi(y)
             assert hermitian_form(gl_action(a, sx), sy) == hermitian_form(sx, gl_action(at, sy))
+
+
+def test_gl_action_is_a_representation():
+    # rho(E_ij) rho(E_kl) - rho(E_kl) rho(E_ij) = delta_jk rho(E_il) - delta_li rho(E_kj)
+    units = [(i, j) for i in range(-2, 3) for j in range(-2, 3)]
+    for charge in (-1, 1):
+        for shape in partitions_up_to(3):
+            state = phi(shape, charge)
+            image = {(k, l): gl_action(GlMatrix.unit(k, l), state) for k, l in units}
+            for i, j in units:
+                for k, l in units:
+                    bracket = (gl_action(GlMatrix.unit(i, j), image[k, l])
+                               - gl_action(GlMatrix.unit(k, l), image[i, j]))
+                    expected = FermionState.zero()
+                    if j == k:
+                        expected = expected + image[i, l]
+                    if l == i:
+                        expected = expected - image[k, j]
+                    assert bracket == expected, (i, j, k, l, charge, shape)
 
 
 def test_chevalley_examples():
@@ -254,11 +271,12 @@ def alpha_moves_reference(n: int, mono: ChargedMonomial) -> list:
     the movable beads from the top: the ones of the shape's rows, then for
     n < 0 the top -n beads of the tail."""
     m, shape = mono
-    hits = (
-        _unit_action(bead - n, bead, mono)
+    state = basis_state(m, shape)
+    images = (
+        psi(bead - n, psi_star(bead, state))
         for bead in (m - k + shape.part(k) for k in range(len(shape) + max(-n, 0)))
     )
-    return [hit for hit in hits if hit is not None]
+    return [(coeff, target) for image in images for target, coeff in image.terms.items()]
 
 
 def test_alpha_matches_wide_window_sum():

@@ -26,7 +26,6 @@ KEPT_FOR_LIBRARY_USE = {
 
 # Public methods (Class.method) that no package code calls and README does not name, each with its reason.
 METHODS_KEPT_FOR_LIBRARY_USE = {
-    "GlMatrix.transpose": "the adjoint of a gl matrix under the Hermitian form; the gl adjointness tests read it",
     "BosonPolynomial.from_json": "perfbench/workloads._check re-reads the --json output of the boson commands",
     "FermionState.from_json": "perfbench/workloads._check re-reads the --json output of the fermion commands",
     "QuiverClass.from_json": "perfbench/workloads._check re-reads the --json output of the fixed-point commands",
