@@ -3,12 +3,19 @@
 Monomials are stored sparsely and keyed, like every basis in the package, by
 a partition: q^m p_mu is the pair (m, mu).  p_i has degree i, so Schur and
 power-sum polynomials of a partition of n are homogeneous of degree n.
+
+A value of one block (q power m, degree n), for n a Schur degree, may keep
+instead the dense row (D, m, n, [c_mu * D for mu in partitions_of(n)]) over
+the least common denominator D of its coefficients c_mu, the index of the
+character table.  Schur polynomials, sigma and phi are such values, and the
+oscillators, == and the Hall form read the row; the sparse terms are built
+from it on first read.
 """
 
+from collections.abc import Mapping
 from functools import cache
-from itertools import groupby
 from math import comb, factorial
-from operator import add, attrgetter, sub
+from operator import add, attrgetter, mul, neg, sub
 from typing import Iterable, NamedTuple
 
 from .linear import LinearCombination, accumulate, power
@@ -18,6 +25,7 @@ from .scalars import (
     format_rational,
     integer_form,
     integer_numerators,
+    integer_row,
     is_integer,
     pairing,
     rat,
@@ -56,16 +64,47 @@ def _exponents(shape: Partition) -> list[tuple[int, int]]:
     return sorted(shape.multiplicities().items())
 
 
-def _mono_sort_key(mono: BosonMonomial):
+def _term_sort_key(term: tuple[BosonMonomial, Rational]):
     """q power, higher degree, then smallest parts first (p1^2 p3 before p1 p2^2)."""
+    mono = term[0]
     return (mono.q_power, -mono.shape.size(), mono.shape[::-1])
 
 
 class BosonPolynomial(LinearCombination):
-    """Finite Q-linear combination of monomials in p1, p2, ... and q, q^-1."""
+    """Finite Q-linear combination of monomials in p1, p2, ... and q, q^-1.
 
-    __slots__ = ()
+    _row is the dense row of a row value (see the module docstring), and
+    None for every other value.  A row value's terms are a _RowTerms, which
+    builds the dict on first use.  A row is canonical, so two row values are
+    equal exactly when their rows are.
+    """
+
+    __slots__ = ("_row",)
     _coerce = staticmethod(rat)
+
+    def __init__(self, terms: dict | None = None):
+        super().__init__(terms)
+        self._row = None
+
+    @classmethod
+    def _make(cls, terms: dict) -> "BosonPolynomial":
+        out = cls.__new__(cls)
+        out.terms, out._row = terms, None
+        return out
+
+    _like = _make
+
+    def is_zero(self) -> bool:
+        return self._row is None and not self.terms
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not BosonPolynomial:
+            return NotImplemented
+        if self._row is None or other._row is None:
+            return self.terms == other.terms
+        return self._row == other._row
+
+    __hash__ = LinearCombination.__hash__
 
     @classmethod
     def one(cls) -> "BosonPolynomial":
@@ -112,13 +151,16 @@ class BosonPolynomial(LinearCombination):
 
     def p_degree(self) -> int:
         """Common p-degree of all terms; error when inhomogeneous or zero."""
+        if self._row is not None:
+            return self._row[2]
         degrees = {mono.shape.size() for mono in self.terms}
         if len(degrees) != 1:
             raise ValueError("polynomial is not homogeneous in p-degree")
         return degrees.pop()
 
     def require_q0(self) -> None:
-        if any(map(_q_power, self.terms)):
+        row = self._row
+        if row[1] if row is not None else any(map(_q_power, self.terms)):
             raise ValueError("operation requires q-power zero throughout")
 
     def __str__(self) -> str:
@@ -130,7 +172,7 @@ class BosonPolynomial(LinearCombination):
     def to_json(self) -> list[dict]:
         return [
             {"q": mono.q_power, "p": [[i, e] for i, e in _exponents(mono.shape)], "coeff": format_rational(c)}
-            for mono, c in sorted(self.terms.items(), key=lambda term: _mono_sort_key(term[0]))
+            for mono, c in sorted(self.terms.items(), key=_term_sort_key)
         ]
 
     @classmethod
@@ -151,8 +193,65 @@ def _monomial_from_json(item: dict) -> BosonMonomial:
     return BosonMonomial(q_power, Partition(sorted((i for i, e in exps for _ in range(e)), reverse=True)))
 
 
+class _RowTerms(Mapping):
+    """The terms of a row value: a read-only mapping that builds its dict,
+    one division per nonzero entry, on first use.  So a row value that is
+    only compared, paired or sent through an oscillator builds no coefficient.
+    A __getattr__ on BosonPolynomial would do the same, but it would slow
+    every attribute read of every value."""
+
+    __slots__ = ("_row", "_terms")
+
+    def __init__(self, row: tuple):
+        self._row, self._terms = row, None
+
+    def _dict(self) -> dict:
+        if self._terms is None:
+            common, q_power, n, numerators = self._row
+            self._terms = {
+                tuple.__new__(BosonMonomial, (q_power, mu)): rat(a, common)
+                for mu, a in zip(partitions_of(n), numerators) if a
+            }
+        return self._terms
+
+    def __getitem__(self, key):
+        return self._dict()[key]
+
+    def __iter__(self):
+        return iter(self._dict())
+
+    def __len__(self) -> int:
+        return len(self._dict())
+
+    def items(self):
+        return self._dict().items()
+
+    def values(self):
+        return self._dict().values()
+
+    def __eq__(self, other: object) -> bool:
+        return self._dict() == other
+
+
+def _from_row(q_power: int, n: int, form: tuple[int, list[int]]) -> BosonPolynomial:
+    """The row value of (D, numerators) over partitions_of(n), in lowest
+    terms, at q^q_power, or zero when every numerator is."""
+    common, numerators = form
+    if not any(numerators):
+        return BosonPolynomial._make({})
+    out = BosonPolynomial.__new__(BosonPolynomial)
+    out._row = (common, q_power, n, numerators)
+    out.terms = _RowTerms(out._row)
+    return out
+
+
 def oscillator(m: int, f: BosonPolynomial) -> BosonPolynomial:
-    """Action of the oscillator generator s_m: m*d/dp_m, p_{-m}, or q d/dq."""
+    """Action of the oscillator generator s_m: m*d/dp_m, p_{-m}, or q d/dq.
+    A row value whose image has a Schur degree gives a row value; any other
+    value takes the sparse path below."""
+    row = f._row
+    if row is not None and row[2] - m <= MAX_SCHUR_DEGREE:
+        return _row_oscillator(m, row)
     if m < 0:  # p_{-m} times each monomial: distinct monomials stay distinct
         raised = tuple.__new__(BosonMonomial, (0, Partition((-m,))))
         return BosonPolynomial._make({_mono_mul(mono, raised): coeff for mono, coeff in f.terms.items()})
@@ -170,6 +269,27 @@ def oscillator(m: int, f: BosonPolynomial) -> BosonPolynomial:
             rest = tuple.__new__(Partition, shape[:i] + shape[i + 1:])
             lowered[tuple.__new__(BosonMonomial, (mono.q_power, rest))] = rat(a * m * shape.count(m), common)
     return BosonPolynomial._make(lowered)
+
+
+def _row_oscillator(m: int, row: tuple) -> BosonPolynomial:
+    """oscillator(m, .) on a row of degree n: p_{-m} p_nu = p_(nu + (-m)) sends
+    entry j to _union(-m, n)[0][j]; m d/dp_m p_mu = m * m_m(mu) p_(mu - (m)),
+    so entry j of the result reads entry _union(m, n - m)[0][j] of the row,
+    weighted by m * (m_m(nu_j) + 1); q d/dq scales the row by q_power."""
+    common, q_power, n, numerators = row
+    if m < 0:
+        lifted = [0] * len(partitions_of(n - m))
+        for target, a in zip(_union(-m, n)[0], numerators):
+            lifted[target] = a
+        return _from_row(q_power, n - m, (common, lifted))
+    if m > n:
+        return BosonPolynomial._make({})
+    if m == 0:
+        totals = [q_power * a for a in numerators]
+    else:
+        totals = [m * (nu.count(m) + 1) * numerators[source]
+                  for nu, source in zip(partitions_of(n - m), _union(m, n - m)[0])]
+    return _from_row(q_power, n - m, integer_row(common, totals))
 
 
 @cache
@@ -199,16 +319,13 @@ def _jacobi_trudi(generator, parts: Partition) -> BosonPolynomial:
     for k >= 0 and 0 below: Laplace expansion with memoised minors, on the matrix
     with its rows and its columns reversed (the same determinant), so the last,
     sparsest rows come first.  Each entry and each minor of degree d is a dense
-    integer row over partitions_of(d) scaled by d!: one division per coefficient."""
+    integer row over partitions_of(d) scaled by d!, and the determinant is a row value."""
     size = _schur_degree(parts.size())  # before any table stores a key
     n = len(parts)
     degrees = [[parts[n - 1 - i] + i - j for j in range(n)] for i in range(n)]
     rows = [[(k, generator(k)) if k >= 0 else None for k in row] for row in degrees]
-    total = _minor(rows, frozenset(range(n)), size, {}) or ()
-    common = factorial(size)
-    return BosonPolynomial._make({
-        tuple.__new__(BosonMonomial, (0, mu)): rat(c, common) for mu, c in zip(partitions_of(size), total) if c
-    })
+    total = _minor(rows, frozenset(range(n)), size, {}) or []
+    return _from_row(0, size, integer_row(factorial(size), total))
 
 
 def _minor(rows: list, cols: frozenset, degree: int, memo: dict) -> list[int] | None:
@@ -297,6 +414,12 @@ def _z_row(n: int) -> list[int]:
 
 
 @cache
+def _inverse_z_row(n: int) -> tuple[int, list[int]]:
+    """1 / z_mu for mu in partitions_of(n) as (L, [L / z_mu]), L the lcm of the z_mu."""
+    return integer_numerators(Rational(1, z) for z in _z_row(n))
+
+
+@cache
 def _columns(n: int) -> dict[Partition, int]:
     """The index of each cycle type mu in partitions_of(n), for the degrees of characters."""
     return {mu: i for i, mu in enumerate(partitions_of(_schur_degree(n)))}
@@ -307,24 +430,30 @@ def from_schur(coords: Iterable[tuple[tuple[int, Partition], Rational]]) -> Boso
     S_shape = sum over mu of chi^shape(mu) / z_mu * p_mu.
 
     The inverse of schur_expand: the character rows are summed per (q power,
-    degree) as integer numerators over one common denominator, so that each
-    nonzero output coefficient costs a single division by common * z_mu.
+    degree) as integer numerators over one common denominator, multiplied by
+    1 / z_mu over the lcm of the z_mu, and integer_row puts each block's row
+    in lowest terms.  A value of one block is its row value.
     """
     coords = list(coords)
     common, numerators = integer_numerators(c for _, c in coords)
     totals: dict[tuple[int, int], list[int]] = {}
     for ((m, shape), _), a in zip(coords, numerators):
         n = shape.size()
-        row = characters(n)[shape]
+        row = characters(n)[shape]  # the table's own list, read and never written
         total = totals.get((m, n))
-        totals[m, n] = [a * chi for chi in row] if total is None else [
-            t + a * chi for t, chi in zip(total, row)
-        ]
-    return BosonPolynomial._make({
-        tuple.__new__(BosonMonomial, (m, mu)): rat(total, common * z)
-        for (m, n), row in totals.items()
-        for mu, z, total in zip(partitions_of(n), _z_row(n), row) if total
-    })
+        if a == -1:  # a sign, as alpha's ribbons give: no product per entry
+            totals[m, n] = list(map(neg, row)) if total is None else list(map(sub, total, row))
+            continue
+        if a != 1:
+            row = [a * chi for chi in row]
+        totals[m, n] = row if total is None else list(map(add, total, row))
+    blocks = []
+    for (m, n), total in totals.items():
+        lcd, multipliers = _inverse_z_row(n)
+        blocks.append(_from_row(m, n, integer_row(common * lcd, list(map(mul, total, multipliers)))))
+    if len(blocks) == 1:
+        return blocks[0]
+    return BosonPolynomial._make({mono: c for block in blocks for mono, c in block.terms.items()})
 
 
 @cache
@@ -339,10 +468,17 @@ def power_sum(shape: Partition) -> BosonPolynomial:
 
 
 def hall_form(f: BosonPolynomial, g: BosonPolynomial) -> Rational:
-    """Symmetric bilinear form with <p_mu, p_nu> = delta * z_mu; q^0 inputs only."""
+    """Symmetric bilinear form with <p_mu, p_nu> = delta * z_mu; q^0 inputs only.
+    Two row values pair as their rows, weighted by _z_row(n), and are
+    orthogonal when their degrees differ."""
     f.require_q0()
     g.require_q0()
-    return pairing(integer_form(f), integer_form(g), lambda mono: z_factor(mono.shape))
+    a, b = f._row, g._row
+    if a is None or b is None:
+        return pairing(integer_form(f), integer_form(g), lambda mono: z_factor(mono.shape))
+    if a[2] != b[2]:
+        return 0
+    return pairing((a[0], a[3]), (b[0], b[3]), _z_row(a[2]).__getitem__)
 
 
 def schur_expand(f: BosonPolynomial) -> dict[Partition, Rational]:
@@ -372,9 +508,12 @@ def format_boson(poly: BosonPolynomial) -> str:
     """
     if poly.is_zero():
         return "0"
+    terms: dict[int, list[str]] = {}
+    for mono, c in sorted(poly.terms.items(), key=_term_sort_key):
+        terms.setdefault(mono.q_power, []).append(_format_boson_term(mono, c))
     groups = []
-    for q_power, monos in groupby(sorted(poly.terms, key=_mono_sort_key), _q_power):
-        text = " + ".join(_format_boson_term(mono, poly.terms[mono]) for mono in monos)
+    for q_power, texts in terms.items():
+        text = " + ".join(texts)
         if q_power == 0:
             groups.append(text)
         elif text == "1":

@@ -13,6 +13,7 @@ operand, so no coefficient is ever a float.
 
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import Union
 
 from .linear import LinearCombination, accumulate, power
@@ -130,14 +131,28 @@ def integer_form(value: LinearCombination) -> tuple[int, dict] | None:
         return form
 
 
-def pairing(f: tuple[int, dict], g: tuple[int, dict], weight) -> Rational:
+def integer_row(common: int, numerators: list[int]) -> tuple[int, list[int]]:
+    """The rationals a / common of a dense row over their least common
+    denominator: common and the numerators divided by their gcd."""
+    reduced = gcd(common, *numerators)
+    if reduced == 1:
+        return common, numerators
+    return common // reduced, [a // reduced for a in numerators]
+
+
+def pairing(f: tuple[int, dict | list], g: tuple[int, dict | list], weight) -> Rational:
     """The sum of weight(key) * f[key] * g[key] over the keys two integer
     vectors share, for an integer weight read only at those keys: the integer
-    numerators are summed, walking the smaller dict, and divided once."""
+    numerators are summed and divided once.  The numerators are two sparse
+    dicts, walked from the smaller, or two dense rows over one index, whose
+    keys are the positions."""
     (common_f, a), (common_g, b) = f, g
-    if len(a) > len(b):
-        a, b = b, a
-    total = sum([weight(key) * x * b[key] for key, x in a.items() if key in b])
+    if type(a) is list:
+        total = sum(map(mul, map(weight, range(len(a))), map(mul, a, b)))
+    else:
+        if len(a) > len(b):
+            a, b = b, a
+        total = sum([weight(key) * x * b[key] for key, x in a.items() if key in b])
     return rat(total, common_f * common_g) if total else 0
 
 

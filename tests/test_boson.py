@@ -1,8 +1,11 @@
+import importlib
+import pkgutil
 from math import factorial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import bosonfermion
 from bosonfermion.boson import (
     MAX_SCHUR_DEGREE,
     BosonMonomial,
@@ -21,6 +24,8 @@ from bosonfermion.boson import (
     schur_expand,
     schur_jacobi_trudi,
 )
+from bosonfermion.correspondence import sigma
+from bosonfermion.fermion import basis_state
 from bosonfermion.partitions import Partition, hook_product, partitions_of, partitions_up_to, z_factor
 from bosonfermion.scalars import integer_form, integer_vector, rat
 
@@ -255,6 +260,79 @@ def test_schur_degree_limit():
         schur(P(MAX_SCHUR_DEGREE + 1))
     with pytest.raises(ValueError):
         schur_expand(poly("p7^3"))
+
+
+# --- row values: one dense row per (q power, degree) block ------------------------------
+
+def _dict_copy(f: BosonPolynomial) -> BosonPolynomial:
+    """The value built from its terms, which takes the sparse paths."""
+    return BosonPolynomial._make(dict(f.terms))
+
+
+def _agrees_with_its_dict_copy(f: BosonPolynomial) -> BosonPolynomial:
+    copy = _dict_copy(f)
+    assert f == copy and copy == f
+    assert hash(f) == hash(copy)
+    assert str(f) == str(copy) and f.to_json() == copy.to_json()
+    return copy
+
+
+def test_row_values_agree_with_their_dict_copies():
+    """sigma of each basis state up to 10 boxes at charges -1, 0 and 1 is a
+    row value, and so is each oscillator image; each one agrees with the copy
+    built from its terms, and so do the oscillators and the Hall form."""
+    for m in (-1, 0, 1):
+        for n in range(11):
+            values = {shape: sigma(basis_state(m, shape)) for shape in partitions_of(n)}
+            copies = {shape: _agrees_with_its_dict_copy(f) for shape, f in values.items()}
+            for shape, f in values.items():
+                assert f._row is not None
+                pairs = [(f, copies[shape])]
+                for k in range(-4, 5):
+                    image = oscillator(k, f)
+                    assert image == oscillator(k, copies[shape]) and oscillator(k, copies[shape]) == image
+                    pairs.append((image, _agrees_with_its_dict_copy(image)))
+                if m:
+                    with pytest.raises(ValueError, match="q-power zero"):
+                        hall_form(f, f)
+                    continue
+                for image, copy in pairs:
+                    assert hall_form(f, image) == hall_form(copies[shape], copy)
+                    assert hall_form(image, image) == hall_form(copy, copy)
+                for other, g in values.items():
+                    assert hall_form(f, g) == hall_form(copies[shape], copies[other])
+
+
+def test_a_cancelling_combination_is_the_zero_value():
+    state = basis_state(0, P(2, 1))
+    for f in (
+        sigma(state - state),
+        from_schur([((0, P(2, 1)), 1), ((0, P(2, 1)), -1)]),
+        from_schur([((1, P(3)), rat(1, 2)), ((1, P(3)), rat(-1, 2)), ((0, P(1)), 0)]),
+    ):
+        assert f.is_zero() and f == BosonPolynomial.zero() and BosonPolynomial.zero() == f
+        assert f.terms == {} and str(f) == "0"
+
+
+def _memo_sizes() -> dict:
+    """The size of every memo table of the package, each found by its cache_clear."""
+    modules = [importlib.import_module(f"bosonfermion.{info.name}")
+               for info in pkgutil.iter_modules(bosonfermion.__path__)]
+    return {f"{module.__name__}.{attr}": value.cache_info().currsize for module in modules
+            for attr, value in vars(module).items() if hasattr(value, "cache_clear")}
+
+
+def test_oscillators_past_the_schur_degrees_take_the_sparse_path():
+    """p_3 times a Schur polynomial of 19 boxes has degree 22, past the rows:
+    the oscillator multiplies the terms and stores nothing.  An oscillator that
+    lowers by more than the degree gives zero on either form."""
+    f = schur(P(6, 5, 4, 2, 1, 1))
+    copy = _dict_copy(f)
+    before = _memo_sizes()
+    assert oscillator(-3, f) == BosonPolynomial.p(3) * f == oscillator(-3, copy)
+    for k in (20, 21, 25):
+        assert oscillator(k, f).is_zero() and oscillator(k, copy).is_zero()
+    assert _memo_sizes() == before
 
 
 # --- power sums and the Hall form ------------------------------------------------------

@@ -40,6 +40,7 @@ from bosonfermion.scalars import (
     _primes,
     format_rational,
     integer_numerators,
+    integer_row,
     integer_vector,
     pairing,
     parse_tlaurent,
@@ -526,6 +527,26 @@ def test_integer_numerators_share_the_least_common_denominator(coeffs):
     assert common == lcm(*(int(c.denominator) for c in coeffs))
     assert all(type(a) is int and Rational(a, common) == c for a, c in zip(numerators, coeffs))
     assert len(numerators) == len(coeffs)
+
+
+@given(st.integers(1, 720), st.lists(st.integers(-10**6, 10**6), max_size=8))
+@example(1, [])
+@example(6, [0, 0])
+@example(36, [18, 18, 0, -12])
+def test_integer_row_is_over_the_least_common_denominator(common, numerators):
+    reduced, row = integer_row(common, numerators)
+    assert reduced == lcm(*(Rational(a, common).denominator for a in numerators))
+    assert all(type(a) is int and Rational(a, reduced) == Rational(b, common) for a, b in zip(row, numerators))
+    assert len(row) == len(numerators)
+
+
+@given(st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50), st.integers(-5, 5)), max_size=8),
+       st.integers(1, 12), st.integers(1, 12))
+@example([(1, 2, 1), (0, 5, 2), (3, 1, 3)], 2, 3)
+def test_pairing_of_dense_rows_is_the_weighted_dot_product(entries, common_f, common_g):
+    f, g, weights = ([entry[i] for entry in entries] for i in range(3))
+    direct = sum((Rational(x * y * w, common_f * common_g) for x, y, w in entries), Rational(0))
+    assert pairing((common_f, f), (common_g, g), weights.__getitem__) == direct
 
 
 def test_only_scalars_clears_denominators():

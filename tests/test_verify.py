@@ -215,8 +215,8 @@ _MODULES = [bosonfermion, *(
 
 class Mutant(NamedTuple):
     id: str
-    kernel: str  # "module.name" in the package
-    corrupt: Callable  # the kernel -> its mutant
+    kernel: str  # "module.name [module.name ...]" in the package
+    corrupt: Callable | tuple  # the kernel -> its mutant, or one such per kernel
     run: tuple  # ("suite [suite ...]", *grid), each suite run by run_suite on the grid
     fails: dict  # {check: pinned witness}
     passes: tuple = ()
@@ -384,9 +384,11 @@ MUTANTS = [
     Mutant("jacobi-trudi-negated-on-two-rows", "boson._jacobi_trudi",
            lambda jt: lambda g, parts: -jt(g, parts) if len(parts) == 2 else jt(g, parts),
            ("correspondence", 2, 1, 0), {"schur-two-determinants": "shape=[2]"}),
-    # a determinant's products land through the union table, which schur and schur_expand do not read
+    # a determinant's products land through the union table, which schur and schur_expand do not read;
+    # so do the oscillators on rows, and sigma does not
     Mutant("union-p1-p1-on-p2", "boson._union", _at((1, 1), lambda table: [[0]]), _TWO_DETERMINANTS,
-           {"schur-two-determinants": "shape=[2]"}, passes=("schur-expand-rebuild",)),
+           {"schur-two-determinants": "shape=[2]", "oscillator-intertwining": "n=-1, state=phi[1]@0"},
+           passes=("schur-expand-rebuild",)),
     # the three Heisenberg suites share one commutator sweep
     Mutant("oscillator-term", "boson.oscillator", _at((1, boson.power_sum(Partition((2, 1)))), operator.neg),
            ("heisenberg-boson", 4, 3), {"oscillator-commutators": "k=-2, l=1, monomial=p1"}),
@@ -461,8 +463,12 @@ MUTANTS = [
     # Q(t) arithmetic
     Mutant("monomial-division-unscaled", "scalars._canonical", _unscaled_monomial_division,
            ("commuting-square", 2, 1), {"eta-inverse": "shape=[2]"}),
-    # the one exact constructor; both Schur routes truncate alike, so the two determinants still agree
-    Mutant("rat-truncates", "scalars.rat", lambda rat: lambda n, d=1: n // d, ("correspondence", 2, 1, 0),
+    # the one exact constructor, and the row kernel that divides in its place; both Schur routes
+    # truncate alike, so the two determinants still agree
+    Mutant("rat-truncates", "scalars.rat scalars.integer_row",
+           (lambda rat: lambda n, d=1: n // d,
+            lambda integer_row: lambda common, numerators: (1, [a // common for a in numerators])),
+           ("correspondence", 2, 1, 0),
            {"schur-expand-rebuild": "shape=[1,1]", "oscillator-intertwining": "n=1, state=phi[2]@0",
             "schur-basis-bijection": "shape=[2]", "form-preservation": "pair=([2], [2])"},
            passes=("schur-two-determinants",)),
@@ -470,15 +476,19 @@ MUTANTS = [
 
 
 def _patch_everywhere(monkeypatch, row: Mutant) -> None:
-    """Bind row.kernel's mutant wherever the package binds the kernel, or in row.only_in alone."""
-    home, name = row.kernel.rsplit(".", 1)
-    kernel = getattr(importlib.import_module(f"bosonfermion.{home}"), name)
-    mutant = row.corrupt(kernel)
-    for module in _MODULES:
-        if row.only_in in (None, module.__name__.rpartition(".")[2]):
-            for attr, value in vars(module).items():
-                if value is kernel:
-                    monkeypatch.setattr(module, attr, mutant)
+    """Bind the mutant of each of row's kernels wherever the package binds the
+    kernel, or in row.only_in alone."""
+    kernels = row.kernel.split()
+    corrupts = row.corrupt if len(kernels) > 1 else (row.corrupt,)
+    for path, corrupt in zip(kernels, corrupts, strict=True):
+        home, name = path.rsplit(".", 1)
+        kernel = getattr(importlib.import_module(f"bosonfermion.{home}"), name)
+        mutant = corrupt(kernel)
+        for module in _MODULES:
+            if row.only_in in (None, module.__name__.rpartition(".")[2]):
+                for attr, value in vars(module).items():
+                    if value is kernel:
+                        monkeypatch.setattr(module, attr, mutant)
 
 
 def _memo_tables() -> dict:
@@ -584,12 +594,14 @@ def test_verify_reports_the_mutant(row, fresh_monkeypatch):
 
 def test_a_verify_run_leaves_the_memoised_values_as_built(fresh_monkeypatch):
     """The sweeps read the memoised Schur polynomials and point classes many
-    times, through their kept integer forms; none may change a value."""
+    times, through their kept rows and integer forms; none may change a value."""
     run_suite("all", 6)
     for shape in partitions_up_to(6):
-        value = boson.schur(shape)
-        assert value.terms == boson.schur.__wrapped__(shape).terms
-        # the form the Hall pairings of the run filled in, not a fresh one
+        value, fresh = boson.schur(shape), boson.schur.__wrapped__(shape)
+        assert value.terms == fresh.terms
+        # the row the Hall pairings of the run read, not a fresh one
+        assert value._row == fresh._row
+        # the form schur-expand-rebuild filled in
         assert value._integer_form == scalars.integer_vector(value.terms)
         point = geometry.normalized_class(shape)
         assert point.n == shape.size()
