@@ -12,13 +12,12 @@ oscillators, == and the Hall form read the row; the sparse terms are built
 from it on first read.
 """
 
-from collections.abc import Mapping
 from functools import cache
 from math import comb, factorial
 from operator import add, attrgetter, mul, neg, sub
 from typing import Iterable, NamedTuple
 
-from .linear import LinearCombination, accumulate, power
+from .linear import LazyTerms, LinearCombination, accumulate, power
 from .partitions import MAX_SCHUR_DEGREE, Partition, conjugate, partitions_of, ribbons, z_factor
 from .scalars import (
     Rational,
@@ -74,9 +73,9 @@ class BosonPolynomial(LinearCombination):
     """Finite Q-linear combination of monomials in p1, p2, ... and q, q^-1.
 
     _row is the dense row of a row value (see the module docstring), and
-    None for every other value.  A row value's terms are a _RowTerms, which
-    builds the dict on first use.  A row is canonical, so two row values are
-    equal exactly when their rows are.
+    None for every other value.  A row value's terms are a linear.LazyTerms,
+    which builds the dict on first use.  A row is canonical, so two row
+    values are equal exactly when their rows are.
     """
 
     __slots__ = ("_row",)
@@ -193,44 +192,13 @@ def _monomial_from_json(item: dict) -> BosonMonomial:
     return BosonMonomial(q_power, Partition(sorted((i for i, e in exps for _ in range(e)), reverse=True)))
 
 
-class _RowTerms(Mapping):
-    """The terms of a row value: a read-only mapping that builds its dict,
-    one division per nonzero entry, on first use.  So a row value that is
-    only compared, paired or sent through an oscillator builds no coefficient.
-    A __getattr__ on BosonPolynomial would do the same, but it would slow
-    every attribute read of every value."""
-
-    __slots__ = ("_row", "_terms")
-
-    def __init__(self, row: tuple):
-        self._row, self._terms = row, None
-
-    def _dict(self) -> dict:
-        if self._terms is None:
-            common, q_power, n, numerators = self._row
-            self._terms = {
-                tuple.__new__(BosonMonomial, (q_power, mu)): rat(a, common)
-                for mu, a in zip(partitions_of(n), numerators) if a
-            }
-        return self._terms
-
-    def __getitem__(self, key):
-        return self._dict()[key]
-
-    def __iter__(self):
-        return iter(self._dict())
-
-    def __len__(self) -> int:
-        return len(self._dict())
-
-    def items(self):
-        return self._dict().items()
-
-    def values(self):
-        return self._dict().values()
-
-    def __eq__(self, other: object) -> bool:
-        return self._dict() == other
+def _row_terms(row: tuple) -> dict:
+    """The terms of a row value: one division per nonzero entry."""
+    common, q_power, n, numerators = row
+    return {
+        tuple.__new__(BosonMonomial, (q_power, mu)): rat(a, common)
+        for mu, a in zip(partitions_of(n), numerators) if a
+    }
 
 
 def _from_row(q_power: int, n: int, form: tuple[int, list[int]]) -> BosonPolynomial:
@@ -241,7 +209,7 @@ def _from_row(q_power: int, n: int, form: tuple[int, list[int]]) -> BosonPolynom
         return BosonPolynomial._make({})
     out = BosonPolynomial.__new__(BosonPolynomial)
     out._row = (common, q_power, n, numerators)
-    out.terms = _RowTerms(out._row)
+    out.terms = LazyTerms(_row_terms, out._row)
     return out
 
 
@@ -486,6 +454,8 @@ def schur_expand(f: BosonPolynomial) -> dict[Partition, Rational]:
     is the sum over shapes of chi^shape(mu) * S_shape, read from each row
     at mu's index in partitions_of(n)."""
     f.require_q0()
+    if f._row is not None:
+        return _row_schur_expand(f._row)
     if f.is_zero():
         return {}
     n = f.p_degree()
@@ -495,6 +465,14 @@ def schur_expand(f: BosonPolynomial) -> dict[Partition, Rational]:
     index = _columns(n)
     numerators = [(index[mono.shape], a) for mono, a in ints.items()]
     totals = ((shape, sum(a * row[i] for i, a in numerators)) for shape, row in table.items())
+    return {shape: rat(total, common) for shape, total in totals if total}
+
+
+def _row_schur_expand(row: tuple) -> dict[Partition, Rational]:
+    """The Schur coefficients of a row value, its q power aside: the dot
+    product of each character row with the row, over its denominator."""
+    common, _, n, numerators = row
+    totals = ((shape, sum(map(mul, chi, numerators))) for shape, chi in characters(n).items())
     return {shape: rat(total, common) for shape, total in totals if total}
 
 

@@ -6,6 +6,13 @@ the fixed-point side (QuiverClass) is a Q[t]-combination of point classes
 nonzero restrictions to the fixed points, one Q(t) value per partition of n.
 Both are linear combinations on the one sparse base of ``linear``.
 
+A localized class of degree n <= MAX_SCHUR_DEGREE whose restrictions are all
+rational multiples c * t^n may keep instead its integer form (D, {i: c * D})
+over the least common denominator D, i the index of the fixed point in
+partitions_of(n).  geometric_boson scatters it along the ribbons, and
+bilinear_form pairs two forms with the Euler weights; the Q(t) terms are built
+from it on first read.
+
 Weight convention: a one-dimensional module of weight a has Euler class a*t,
 and the distinguished curve direction in the plane carries weight -1.  This is
 the unique choice reproducing both the tangent Euler class
@@ -17,9 +24,9 @@ times the fundamental class.  The c2-toy suite of ``verify`` checks it.
 import json
 from functools import cache
 
-from .boson import BosonPolynomial, from_schur, schur_expand
+from .boson import BosonPolynomial, _columns, from_schur, schur_expand
 from .fermion import FermionState
-from .linear import LinearCombination, accumulate
+from .linear import LazyTerms, LinearCombination, accumulate
 from .partitions import (
     MAX_SCHUR_DEGREE,
     Partition,
@@ -37,7 +44,8 @@ from .scalars import (
     TLaurent,
     TScalar,
     format_rational,
-    integer_form,
+    integer_numerators,
+    integer_row,
     integer_vector,
     is_integer,
     monomial_coefficient,
@@ -133,9 +141,13 @@ def _scalar(value) -> TScalar:
 
 class LocalizedClass(LinearCombination):
     """Class on the n-th ambient space, stored by its nonzero restrictions to
-    the fixed points, one Q(t) value per partition of n."""
+    the fixed points, one Q(t) value per partition of n.
 
-    __slots__ = ("n",)
+    _form is the canonical integer form of a form value (see the module
+    docstring), whose terms are a linear.LazyTerms, and None for every other
+    value."""
+
+    __slots__ = ("n", "_form")
     _coerce = staticmethod(_scalar)
 
     def __init__(self, n: int, terms: dict[Partition, TScalar] | None = None):
@@ -143,6 +155,13 @@ class LocalizedClass(LinearCombination):
         for shape in terms or ():
             self._check_size(shape)
         super().__init__(terms)
+        self._form = None
+
+    @classmethod
+    def _make(cls, terms: dict) -> "LocalizedClass":
+        out = cls.__new__(cls)
+        out.terms, out._form = terms, None
+        return out
 
     def _like(self, terms: dict) -> "LocalizedClass":
         out = self._make(terms)
@@ -152,17 +171,6 @@ class LocalizedClass(LinearCombination):
     @classmethod
     def zero(cls, n: int) -> "LocalizedClass":
         return cls(n)
-
-    def _rational_terms(self) -> dict[Partition, Rational] | None:
-        """{shape: c} when every restriction is a rational multiple c * t^n,
-        as for every class verify pairs, else None."""
-        n, coords = self.n, {}
-        for shape, value in self.terms.items():
-            c = monomial_coefficient(value, n)
-            if c is None:
-                return None
-            coords[shape] = c
-        return coords
 
     def _check_size(self, shape: Partition) -> None:
         if shape.size() != self.n:
@@ -181,9 +189,11 @@ class LocalizedClass(LinearCombination):
         return super().__sub__(other)
 
     def __eq__(self, other: object) -> bool:
-        if type(other) is type(self):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self._form is None or other._form is None:
             return self.n == other.n and self.terms == other.terms
-        return NotImplemented
+        return self.n == other.n and self._form == other._form
 
     def __hash__(self) -> int:
         return hash((self.n, super().__hash__()))
@@ -192,20 +202,17 @@ class LocalizedClass(LinearCombination):
         return json.dumps(self.to_json())
 
     def __repr__(self) -> str:
-        return f"LocalizedClass<n={self.n}, {self.terms}>"
+        return f"LocalizedClass<n={self.n}, {dict(self.terms)}>"
 
     def to_json(self) -> dict:
         """Every restriction, zeros included, so the output grows as p(n);
         ValueError above MAX_SCHUR_DEGREE, the degrees phi and phi_inverse serve."""
         if self.n > MAX_SCHUR_DEGREE:
             raise ValueError(f"a localized class prints up to degree {MAX_SCHUR_DEGREE}, got {self.n}")
-        terms = self.terms
+        restriction = dict(self.terms.items()).get  # a plain dict, even for a form value's LazyTerms
         return {
             "n": self.n,
-            "restrictions": {
-                str(shape): str(terms[shape]) if shape in terms else "0"
-                for shape in partitions_of(self.n)
-            },
+            "restrictions": {str(shape): str(restriction(shape, "0")) for shape in partitions_of(self.n)},
         }
 
     @classmethod
@@ -223,7 +230,36 @@ class LocalizedClass(LinearCombination):
         if not isinstance(raw, dict) or not all(isinstance(v, str) for v in raw.values()):
             raise ValueError("restrictions must map partition strings to scalar strings")
         restrictions = {parse_partition(key): parse_tscalar(value) for key, value in raw.items()}
-        return cls(n, restrictions)
+        beta = cls(n, restrictions)
+        if n <= MAX_SCHUR_DEGREE:
+            coefficients = {shape: monomial_coefficient(value, n) for shape, value in beta.terms.items()}
+            if None not in coefficients.values():
+                beta._form = _restriction_form(n, coefficients)
+        return beta
+
+
+def _restriction_form(n: int, coefficients: dict[Partition, Rational]) -> tuple[int, dict[int, int]]:
+    """The integer form of the restrictions c * t^n, nonzero c, at the shapes
+    of coefficients, n <= MAX_SCHUR_DEGREE."""
+    index = _columns(n)
+    common, numerators = integer_numerators(coefficients.values())
+    return common, {index[shape]: a for shape, a in zip(coefficients, numerators)}
+
+
+def _form_terms(source: tuple) -> dict[Partition, TScalar]:
+    """The restrictions of a form value: one division per nonzero entry."""
+    n, (common, numerators) = source
+    shapes = partitions_of(n)
+    return {shapes[i]: TScalar(TLaurent._make({n: rat(a, common)})) for i, a in numerators.items()}
+
+
+def _from_form(n: int, form: tuple[int, dict[int, int]]) -> LocalizedClass:
+    """The form value of degree n with the integer form (D, {i: c * D}), in
+    lowest terms and with no zero entry."""
+    out = LocalizedClass.__new__(LocalizedClass)
+    out.n, out._form = n, form
+    out.terms = LazyTerms(_form_terms, (n, form))
+    return out
 
 
 def _shape_sort_key(shape: Partition):
@@ -286,29 +322,26 @@ def normalized_class(shape: Partition) -> LocalizedClass:
 
 
 @cache
-def _euler_weights(n: int) -> tuple[int, dict[Partition, int]]:
-    """(E, {shape: w}) over the partitions of n <= MAX_SCHUR_DEGREE: with e the
-    t^(2n) coefficient of euler_class(shape), E = lcm |e| and w = (-1)^n E / e,
-    so that (-1)^n c c' t^(2n) / euler_class(shape) = c c' w / E."""
-    return integer_vector({
-        shape: rat((-1) ** n, monomial_coefficient(euler_class(shape), 2 * n)) for shape in partitions_of(n)
-    })
+def _euler_weights(n: int) -> tuple[int, list[int]]:
+    """(E, [w]) over the partitions of n <= MAX_SCHUR_DEGREE, by position: with
+    e the t^(2n) coefficient of euler_class(shape), E = lcm |e| and
+    w = (-1)^n E / e, so that (-1)^n c c' t^(2n) / euler_class(shape) = c c' w / E."""
+    return integer_numerators(
+        rat((-1) ** n, monomial_coefficient(euler_class(shape), 2 * n)) for shape in partitions_of(n)
+    )
 
 
 def bilinear_form(alpha: LocalizedClass, beta: LocalizedClass) -> TScalar:
     """Intersection pairing: (-1)^n times the integral of the cup product, the
-    fixed-point sum of a * b / Euler class.  When both classes restrict to
-    rational multiples c * t^n, n <= MAX_SCHUR_DEGREE, the sum is the integer
-    pairing of their coordinates c with the Euler weights."""
+    fixed-point sum of a * b / Euler class.  Two form values pair as the
+    integer pairing of their forms with the Euler weights."""
     alpha._check_same_space(beta)
-    n = alpha.n
-    if n <= MAX_SCHUR_DEGREE:
-        f, g = integer_form(alpha), integer_form(beta)
-        if f is not None and g is not None:
-            common, weights = _euler_weights(n)
-            return TScalar.monomial(rat(pairing(f, g, weights.__getitem__), common))
+    f, g = alpha._form, beta._form
+    if f is not None and g is not None:
+        common, weights = _euler_weights(alpha.n)
+        return TScalar.monomial(rat(pairing(f, g, weights.__getitem__), common))
     value = integrate(cup(alpha, beta))
-    return -value if n % 2 else value
+    return -value if alpha.n % 2 else value
 
 
 # --- lowering/raising operators on the fixed-point side -----------------------
@@ -406,6 +439,10 @@ def eta(c: QuiverClass, n: int | None = None) -> LocalizedClass:
     if n is not None and n != size:
         raise ValueError(f"class has size {size}, expected {n}")
     # coeff * t^-n times the restriction h(shape) t^n of the normalized class
+    if size <= MAX_SCHUR_DEGREE and all(coeff.terms.keys() == {size} for coeff in c.terms.values()):
+        return _from_form(size, _restriction_form(size, {
+            shape: coeff.terms[size] * hook_product(shape) for shape, coeff in c.terms.items()
+        }))
     return LocalizedClass(size, {
         shape: TScalar(coeff.scale(hook_product(shape))) for shape, coeff in c.terms.items()
     })
@@ -427,17 +464,21 @@ def eta_inverse(beta: LocalizedClass) -> QuiverClass:
 def _from_schur_coordinates(n: int, coords: dict[Partition, Rational]) -> LocalizedClass:
     """The class on X_n with the given nonzero coordinates in the normalized
     point basis: coordinate c at shape is the restriction c * h(shape) * t^n."""
-    return LocalizedClass(n, {
-        shape: TScalar(TLaurent._make({n: c * hook_product(shape)}))
-        for shape, c in coords.items()
-    })
+    restrictions = {shape: c * hook_product(shape) for shape, c in coords.items()}
+    if n <= MAX_SCHUR_DEGREE:
+        return _from_form(n, _restriction_form(n, restrictions))
+    return LocalizedClass(n, {shape: TScalar(TLaurent._make({n: c})) for shape, c in restrictions.items()})
 
 
 def _schur_coordinates(beta: LocalizedClass) -> dict[Partition, Rational]:
     """Rational coordinates of a class in the normalized point basis: the
     restriction c*t^n at shape is the coordinate c / h(shape)."""
-    coords = {}
     n = beta.n
+    if beta._form is not None:
+        common, numerators = beta._form
+        shapes = partitions_of(n)
+        return {shapes[i]: rat(a, common * hook_product(shapes[i])) for i, a in numerators.items()}
+    coords = {}
     for shape, value in beta.terms.items():
         c = monomial_coefficient(value, n)
         if c is None:
@@ -470,18 +511,43 @@ def phi_inverse(f: BosonPolynomial, n: int | None = None) -> LocalizedClass:
 def geometric_boson(k: int, beta: LocalizedClass) -> LocalizedClass:
     """Heisenberg operator on localized classes.  On normalized point classes
     it removes (k > 0) or adds (k < 0) border strips of size |k| with sign
-    (-1)^height, the Murnaghan-Nakayama rule; index 0 acts as zero."""
+    (-1)^height, the Murnaghan-Nakayama rule; index 0 acts as zero.  A form
+    value whose image has a Schur degree gives a form value: its coordinates
+    c / h(shape), over the lcm of the hook products, scatter along the
+    ribbons, and each sum is multiplied by h at its target.  Any other class
+    takes the sparse path."""
     if k == 0:
         return LocalizedClass.zero(beta.n)
     if k > beta.n:
         raise DegreeUnderflow(f"cannot lower degree {beta.n} by {k}")
     target = beta.n - k
-    coords = accumulate(
-        (out_shape, coeff if sign > 0 else -coeff)
-        for shape, coeff in _schur_coordinates(beta).items()
-        for sign, out_shape in ribbons(shape, k)
-    )
-    return _from_schur_coordinates(target, coords)
+    if beta._form is None or target > MAX_SCHUR_DEGREE:
+        coords = accumulate(
+            (out_shape, coeff if sign > 0 else -coeff)
+            for shape, coeff in _schur_coordinates(beta).items()
+            for sign, out_shape in ribbons(shape, k)
+        )
+        return _from_schur_coordinates(target, coords)
+    common, numerators = beta._form
+    lcd, multipliers = _inverse_hook_row(beta.n)
+    shapes = partitions_of(beta.n)
+
+    def scattered():
+        for i, a in numerators.items():
+            a *= multipliers[i]
+            for sign, out_shape in ribbons(shapes[i], k):
+                yield out_shape, a if sign > 0 else -a
+
+    index = _columns(target)
+    totals = {index[shape]: b * hook_product(shape) for shape, b in accumulate(scattered()).items()}
+    return _from_form(target, integer_row(common * lcd, totals))
+
+
+@cache
+def _inverse_hook_row(n: int) -> tuple[int, list[int]]:
+    """1 / h(shape) for shape in partitions_of(n) as (H, [H / h]), H the lcm
+    of the hook products, for the degrees of the form values."""
+    return integer_numerators(rat(1, hook_product(shape)) for shape in partitions_of(n))
 
 
 def power_sum_class(shape: Partition) -> LocalizedClass:

@@ -8,6 +8,7 @@ coefficient is zero exactly when it is falsy, so the same test serves
 rationals, Laurent polynomials and elements of Q(t).
 """
 
+from collections.abc import Mapping
 from typing import Iterable
 
 
@@ -39,6 +40,42 @@ def power(base, n: int):
         if n:
             base = base * base
     return result
+
+
+class LazyTerms(Mapping):
+    """The terms of a value kept in another form: a read-only mapping that
+    builds its dict, build(source), on first use.  So a value that is only
+    compared, paired or sent through an operator builds no coefficient.  A
+    __getattr__ on the value's class would do the same, but it would slow
+    every attribute read of every value."""
+
+    __slots__ = ("_build", "_source", "_terms")
+
+    def __init__(self, build, source):
+        self._build, self._source, self._terms = build, source, None
+
+    def _dict(self) -> dict:
+        if self._terms is None:
+            self._terms = self._build(self._source)
+        return self._terms
+
+    def __getitem__(self, key):
+        return self._dict()[key]
+
+    def __iter__(self):
+        return iter(self._dict())
+
+    def __len__(self) -> int:
+        return len(self._dict())
+
+    def items(self):
+        return self._dict().items()
+
+    def values(self):
+        return self._dict().values()
+
+    def __eq__(self, other: object) -> bool:
+        return self._dict() == other
 
 
 class LinearCombination:

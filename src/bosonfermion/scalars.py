@@ -102,7 +102,13 @@ def read_terms(data, read_key) -> dict:
 
 def integer_numerators(coeffs) -> tuple[int, list[int]]:
     """(D, [c * D, ...]): the rationals over their least common denominator D.
-    Numerators and denominators go through int(), so mpq serves as Fraction does."""
+    Ints are their own numerators over D = 1, and a list of them comes back
+    as it is, so no caller writes to the list it gets.  Numerators and
+    denominators go through int(), so mpq serves as Fraction does."""
+    if type(coeffs) is not list:
+        coeffs = list(coeffs)
+    if all(type(c) is int for c in coeffs):
+        return 1, coeffs
     fractions = [(int(c.numerator), int(c.denominator)) for c in coeffs]
     # lcm(*list), not lcm(*generator): on CPython 3.11 each call with a
     # generator left about 90 bytes on the tuple free lists (up to 2,000
@@ -131,12 +137,16 @@ def integer_form(value: LinearCombination) -> tuple[int, dict] | None:
         return form
 
 
-def integer_row(common: int, numerators: list[int]) -> tuple[int, list[int]]:
-    """The rationals a / common of a dense row over their least common
-    denominator: common and the numerators divided by their gcd."""
-    reduced = gcd(common, *numerators)
+def integer_row(common: int, numerators: list[int] | dict) -> tuple[int, list[int] | dict]:
+    """The rationals a / common of a dense row, or of a sparse dict of
+    integer numerators, over their least common denominator: common and the
+    numerators divided by their gcd."""
+    sparse = type(numerators) is dict
+    reduced = gcd(common, *(numerators.values() if sparse else numerators))
     if reduced == 1:
         return common, numerators
+    if sparse:
+        return common // reduced, {key: a // reduced for key, a in numerators.items()}
     return common // reduced, [a // reduced for a in numerators]
 
 
@@ -440,8 +450,10 @@ class TScalar:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TScalar):
             return self.num == other.num and self.den == other.den
-        if isinstance(other, (TLaurent, int)):
-            return self == TScalar(other if isinstance(other, TLaurent) else TLaurent.term(other))
+        if isinstance(other, int):  # the constant other: den 1 and num other * t^0
+            return self.den is _LAURENT_ONE and self.num.terms == ({0: other} if other else {})
+        if isinstance(other, TLaurent):
+            return self == TScalar(other)
         return NotImplemented
 
     def __hash__(self) -> int:

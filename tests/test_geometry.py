@@ -41,7 +41,7 @@ from bosonfermion.partitions import (
     partitions_up_to,
     z_factor,
 )
-from bosonfermion.scalars import TLaurent, TScalar, integer_form, parse_tscalar, rat
+from bosonfermion.scalars import TLaurent, TScalar, parse_tscalar, rat
 
 
 def P(*parts) -> Partition:
@@ -179,7 +179,13 @@ def graded_class_pairs(draw):
         c = draw(_coordinates)
         off = draw(st.sampled_from([TScalar.monomial(c, n + 1), TScalar.monomial(c, n) / ts("t + 1")]))
         restrictions[draw(st.integers(0, 1))][draw(st.sampled_from(shapes))] = off
-    return LocalizedClass(n, restrictions[0]), LocalizedClass(n, restrictions[1]), integral
+    return _read(n, restrictions[0]), _read(n, restrictions[1]), integral
+
+
+def _read(n: int, restrictions: dict) -> LocalizedClass:
+    """The class as the CLI reads it: from JSON, which keeps the integer form
+    of a class whose restrictions are all c * t^n."""
+    return LocalizedClass.from_json({"n": n, "restrictions": {str(s): str(v) for s, v in restrictions.items()}})
 
 
 @given(graded_class_pairs())
@@ -191,7 +197,7 @@ def test_bilinear_form_is_the_localization_sum_on_both_routes(case):
     for shape in alpha.terms.keys() & beta.terms.keys():
         total = total + alpha.terms[shape] * beta.terms[shape] / euler_class(shape)
     assert bilinear_form(alpha, beta) == TScalar.monomial((-1) ** alpha.n) * total
-    assert (integer_form(alpha) is not None and integer_form(beta) is not None) == integral
+    assert (alpha._form is not None and beta._form is not None) == integral
 
 
 @pytest.mark.parametrize("n", [12, 20])
@@ -200,12 +206,12 @@ def test_the_two_routes_of_bilinear_form_agree_on_a_dense_pair(n):
     restriction added where the other class is zero changes no shared point,
     but sends the pair through integrate(cup(...))."""
     shapes = partitions_of(n)
-    alpha = LocalizedClass(n, {shape: TScalar.monomial(rat(i % 7 - 3 or 5, i % 4 + 1), n)
-                               for i, shape in enumerate(shapes[1:])})
-    beta = LocalizedClass(n, {shape: TScalar.monomial(rat(i % 5 - 2 or 3, i % 3 + 2), n)
-                              for i, shape in enumerate(shapes)})
-    off = LocalizedClass(n, {**beta.terms, shapes[0]: TScalar.monomial(1, n) / ts("t + 1")})
-    assert integer_form(alpha) is not None and integer_form(beta) is not None and integer_form(off) is None
+    alpha = _read(n, {shape: TScalar.monomial(rat(i % 7 - 3 or 5, i % 4 + 1), n)
+                      for i, shape in enumerate(shapes[1:])})
+    beta = _read(n, {shape: TScalar.monomial(rat(i % 5 - 2 or 3, i % 3 + 2), n)
+                     for i, shape in enumerate(shapes)})
+    off = _read(n, {**beta.terms, shapes[0]: TScalar.monomial(1, n) / ts("t + 1")})
+    assert alpha._form is not None and beta._form is not None and off._form is None
     value = bilinear_form(alpha, beta)
     assert bilinear_form(alpha, off) == bilinear_form(off, alpha) == value
     assert value == TScalar.monomial((-1) ** n) * integrate(cup(alpha, beta))
@@ -351,6 +357,64 @@ def test_geometric_bosons_commute_with_transport():
             assert phi(geometric_boson(k, beta)) == oscillator(k, phi(beta))
 
 
+# --- form values: one integer vector per class --------------------------------------------------------
+
+def _agrees_with_its_dict_copy(beta: LocalizedClass) -> LocalizedClass:
+    """The class built from its terms, which takes the Q(t) paths, checked
+    against the form value it copies."""
+    copy = LocalizedClass(beta.n, dict(beta.terms))
+    assert beta._form is not None and copy._form is None
+    assert beta == copy and copy == beta
+    assert hash(beta) == hash(copy)
+    text = str(beta)  # json.dumps of to_json
+    assert str(copy) == text and beta.to_json() == json.loads(text)
+    sign = TScalar.monomial((-1) ** beta.n)
+    assert bilinear_form(beta, beta) == sign * integrate(cup(copy, copy))
+    return copy
+
+
+def test_form_values_agree_with_their_dict_copies():
+    """Each normalized class, power-sum class, eta of a graded unit and phi
+    inverse of S_shape / (h(shape) + 1) (whose form has a denominator) up to
+    10 boxes is a form value, and so is each geometric boson image; each one
+    agrees with the copy built from its terms, and the geometric bosons of
+    the two agree."""
+    for shape in partitions_up_to(10):
+        scaled = phi_inverse(schur(shape).scale(rat(1, hook_product(shape) + 1)))
+        for beta in (normalized_class(shape), power_sum_class(shape), eta(QuiverClass.graded_unit(shape)), scaled):
+            copy = _agrees_with_its_dict_copy(beta)
+            # read back from its text, the class keeps the form it printed
+            assert LocalizedClass.from_json(beta.to_json())._form == beta._form
+            for k in range(-4, 5):
+                if k > beta.n:
+                    for value in (beta, copy):
+                        with pytest.raises(DegreeUnderflow):
+                            geometric_boson(k, value)
+                    continue
+                image = geometric_boson(k, beta)
+                assert image == geometric_boson(k, copy) and geometric_boson(k, copy) == image
+                if k:
+                    _agrees_with_its_dict_copy(image)
+
+
+def test_geometric_bosons_past_the_schur_degrees_take_the_sparse_path():
+    """p_{-2} on a form value of 19 boxes has degree 21, past the forms: the
+    image is the sparse class, which agrees with the dict copy's image."""
+    beta = _read(19, {P(19): ts("t^19"), P(18, 1): ts("2*t^19")})
+    assert beta._form is not None
+    image = geometric_boson(-2, beta)
+    assert image._form is None and image.n == 21
+    assert image == geometric_boson(-2, LocalizedClass(19, dict(beta.terms)))
+    assert geometric_boson(2, image)._form is not None
+
+
+def test_form_values_differ_by_their_denominator():
+    """Two forms with the same numerators over different denominators differ."""
+    half, whole = phi_inverse(parse_boson("(1/2)*p1")), phi_inverse(parse_boson("p1"))
+    assert half._form == (2, {0: 1}) and whole._form == (1, {0: 1})
+    assert half != whole and whole != half
+
+
 # --- the plane model -----------------------------------------------------------------------------------
 
 def test_c2_toy_reads_x1():
@@ -360,7 +424,10 @@ def test_c2_toy_reads_x1():
     curve = normalized_class(point)
     assert curve.terms == {point: ts("t")}
     assert fundamental_class(point).terms == {point: ts("-t^2")}
-    assert curve == fundamental_class(point).scale(ts("-t^-1"))
+    # a form value against a class built from its terms, both ways
+    curve_by_terms = fundamental_class(point).scale(ts("-t^-1"))
+    assert curve._form is not None and curve_by_terms._form is None
+    assert curve == curve_by_terms and curve_by_terms == curve
     assert pullback(curve, point) != ts("-t")
     assert euler_class(point) == ts("-t^2")
 

@@ -15,7 +15,7 @@ from bosonfermion.geometry import (
     hecke_f,
     normalized_class,
 )
-from bosonfermion.linear import LinearCombination, accumulate, power
+from bosonfermion.linear import LazyTerms, LinearCombination, accumulate, power
 from bosonfermion.partitions import Partition
 from bosonfermion.scalars import TLaurent, TScalar, parse_tscalar, rat
 
@@ -26,6 +26,23 @@ def test_accumulate_sums_and_drops_zeros():
     assert accumulate([("a", rat(-1))], into) is into and into == {}
     t = TLaurent.t()
     assert accumulate([(1, t), (1, -t), (2, TLaurent.zero())]) == {}
+
+
+def test_lazy_terms_build_their_dict_once_on_first_read():
+    built = []
+
+    def build(source):
+        built.append(source)
+        return {key: rat(1) for key in source}
+
+    terms = LazyTerms(build, "ab")
+    assert built == []
+    assert terms == {"a": 1, "b": 1} and {"a": 1, "b": 1} == terms
+    assert "a" in terms and "c" not in terms and terms.get("c") is None and terms["b"] == 1
+    assert len(terms) == 2 and sorted(terms) == ["a", "b"] and dict(terms.items()) == {"a": 1, "b": 1}
+    assert built == ["ab"]
+    with pytest.raises(TypeError):
+        terms["c"] = rat(1)
 
 
 def test_zero_test_is_truthiness():

@@ -508,7 +508,12 @@ def test_requests_above_the_schur_degrees_leave_every_memo_table_as_it_was():
     """A long-lived process serves shapes of any size; only keys of the Schur
     degrees are stored, so larger requests leave every table as it was."""
     assert cli.main(["schur", "[x]"]) == 2  # builds the parser, which every request reads
+    # a class of 19 boxes stores its own keys, of a Schur degree, when it is read and lowered
+    below = f'{{"n": 19, "restrictions": {{"[19]": "t^19", "[18,1]": "2*t^19"}}}}'
+    assert cli.main(["apply", "p(2)", below]) == 0
     before = {name: table.cache_info().currsize for name, table in _memo_tables().items()}
+    # raised to 21 boxes it takes the sparse path, and prints up to degree 20 only
+    assert cli.main(["apply", "p(-2)", below]) == 2
     for n in (MAX_SCHUR_DEGREE + 1, 2 * MAX_SCHUR_DEGREE):
         # restrictions c * t^n, the form bilinear_form pairs with its Euler weights up to degree 20
         point = f'{{"n": {n}, "restrictions": {{"[{n}]": "t^{n}", "[{n - 1},1]": "2*t^{n}"}}}}'
@@ -603,9 +608,11 @@ def test_a_verify_run_leaves_the_memoised_values_as_built(fresh_monkeypatch):
         assert value._row == fresh._row
         # the form schur-expand-rebuild filled in
         assert value._integer_form == scalars.integer_vector(value.terms)
-        point = geometry.normalized_class(shape)
+        point, fresh_point = geometry.normalized_class(shape), geometry.normalized_class.__wrapped__(shape)
         assert point.n == shape.size()
-        assert point.terms == geometry.normalized_class.__wrapped__(shape).terms
+        assert point.terms == fresh_point.terms
+        # the integer form the point-class pairings and the geometric bosons of the run read
+        assert point._form == fresh_point._form
 
 
 def test_verify_prints_the_fail_line_of_a_mutant(fresh_monkeypatch, capsys):
