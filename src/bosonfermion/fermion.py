@@ -23,7 +23,8 @@ class ChargedMonomial(NamedTuple):
 # Both kernels walk the beads i_k = m - k + shape_k (k < len(shape)) from the
 # top until they reach j; below them every position <= m - len(shape) is filled.
 # The parts they build are weakly decreasing by construction, so the shape
-# skips Partition's validation, and the monomial NamedTuple's constructor.
+# skips Partition's validation, and the monomial NamedTuple's constructor;
+# alpha builds its monomials the same way.
 
 def _wedge_in(j: int, mono: ChargedMonomial):
     """Insert index j; None when occupied, else (sign, monomial)."""
@@ -191,7 +192,7 @@ def alpha(n: int, state: FermionState) -> FermionState:
             {mono: coeff * mono.charge for mono, coeff in state.terms.items() if mono.charge}
         )
     return FermionState._make(accumulate(
-        (ChargedMonomial(mono.charge, shape), coeff if sign > 0 else -coeff)
+        (tuple.__new__(ChargedMonomial, (mono.charge, shape)), coeff if sign > 0 else -coeff)
         for mono, coeff in state.terms.items()
         for sign, shape in ribbons(mono.shape, n)
     ))

@@ -44,6 +44,7 @@ from .scalars import (
     TLaurent,
     TScalar,
     format_rational,
+    integer_combination,
     integer_numerators,
     integer_row,
     integer_vector,
@@ -186,7 +187,16 @@ class LocalizedClass(LinearCombination):
 
     def __sub__(self, other: "LocalizedClass") -> "LocalizedClass":
         self._check_same_space(other)
+        if type(other) is LocalizedClass and self._form is not None and other._form is not None:
+            return _from_form(self.n, integer_row(*integer_combination([(1, self._form), (-1, other._form)])))
         return super().__sub__(other)
+
+    def scale(self, factor) -> "LocalizedClass":
+        """factor * self; a nonzero rational factor keeps a form value's form."""
+        if self._form is None or type(factor) not in (int, Rational) or not factor:
+            return super().scale(factor)
+        (common, numerators), (q, (p,)) = self._form, integer_numerators([factor])
+        return _from_form(self.n, integer_row(common * q, {i: a * p for i, a in numerators.items()}))
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):

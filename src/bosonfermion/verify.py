@@ -15,6 +15,7 @@ from .boson import (
     schur_jacobi_trudi,
 )
 from .fermion import (
+    FermionState,
     alpha,
     basis_state,
     chevalley_e,
@@ -126,67 +127,121 @@ def _coefficient_rows(images: list) -> dict:
     return rows
 
 
+def _hit(image: FermionState):
+    """The one term (monomial, coefficient) of psi or psi* of a basis
+    monomial, or None where it vanishes."""
+    for term in image.terms.items():
+        return term
+    return None
+
+
+def _opposite(a, b) -> bool:
+    """a == -b for two hits."""
+    if a is None or b is None:
+        return a is b
+    return a[0] == b[0] and a[1] == -b[1]
+
+
+def _row(column: list, target) -> list:
+    """<target| op_j |mono> for each j, read off the column of mono."""
+    return [0 if hit is None or hit[0] != target else hit[1] for hit in column]
+
+
 def clifford_suite(max_size: int = 6, max_index: int = 5, charge_bound: int = 2) -> list[CheckResult]:
-    """Anticommutation relations of the wedging/contracting operators."""
+    """Anticommutation relations of the wedging/contracting operators.
+
+    psi and psi* are read as matrices on the basis monomials: the column of
+    a monomial w, op(j, w) for every index j, is built once, by the operators
+    themselves, and every product is composed from columns by linearity.  An
+    operator moves the charge by one, so the sweep over charge block m keeps
+    the columns of charges m - 1 to m + 1 only."""
     anti = CheckResult("clifford-anticommutators")
     adjoint = CheckResult("psi-adjointness")
+    shift = CheckResult("charge-shift")
     vac_ann = CheckResult("vacuum-annihilation")
     shapes = partitions_up_to(max_size)
-    monos = [basis_state(m, shape) for m in _charges(charge_bound) for shape in shapes]
     indices = range(-max_index, max_index + 1)
-    # psi and psi* of every grid state, computed once; each check below reads
-    # a psi image against a psi* image, or one operator order against the other
-    up = [{j: psi(j, state) for j in indices} for state in monos]
-    down = [{j: psi_star(j, state) for j in indices} for state in monos]
-    for state, psi_of, psi_star_of in zip(monos, up, down):
-        psi_psi = {(i, j): psi(i, psi_of[j]) for i in indices for j in indices}
-        star_star = {(i, j): psi_star(i, psi_star_of[j]) for i in indices for j in indices}
-        # {psi_i, psi_j} and {psi*_i, psi*_j} are symmetric in i and j: one comparison per unordered pair
-        symmetric = {}
-        for i in indices:
-            for j in range(i, max_index + 1):
-                symmetric[i, j] = symmetric[j, i] = (
-                    psi_psi[i, j] == -psi_psi[j, i] and star_star[i, j] == -star_star[j, i]
-                )
-        for i in indices:
-            for j in indices:
-                if i == j:
-                    ok = psi(i, psi_star_of[i]) + psi_star(i, psi_of[i]) == state
-                else:
-                    ok = psi(i, psi_star_of[j]) == -psi_star(j, psi_of[i])
-                anti.record(ok and symmetric[i, j], "i={}, j={}, state={}", i, j, state)
-    # cross-charge pairs vanish on both sides (charge shift is checked below),
-    # so the adjointness sweep pairs charge m with charge m + 1 only; the grid
-    # holds the states of each charge in one block of len(shapes).  Each state
-    # has one row over j per monomial its images reach, so a pair reads the
-    # row of <b| psi_j |a> and the row of <a| psi*_j |b> with one lookup each
-    up_rows = [_coefficient_rows([psi_of[j] for j in indices]) for psi_of in up]
-    down_rows = [_coefficient_rows([psi_star_of[j] for j in indices]) for psi_star_of in down]
-    zeros = [0] * len(indices)
-    block = len(shapes)
-    for start in range(0, len(monos) - block, block):
-        for a in range(start, start + block):
-            (left_mono,), psi_rows = monos[a].terms, up_rows[a]
-            for b in range(start + block, start + 2 * block):
-                (right_mono,) = monos[b].terms
-                adjoint.record_row(
-                    psi_rows.get(right_mono, zeros), down_rows[b].get(left_mono, zeros),
-                    indices, "j={}, pair=({}, {})", monos[a], monos[b],
-                )
-    shift = CheckResult("charge-shift")
-    for state, psi_of, psi_star_of in zip(monos, up, down):
-        m = state.charge()
-        for j in indices:
-            image_up, image_down = psi_of[j], psi_star_of[j]
-            ok = image_up.is_zero() or image_up.charge() == m + 1
-            ok = ok and (image_down.is_zero() or image_down.charge() == m - 1)
-            shift.record(ok, "j={}, state={}", j, state)
-    for m in _charges(charge_bound):
-        vac = fermion.vacuum(m)
-        for j in indices:
-            ok = psi(j, vac).is_zero() if j <= m else not psi(j, vac).is_zero()
-            ok = ok and (psi_star(j, vac).is_zero() if j > m else not psi_star(j, vac).is_zero())
+    width = len(indices)
+    table = {}  # monomial -> (its psi column, its psi* column), for the charges in the window
+
+    def columns(mono):
+        pair = table.get(mono)
+        if pair is None:
+            state = FermionState._make({mono: 1})
+            pair = table[mono] = (
+                [_hit(psi(j, state)) for j in indices], [_hit(psi_star(j, state)) for j in indices]
+            )
+        return pair
+
+    nowhere = [None] * width
+
+    def then(hits: list, which: int) -> list:
+        """For each hit (target, c), the hits of op_i on it for every index i,
+        op's column being columns(target)[which]: by linearity, c op_i(target)."""
+        return [
+            nowhere if hit is None else [None if h is None else (h[0], hit[1] * h[1]) for h in columns(hit[0])[which]]
+            for hit in hits
+        ]
+
+    blocks = [[basis_state(m, shape) for shape in shapes] for m in _charges(charge_bound)]
+    for m, block, above in zip(_charges(charge_bound), blocks, [*blocks[1:], None]):
+        for state in block:
+            (mono,) = state.terms
+            up, down = columns(mono)
+            # psi_psi[j][i] = psi_i psi_j v, star_of_psi[i][j] = psi*_j psi_i v, and so on
+            psi_psi, star_of_psi = then(up, 0), then(up, 1)
+            star_star, psi_of_star = then(down, 1), then(down, 0)
+            for i in range(width):
+                for j in range(width):
+                    # {psi_i, psi_j} = 0 and {psi*_i, psi*_j} = 0, read alike at (i, j) and (j, i)
+                    symmetric = (_opposite(psi_psi[j][i], psi_psi[i][j])
+                                 and _opposite(star_star[j][i], star_star[i][j]))
+                    if i == j:
+                        a, b = psi_of_star[i][i], star_of_psi[i][i]
+                        if a is None or b is None:
+                            ok = (a or b) == (mono, 1)
+                        else:
+                            ok = a[0] == b[0] == mono and a[1] + b[1] == 1
+                    else:
+                        ok = _opposite(psi_of_star[j][i], star_of_psi[i][j])
+                    anti.record(ok and symmetric, "i={}, j={}, state={}", indices[i], indices[j], state)
+            for j, hit_up, hit_down in zip(indices, up, down):
+                ok = hit_up is None or hit_up[0].charge == m + 1
+                ok = ok and (hit_down is None or hit_down[0].charge == m - 1)
+                shift.record(ok, "j={}, state={}", j, state)
+        # cross-charge pairs vanish on both sides (charge shift is checked above),
+        # so adjointness pairs charge m with charge m + 1 only.  A pair whose
+        # columns do not reach each other has two rows of zeros; only the pairs
+        # the columns connect are read, in the order of the grid
+        if above is not None:
+            position = {}
+            reached = {}  # monomial of charge m -> positions in above of the states whose psi* reaches it
+            for k, state in enumerate(above):
+                (mono,) = state.terms
+                position[mono] = k
+                for hit in columns(mono)[1]:
+                    if hit is not None:
+                        reached.setdefault(hit[0], set()).add(k)
+            for state in block:
+                (left,) = state.terms
+                up = columns(left)[0]
+                pairs = reached.get(left, set()) | {
+                    position[hit[0]] for hit in up if hit is not None and hit[0] in position
+                }
+                for k in sorted(pairs):
+                    (right,) = above[k].terms
+                    adjoint.record_row(
+                        _row(up, right), _row(columns(right)[1], left),
+                        indices, "j={}, pair=({}, {})", state, above[k],
+                    )
+                adjoint.checked += width * (len(above) - len(pairs))
+        (vac,) = fermion.vacuum(m).terms
+        up, down = columns(vac)
+        for j, hit_up, hit_down in zip(indices, up, down):
+            ok = hit_up is None if j <= m else hit_up is not None
+            ok = ok and (hit_down is None if j > m else hit_down is not None)
             vac_ann.record(ok, "j={}, charge={}", j, m)
+        table = {mono: pair for mono, pair in table.items() if mono.charge >= m}
     return [anti, adjoint, shift, vac_ann]
 
 

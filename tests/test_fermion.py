@@ -409,6 +409,20 @@ def test_psi_adjointness_random(left, right, j):
     assert hermitian_form(psi(j, left), right) == hermitian_form(left, psi_star(j, right))
 
 
+# a rational with a non-unit numerator or denominator as often as not, of either sign
+rationals = st.builds(rat, st.integers(-9, 9), st.integers(1, 7))
+
+
+@pytest.mark.parametrize("op", [psi, psi_star])
+@settings(deadline=None)
+@given(fermion_states(), fermion_states(), rationals, rationals, st.lists(st.integers(-5, 5), min_size=1, max_size=4))
+def test_psi_and_psi_star_are_linear(op, x, y, a, b, indices):
+    """verify's clifford sweep composes psi and psi* from their images of
+    basis monomials, which holds only for linear operators."""
+    for j in indices:
+        assert op(j, x.scale(a) + y.scale(b)) == op(j, x).scale(a) + op(j, y).scale(b)
+
+
 @pytest.mark.parametrize("data", [
     [{"charge": 0, "partition": [1]}],
     [{"charge": 0, "partition": [1], "coeff": 1}],

@@ -415,6 +415,26 @@ def test_form_values_differ_by_their_denominator():
     assert half != whole and whole != half
 
 
+def test_differences_and_rational_multiples_of_form_values_keep_the_form():
+    """heisenberg-geometric compares p_k p_l beta - p_l p_k beta with k beta:
+    the difference of two form values and a nonzero rational multiple of one
+    are form values, which agree with the values of their dict copies."""
+    for n in range(5):
+        values = [make(shape) for make in (normalized_class, power_sum_class) for shape in partitions_of(n)]
+        for beta in values:
+            copy = LocalizedClass(n, dict(beta.terms))
+            for gamma in values:
+                difference = beta - gamma
+                assert difference == copy - LocalizedClass(n, dict(gamma.terms))
+                _agrees_with_its_dict_copy(difference)
+            for factor in (3, -2, rat(-5, 6), rat(2, 9)):
+                scaled = beta.scale(factor)
+                assert scaled == copy.scale(factor)
+                _agrees_with_its_dict_copy(scaled)
+            assert (beta - beta)._form == (1, {}) and (beta - beta).is_zero()
+            assert beta.scale(0)._form is None and beta.scale(0).is_zero()
+
+
 # --- the plane model -----------------------------------------------------------------------------------
 
 def test_c2_toy_reads_x1():

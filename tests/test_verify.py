@@ -3,6 +3,7 @@ import operator
 import pkgutil
 import re
 import time
+from collections import Counter
 from typing import Callable, NamedTuple
 
 import pytest
@@ -56,6 +57,39 @@ def test_cross_checks_run_and_pass():
     results = {r.name: r for r in heisenberg_geometric_suite(5, 3) + correspondence_suite(4, 2, 1)}
     for name in ("geometric-boson-transport", "schur-expand-rebuild"):
         assert results[name].passed and results[name].checked > 0
+
+
+# (name, checked, counterexample) of clifford_suite on three grids, as the
+# sweep that applied psi and psi* to every product state computed them
+CLIFFORD_RESULTS = {
+    (2, 1, 1): [("clifford-anticommutators", 108, None), ("psi-adjointness", 96, None),
+                ("charge-shift", 36, None), ("vacuum-annihilation", 9, None)],
+    (4, 3, 1): [("clifford-anticommutators", 1764, None), ("psi-adjointness", 2016, None),
+                ("charge-shift", 252, None), ("vacuum-annihilation", 21, None)],
+    (6, 5, 2): [("clifford-anticommutators", 18150, None), ("psi-adjointness", 39600, None),
+                ("charge-shift", 1650, None), ("vacuum-annihilation", 55, None)],
+}
+
+
+@pytest.mark.parametrize("grid", CLIFFORD_RESULTS)
+def test_clifford_applies_each_operator_once_per_index_and_monomial(grid, monkeypatch):
+    """clifford reads psi and psi* as matrices on the basis monomials: each
+    operator meets each (index, monomial) at most once, and every product is
+    composed from those images."""
+    calls = Counter()
+
+    def counting(op):
+        def counted(j, state):
+            calls[op.__name__, j, tuple(state.terms)] += 1
+            return op(j, state)
+        return counted
+
+    monkeypatch.setattr(verify, "psi", counting(verify.psi))
+    monkeypatch.setattr(verify, "psi_star", counting(verify.psi_star))
+    results = verify.clifford_suite(*grid)
+    assert [(r.name, r.checked, r.counterexample) for r in results] == CLIFFORD_RESULTS[grid]
+    assert calls and max(calls.values()) == 1
+    assert all(len(monomials) == 1 for _, _, monomials in calls)
 
 
 # (name, checked, passed) of every check of `verify all --max-size 4`, in
