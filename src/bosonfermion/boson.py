@@ -242,8 +242,8 @@ def oscillator(m: int, f: BosonPolynomial) -> BosonPolynomial:
 def _row_oscillator(m: int, row: tuple) -> BosonPolynomial:
     """oscillator(m, .) on a row of degree n: p_{-m} p_nu = p_(nu + (-m)) sends
     entry j to _union(-m, n)[0][j]; m d/dp_m p_mu = m * m_m(mu) p_(mu - (m)),
-    so entry j of the result reads entry _union(m, n - m)[0][j] of the row,
-    weighted by m * (m_m(nu_j) + 1); q d/dq scales the row by q_power."""
+    so entry j of the result reads the entry of the row and its weight that
+    _lowering(m, n - m)[j] holds; q d/dq scales the row by q_power."""
     common, q_power, n, numerators = row
     if m < 0:
         lifted = [0] * len(partitions_of(n - m))
@@ -255,9 +255,18 @@ def _row_oscillator(m: int, row: tuple) -> BosonPolynomial:
     if m == 0:
         totals = [q_power * a for a in numerators]
     else:
-        totals = [m * (nu.count(m) + 1) * numerators[source]
-                  for nu, source in zip(partitions_of(n - m), _union(m, n - m)[0])]
+        totals = [weight * numerators[source] for weight, source in _lowering(m, n - m)]
     return _from_row(q_power, n - m, integer_row(common, totals))
+
+
+@cache
+def _lowering(k: int, d: int) -> list[tuple[int, int]]:
+    """Entry j is (k * (m_k(nu_j) + 1), the index in partitions_of(k + d) of
+    nu_j + (k)), nu_j in partitions_of(d): k d/dp_k sends p_(nu_j + (k)) to
+    that multiple of p_(nu_j).  ValueError, through _union, above the Schur
+    degrees."""
+    sources = _union(k, d)[0]
+    return [(k * (nu.count(k) + 1), source) for nu, source in zip(partitions_of(d), sources)]
 
 
 @cache

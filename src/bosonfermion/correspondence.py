@@ -1,12 +1,22 @@
 """The boson-fermion dictionary: charge-m monomials map to q^m Schur polynomials."""
 
-from .boson import BosonMonomial, BosonPolynomial, _row_schur_expand, from_schur, schur_expand
+from .boson import BosonMonomial, BosonPolynomial, _from_row, _row_schur_expand, from_schur, schur, schur_expand
 from .fermion import ChargedMonomial, FermionState
 from .linear import accumulate
 
 
 def sigma(state: FermionState) -> BosonPolynomial:
-    """Linear extension of (charge m, shape) -> q^m * S_shape."""
+    """Linear extension of (charge m, shape) -> q^m * S_shape.  A one-term
+    state +-phi_shape@m is the row of the memoised schur(shape) at q^m, its
+    numerators negated for -1; the list of the memoised row is shared, and
+    never written.  Any other state, or a Schur value that keeps no row, is
+    summed by from_schur."""
+    if len(state.terms) == 1:
+        ((m, shape), c), = state.terms.items()
+        row = schur(shape)._row if c in (1, -1) else None
+        if row is not None:
+            common, _, n, numerators = row
+            return _from_row(m, n, (common, numerators if c == 1 else [-a for a in numerators]))
     return from_schur(state.terms.items())
 
 

@@ -184,13 +184,21 @@ def chevalley_f(k: int, state: FermionState) -> FermionState:
 def alpha(n: int, state: FermionState) -> FermionState:
     """Free boson alpha_n; alpha_0 multiplies each monomial by its charge.
     Otherwise sum_j psi_j psi*_{j+n} moves one bead by n per term, and the
-    charge shifts every bead alike: the terms are the shape's border strips."""
+    charge shifts every bead alike: the terms are the shape's border strips.
+    The strips of one shape land on distinct shapes, so the image of a
+    one-term state is written directly."""
     if not state.terms:
         return state
     if n == 0:
         return FermionState._make(
             {mono: coeff * mono.charge for mono, coeff in state.terms.items() if mono.charge}
         )
+    if len(state.terms) == 1:
+        ((charge, shape), coeff), = state.terms.items()
+        return FermionState._make({
+            tuple.__new__(ChargedMonomial, (charge, out)): coeff if sign > 0 else -coeff
+            for sign, out in ribbons(shape, n)
+        })
     return FermionState._make(accumulate(
         (tuple.__new__(ChargedMonomial, (mono.charge, shape)), coeff if sign > 0 else -coeff)
         for mono, coeff in state.terms.items()

@@ -24,7 +24,7 @@ times the fundamental class.  The c2-toy suite of ``verify`` checks it.
 import json
 from functools import cache
 
-from .boson import BosonPolynomial, _columns, from_schur, schur_expand
+from .boson import BosonPolynomial, _columns, _schur_degree, from_schur, schur_expand
 from .fermion import FermionState
 from .linear import LazyTerms, LinearCombination, accumulate
 from .partitions import (
@@ -171,7 +171,8 @@ class LocalizedClass(LinearCombination):
 
     @classmethod
     def zero(cls, n: int) -> "LocalizedClass":
-        return cls(n)
+        """The zero class on X_n: for n a Schur degree, the form value (1, {})."""
+        return _from_form(n, (1, {})) if 0 <= n <= MAX_SCHUR_DEGREE else cls(n)
 
     def _check_size(self, shape: Partition) -> None:
         if shape.size() != self.n:
@@ -540,24 +541,41 @@ def geometric_boson(k: int, beta: LocalizedClass) -> LocalizedClass:
         return _from_schur_coordinates(target, coords)
     common, numerators = beta._form
     lcd, multipliers = _inverse_hook_row(beta.n)
-    shapes = partitions_of(beta.n)
+    strips = _strip_positions(beta.n, k)
 
     def scattered():
         for i, a in numerators.items():
             a *= multipliers[i]
-            for sign, out_shape in ribbons(shapes[i], k):
-                yield out_shape, a if sign > 0 else -a
+            for sign, j in strips[i]:
+                yield j, a if sign > 0 else -a
 
-    index = _columns(target)
-    totals = {index[shape]: b * hook_product(shape) for shape, b in accumulate(scattered()).items()}
+    hooks = _hook_row(target)
+    totals = {j: b * hooks[j] for j, b in accumulate(scattered()).items()}
     return _from_form(target, integer_row(common * lcd, totals))
+
+
+@cache
+def _strip_positions(n: int, k: int) -> list[tuple[tuple[int, int], ...]]:
+    """Entry i holds the border strips of size |k| of shape i of partitions_of(n),
+    ribbons(shape, k), as (sign, index of the result in partitions_of(n - k))
+    pairs.  ValueError, before anything is stored, unless n and n - k are
+    Schur degrees."""
+    _schur_degree(n)
+    index = _columns(n - k)
+    return [tuple((sign, index[out]) for sign, out in ribbons(shape, k)) for shape in partitions_of(n)]
+
+
+@cache
+def _hook_row(n: int) -> list[int]:
+    """h(shape) for shape in partitions_of(n), for the Schur degrees n; ValueError otherwise."""
+    return [hook_product(shape) for shape in partitions_of(_schur_degree(n))]
 
 
 @cache
 def _inverse_hook_row(n: int) -> tuple[int, list[int]]:
     """1 / h(shape) for shape in partitions_of(n) as (H, [H / h]), H the lcm
-    of the hook products, for the degrees of the form values."""
-    return integer_numerators(rat(1, hook_product(shape)) for shape in partitions_of(n))
+    of the hook products, for the Schur degrees n."""
+    return integer_numerators(rat(1, h) for h in _hook_row(n))
 
 
 def power_sum_class(shape: Partition) -> LocalizedClass:

@@ -579,9 +579,12 @@ def run_suite(
     """Run one suite, or every suite for "all".  An argument left out takes
     the suite's own default, and a suite gets only the arguments its
     parameters name.  ValueError, before any suite runs, on a negative
-    argument or one above MAX_GRID, on a grid whose Schur data would reach
-    past MAX_SCHUR_DEGREE, and on a grid so small that some check ran
-    nothing, naming every such check."""
+    argument or one above MAX_GRID and on a grid whose Schur data would
+    reach past MAX_SCHUR_DEGREE; after the suites, on a grid so small that
+    some check ran nothing, naming every such check.  A suite that raises
+    an Exception other than MemoryError gives one FAIL row, named after the
+    suite, in place of its checks, and the run goes on; a run with such a
+    row is returned even when some check ran nothing."""
     given = {"max_size": max_size, "max_index": max_index, "charge_bound": charge_bound}
     for key, value in given.items():
         if value is not None and value < 0:
@@ -595,11 +598,36 @@ def run_suite(
         formula, reach = SCHUR_REACH.get(suite, ("", lambda grid: 0))
         if reach(arguments) > MAX_SCHUR_DEGREE:
             raise ValueError(f"{formula} must be at most {MAX_SCHUR_DEGREE} for {suite}, got {reach(arguments)}")
-    results = [result for suite, arguments in runs for result in SUITES[suite](**arguments)]
+    results = []
+    faulted = False
+    for suite, arguments in runs:
+        try:
+            results += SUITES[suite](**arguments)
+        except MemoryError:
+            raise
+        except Exception as exc:  # a kernel fault: the suite's one FAIL row, and on to the next suite
+            results.append(_fault(suite, exc))
+            faulted = True
     empty = [r.name for r in results if r.checked == 0]
-    if empty:  # a check that ran nothing would report a vacuous PASS
+    if empty and not faulted:  # a check that ran nothing would report a vacuous PASS
         raise ValueError(f"the grid is too small: {', '.join(empty)} checked nothing")
     return results
+
+
+def _fault(suite: str, exc: Exception) -> CheckResult:
+    """The FAIL row of a suite that raised exc: the exception's type and
+    message, and the innermost function of the package it passed through
+    (a comprehension or generator expression counts as the function that
+    holds it)."""
+    tb = exc.__traceback__  # from run_suite's own frame inward
+    while tb is not None:
+        frame, tb = tb.tb_frame, tb.tb_next
+        if frame.f_globals.get("__name__", "").startswith(f"{__package__}.") and frame.f_code.co_name[0] != "<":
+            where = frame
+    module = where.f_globals["__name__"].removeprefix(f"{__package__}.")
+    row = CheckResult(suite)
+    row.counterexample = f"{type(exc).__name__}: {exc} (raised in {module}.{where.f_code.co_name})"
+    return row
 
 
 def report_json(results: list[CheckResult]) -> dict:

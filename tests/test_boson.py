@@ -12,6 +12,7 @@ from bosonfermion.boson import (
     BosonPolynomial,
     _complete,
     _elementary,
+    _lowering,
     _union,
     characters,
     from_schur,
@@ -205,6 +206,25 @@ def test_union_joins_the_parts():
             assert [[shapes[t] for t in row] for row in table] == [
                 [Partition(sorted(mu + nu, reverse=True)) for nu in partitions_of(n - k)] for mu in partitions_of(k)
             ], (k, n - k)
+
+
+def test_lowering_weighs_each_source_by_the_multiplicity():
+    """k d/dp_k p_(nu + (k)) = k * (m_k(nu) + 1) * p_nu, entry by entry."""
+    for n in range(13):
+        shapes = partitions_of(n)
+        for k in range(1, n + 1):
+            assert _lowering(k, n - k) == [
+                (k * (nu.count(k) + 1), shapes.index(Partition(sorted(nu + (k,), reverse=True))))
+                for nu in partitions_of(n - k)
+            ], (k, n - k)
+
+
+def test_lowering_refuses_degree_21_and_stores_nothing():
+    before = _memo_sizes()
+    for k, d in ((1, 20), (21, 0), (4, 17)):
+        with pytest.raises(ValueError, match="^Schur data is available for degrees 0 to 20, got 21$"):
+            _lowering(k, d)
+    assert _memo_sizes() == before
 
 
 # The product on integer numerators, against the term-by-term product of its

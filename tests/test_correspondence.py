@@ -1,6 +1,6 @@
 from hypothesis import given, settings, strategies as st
 
-from bosonfermion.boson import BosonPolynomial, from_schur, parse_boson, power_sum, schur_jacobi_trudi
+from bosonfermion.boson import BosonPolynomial, from_schur, parse_boson, power_sum, schur, schur_jacobi_trudi
 from bosonfermion.correspondence import sigma, sigma_inverse
 from bosonfermion.fermion import FermionState, basis_state, vacuum
 from bosonfermion.geometry import LocalizedClass, normalized_class, phi
@@ -19,6 +19,20 @@ def test_sigma_examples():
     assert sigma(basis_state(0, P(2, 1))) == parse_boson("(1/3)*p1^3 + (-1/3)*p3")
     mixed = basis_state(0, P(1)) + vacuum(0).scale(2)
     assert sigma(mixed) == parse_boson("p1 + 2")
+
+
+def test_sigma_of_a_signed_basis_state_is_the_row_from_schur_writes():
+    """sigma of +-phi_shape@m reads the memoised Schur row: the same q power,
+    denominator and numerators as from_schur of the term, and the memoised
+    row as it was."""
+    for shape in partitions_up_to(10):
+        kept = list(schur(shape)._row[3])
+        for m in (-1, 0, 1):
+            for c in (1, -1):
+                image = sigma(basis_state(m, shape).scale(c))
+                assert image._row == from_schur([((m, shape), c)])._row
+                assert image == from_schur([((m, shape), c)])
+        assert schur(shape)._row[3] == kept
 
 
 def test_sigma_inverse_examples():

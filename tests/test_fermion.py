@@ -423,6 +423,18 @@ def test_psi_and_psi_star_are_linear(op, x, y, a, b, indices):
         assert op(j, x.scale(a) + y.scale(b)) == op(j, x).scale(a) + op(j, y).scale(b)
 
 
+@settings(deadline=None)
+@given(fermion_states(), fermion_states(), rationals, rationals, st.lists(st.integers(-5, 5), min_size=1, max_size=4))
+def test_alpha_is_linear(x, y, a, b, indices):
+    """alpha writes the image of a one-term state directly and sums the
+    images of the terms of any other: the two routes agree, term by term
+    and on every combination."""
+    for n in indices:
+        assert alpha(n, x.scale(a) + y.scale(b)) == alpha(n, x).scale(a) + alpha(n, y).scale(b)
+        pieces = [alpha(n, FermionState._make({mono: c})) for mono, c in x.terms.items()]
+        assert alpha(n, x) == sum(pieces, FermionState.zero())
+
+
 @pytest.mark.parametrize("data", [
     [{"charge": 0, "partition": [1]}],
     [{"charge": 0, "partition": [1], "coeff": 1}],

@@ -6,6 +6,7 @@ from hypothesis import example, given, strategies as st
 from bosonfermion.boson import parse_boson, schur
 from bosonfermion.correspondence import sigma
 from bosonfermion.fermion import basis_state, vacuum
+from bosonfermion import geometry
 from bosonfermion.geometry import (
     DegreeUnderflow,
     LocalizedClass,
@@ -34,11 +35,13 @@ from bosonfermion.geometry import (
     weight_of,
 )
 from bosonfermion.partitions import (
+    MAX_SCHUR_DEGREE,
     Partition,
     dimension_vector,
     hook_product,
     partitions_of,
     partitions_up_to,
+    ribbons,
     z_factor,
 )
 from bosonfermion.scalars import TLaurent, TScalar, parse_tscalar, rat
@@ -433,6 +436,48 @@ def test_differences_and_rational_multiples_of_form_values_keep_the_form():
                 _agrees_with_its_dict_copy(scaled)
             assert (beta - beta)._form == (1, {}) and (beta - beta).is_zero()
             assert beta.scale(0)._form is None and beta.scale(0).is_zero()
+
+
+def test_zero_classes_keep_the_zero_form():
+    """The zero class of a Schur degree is the form value (1, {}), as read
+    from an empty JSON class or left by a difference that cancels; it equals
+    the plain zero class both ways, and p_0 of a form value is a form value."""
+    for n in range(MAX_SCHUR_DEGREE + 1):
+        zero = LocalizedClass.zero(n)
+        assert zero._form == (1, {}) and zero.is_zero() and zero.n == n
+        for other in (_read(n, {}), LocalizedClass(n)):
+            assert zero == other and other == zero
+            assert hash(zero) == hash(other)
+        assert bilinear_form(zero, normalized_class(partitions_of(n)[0])) == TScalar.zero()
+    assert LocalizedClass.zero(MAX_SCHUR_DEGREE + 1)._form is None
+    assert LocalizedClass.zero(-1)._form is None
+    for shape in partitions_up_to(6):
+        beta = normalized_class(shape)
+        image = geometric_boson(0, beta)
+        assert image == LocalizedClass.zero(beta.n)
+        _agrees_with_its_dict_copy(image)
+
+
+def test_strip_positions_are_the_ribbons_by_position():
+    for n in range(11):
+        for k in range(-4, 5):
+            if k and n - k >= 0:
+                targets = partitions_of(n - k)
+                assert geometry._strip_positions(n, k) == [
+                    tuple((sign, targets.index(out)) for sign, out in ribbons(shape, k)) for shape in partitions_of(n)
+                ], (n, k)
+        assert geometry._hook_row(n) == [hook_product(shape) for shape in partitions_of(n)]
+
+
+def test_the_tables_of_the_geometric_bosons_refuse_degree_21_and_store_nothing():
+    tables = (geometry._strip_positions, geometry._hook_row, geometry._inverse_hook_row, partitions_of)
+    before = [table.cache_info().currsize for table in tables]
+    calls = [(geometry._strip_positions, (21, 1)), (geometry._strip_positions, (20, -1)),
+             (geometry._strip_positions, (25, 4)), (geometry._hook_row, (21,)), (geometry._inverse_hook_row, (21,))]
+    for table, args in calls:
+        with pytest.raises(ValueError, match="^Schur data is available for degrees 0 to 20, got 2[15]$"):
+            table(*args)
+    assert [table.cache_info().currsize for table in tables] == before
 
 
 # --- the plane model -----------------------------------------------------------------------------------

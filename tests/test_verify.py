@@ -1,4 +1,5 @@
 import importlib
+import json
 import operator
 import pkgutil
 import re
@@ -509,6 +510,20 @@ MUTANTS = [
 ]
 
 
+def _raise_value_error(value):
+    raise ValueError("injected fault")
+
+
+# A kernel that raises mid-sweep: its suite reports one FAIL row in place of its
+# checks, naming the exception and the innermost function of the package it
+# passed through, and the run goes on with the next suite.  The table of strips
+# of degree 3 reads ribbons([2,1], 1) once the sweep reaches the shapes of 3 boxes.
+FAULT = Mutant("ribbons-raise-at-21", "partitions.ribbons", _at(((2, 1), 1), _raise_value_error),
+               ("heisenberg-geometric", 3, 1),
+               {"heisenberg-geometric": "ValueError: injected fault (raised in geometry._strip_positions)"},
+               only_in="geometry")
+
+
 def _patch_everywhere(monkeypatch, row: Mutant) -> None:
     """Bind the mutant of each of row's kernels wherever the package binds the
     kernel, or in row.only_in alone."""
@@ -654,3 +669,62 @@ def test_verify_prints_the_fail_line_of_a_mutant(fresh_monkeypatch, capsys):
     _patch_everywhere(fresh_monkeypatch, row)
     assert cli.main(["verify", "c2-toy"]) == 1
     assert capsys.readouterr().out == "FAIL c2-toy (checked=3) counterexample: standard convention\n"
+
+
+def _rows(results: list) -> list:
+    return [(r.name, r.checked, r.counterexample) for r in results]
+
+
+def test_a_kernel_fault_is_one_failing_row_and_the_run_goes_on(fresh_monkeypatch):
+    suite, *grid = FAULT.run
+    clean = _rows(run_suite("all", *grid, 1))
+    assert all(counterexample is None for *_, counterexample in clean)
+    _clear_memo_tables()
+    _patch_everywhere(fresh_monkeypatch, FAULT)
+    mutated = _rows(run_suite("all", *grid, 1))
+    start = [name for name, *_ in clean].index("geometric-boson-commutators")
+    # the suite's three checks become its one FAIL row; every other suite runs as before
+    assert mutated == [*clean[:start], (suite, 0, FAULT.fails[suite]), *clean[start + 3:]]
+
+
+def test_the_grid_refusal_keeps_the_row_of_a_kernel_fault(fresh_monkeypatch):
+    """(3, 1, 0) leaves psi-adjointness empty: the clean run is refused, and
+    the faulty run returns its FAIL row beside the empty check."""
+    with pytest.raises(ValueError, match="^the grid is too small: psi-adjointness checked nothing$"):
+        run_suite("all", 3, 1, 0)
+    _clear_memo_tables()
+    _patch_everywhere(fresh_monkeypatch, FAULT)
+    results = {r.name: r for r in run_suite("all", 3, 1, 0)}
+    assert results["heisenberg-geometric"].counterexample == FAULT.fails["heisenberg-geometric"]
+    assert results["psi-adjointness"].checked == 0
+
+
+def test_verify_prints_the_fail_row_of_a_kernel_fault(fresh_monkeypatch, capsys):
+    _patch_everywhere(fresh_monkeypatch, FAULT)
+    argv = ["verify", "heisenberg-geometric", "--max-size", "3", "--max-index", "1"]
+    witness = FAULT.fails["heisenberg-geometric"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().out == f"FAIL heisenberg-geometric (checked=0) counterexample: {witness}\n"
+    assert cli.main([*argv, "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "backend": scalars.Rational.__module__, "passed": False,
+        "checks": [{"name": "heisenberg-geometric", "passed": False, "checked": 0, "counterexample": witness}],
+    }
+
+
+def _raise(error):
+    def suite():
+        raise error
+    return suite
+
+
+def test_a_lookup_error_in_a_suite_is_a_failing_row_and_memory_errors_propagate(monkeypatch):
+    monkeypatch.setitem(verify.SUITES, "c2-toy", _raise(KeyError("x")))
+    assert _rows(run_suite("c2-toy")) == [("c2-toy", 0, "KeyError: 'x' (raised in verify.run_suite)")]
+    monkeypatch.setitem(verify.SUITES, "c2-toy", _raise(IndexError("list index out of range")))
+    assert _rows(run_suite("c2-toy")) == [
+        ("c2-toy", 0, "IndexError: list index out of range (raised in verify.run_suite)")]
+    for error in (MemoryError(), KeyboardInterrupt()):
+        monkeypatch.setitem(verify.SUITES, "c2-toy", _raise(error))
+        with pytest.raises(type(error)):
+            run_suite("c2-toy")
