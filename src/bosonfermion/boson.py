@@ -4,12 +4,12 @@ Monomials are stored sparsely and keyed, like every basis in the package, by
 a partition: q^m p_mu is the pair (m, mu).  p_i has degree i, so Schur and
 power-sum polynomials of a partition of n are homogeneous of degree n.
 
-A value of one block (q power m, degree n), for n a Schur degree, may keep
-instead the dense row (D, m, n, [c_mu * D for mu in partitions_of(n)]) over
-the least common denominator D of its coefficients c_mu, the index of the
-character table.  Schur polynomials, sigma and phi are such values, and the
-oscillators, == and the Hall form read the row; the sparse terms are built
-from it on first read.
+A value of one graded piece (q power m, degree n), for n a Schur degree, may
+keep instead the integer block (m, n, D, [c_mu * D for mu in partitions_of(n)])
+of linear.BlockCombination, a dense row over the index of the character
+table.  Schur polynomials, sigma and phi are such values; the oscillators,
+the Hall form, ==, +, - and rational multiples read the block, and the sparse
+terms are built from it on first read.
 """
 
 from functools import cache
@@ -17,12 +17,11 @@ from math import comb, factorial
 from operator import add, attrgetter, mul, neg, sub
 from typing import Iterable, NamedTuple
 
-from .linear import LazyTerms, LinearCombination, accumulate, power
+from .linear import BlockCombination, accumulate, power
 from .partitions import MAX_SCHUR_DEGREE, Partition, conjugate, partitions_of, ribbons, z_factor
 from .scalars import (
     Rational,
     format_rational,
-    integer_form,
     integer_numerators,
     integer_row,
     is_integer,
@@ -69,41 +68,16 @@ def _term_sort_key(term: tuple[BosonMonomial, Rational]):
     return (mono.q_power, -mono.shape.size(), mono.shape[::-1])
 
 
-class BosonPolynomial(LinearCombination):
-    """Finite Q-linear combination of monomials in p1, p2, ... and q, q^-1.
+class BosonPolynomial(BlockCombination):
+    """Finite Q-linear combination of monomials in p1, p2, ... and q, q^-1;
+    a block value keeps a dense row (see the module docstring)."""
 
-    _row is the dense row of a row value (see the module docstring), and
-    None for every other value.  A row value's terms are a linear.LazyTerms,
-    which builds the dict on first use.  A row is canonical, so two row
-    values are equal exactly when their rows are.
-    """
-
-    __slots__ = ("_row",)
+    __slots__ = ()
     _coerce = staticmethod(rat)
 
-    def __init__(self, terms: dict | None = None):
-        super().__init__(terms)
-        self._row = None
-
-    @classmethod
-    def _make(cls, terms: dict) -> "BosonPolynomial":
-        out = cls.__new__(cls)
-        out.terms, out._row = terms, None
-        return out
-
-    _like = _make
-
-    def is_zero(self) -> bool:
-        return self._row is None and not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not BosonPolynomial:
-            return NotImplemented
-        if self._row is None or other._row is None:
-            return self.terms == other.terms
-        return self._row == other._row
-
-    __hash__ = LinearCombination.__hash__
+    @staticmethod
+    def _term(charge: int, n: int, shape: Partition, c: Rational) -> tuple:
+        return tuple.__new__(BosonMonomial, (charge, shape)), c
 
     @classmethod
     def one(cls) -> "BosonPolynomial":
@@ -150,16 +124,16 @@ class BosonPolynomial(LinearCombination):
 
     def p_degree(self) -> int:
         """Common p-degree of all terms; error when inhomogeneous or zero."""
-        if self._row is not None:
-            return self._row[2]
+        if self._block is not None and not self.is_zero():
+            return self.n
         degrees = {mono.shape.size() for mono in self.terms}
         if len(degrees) != 1:
             raise ValueError("polynomial is not homogeneous in p-degree")
         return degrees.pop()
 
     def require_q0(self) -> None:
-        row = self._row
-        if row[1] if row is not None else any(map(_q_power, self.terms)):
+        block = self._block
+        if block[0] and any(block[3]) if block is not None else any(map(_q_power, self.terms)):
             raise ValueError("operation requires q-power zero throughout")
 
     def __str__(self) -> str:
@@ -192,71 +166,47 @@ def _monomial_from_json(item: dict) -> BosonMonomial:
     return BosonMonomial(q_power, Partition(sorted((i for i, e in exps for _ in range(e)), reverse=True)))
 
 
-def _row_terms(row: tuple) -> dict:
-    """The terms of a row value: one division per nonzero entry."""
-    common, q_power, n, numerators = row
-    return {
-        tuple.__new__(BosonMonomial, (q_power, mu)): rat(a, common)
-        for mu, a in zip(partitions_of(n), numerators) if a
-    }
-
-
-def _from_row(q_power: int, n: int, form: tuple[int, list[int]]) -> BosonPolynomial:
-    """The row value of (D, numerators) over partitions_of(n), in lowest
-    terms, at q^q_power, or zero when every numerator is."""
-    common, numerators = form
-    if not any(numerators):
-        return BosonPolynomial._make({})
-    out = BosonPolynomial.__new__(BosonPolynomial)
-    out._row = (common, q_power, n, numerators)
-    out.terms = LazyTerms(_row_terms, out._row)
-    return out
-
-
 def oscillator(m: int, f: BosonPolynomial) -> BosonPolynomial:
     """Action of the oscillator generator s_m: m*d/dp_m, p_{-m}, or q d/dq.
-    A row value whose image has a Schur degree gives a row value; any other
-    value takes the sparse path below."""
-    row = f._row
-    if row is not None and row[2] - m <= MAX_SCHUR_DEGREE:
-        return _row_oscillator(m, row)
+    A block value whose image has a Schur degree gives a block value; any
+    other value takes the sparse path below."""
+    block = f._block
+    if block is not None and block[1] - m <= MAX_SCHUR_DEGREE:
+        return _block_oscillator(m, block)
     if m < 0:  # p_{-m} times each monomial: distinct monomials stay distinct
         raised = tuple.__new__(BosonMonomial, (0, Partition((-m,))))
         return BosonPolynomial._make({_mono_mul(mono, raised): coeff for mono, coeff in f.terms.items()})
-    # one division per term of f's integer form; distinct monomials have distinct images
-    common, numerators = integer_form(f)
+    # distinct monomials have distinct images
     if m == 0:
-        return BosonPolynomial._make(
-            {mono: rat(a * mono.q_power, common) for mono, a in numerators.items() if mono.q_power}
-        )
+        return BosonPolynomial._make({mono: c * mono.q_power for mono, c in f.terms.items() if mono.q_power})
     lowered = {}
-    for mono, a in numerators.items():
+    for mono, c in f.terms.items():
         shape = mono.shape
         if m in shape:
             i = shape.index(m)
             rest = tuple.__new__(Partition, shape[:i] + shape[i + 1:])
-            lowered[tuple.__new__(BosonMonomial, (mono.q_power, rest))] = rat(a * m * shape.count(m), common)
+            lowered[tuple.__new__(BosonMonomial, (mono.q_power, rest))] = c * m * shape.count(m)
     return BosonPolynomial._make(lowered)
 
 
-def _row_oscillator(m: int, row: tuple) -> BosonPolynomial:
-    """oscillator(m, .) on a row of degree n: p_{-m} p_nu = p_(nu + (-m)) sends
+def _block_oscillator(m: int, block: tuple) -> BosonPolynomial:
+    """oscillator(m, .) on a block of degree n: p_{-m} p_nu = p_(nu + (-m)) sends
     entry j to _union(-m, n)[0][j]; m d/dp_m p_mu = m * m_m(mu) p_(mu - (m)),
     so entry j of the result reads the entry of the row and its weight that
     _lowering(m, n - m)[j] holds; q d/dq scales the row by q_power."""
-    common, q_power, n, numerators = row
+    q_power, n, common, numerators = block
     if m < 0:
         lifted = [0] * len(partitions_of(n - m))
         for target, a in zip(_union(-m, n)[0], numerators):
             lifted[target] = a
-        return _from_row(q_power, n - m, (common, lifted))
+        return BosonPolynomial._from_block(q_power, n - m, common, lifted)
     if m > n:
-        return BosonPolynomial._make({})
+        return BosonPolynomial.zero()
     if m == 0:
         totals = [q_power * a for a in numerators]
     else:
         totals = [weight * numerators[source] for weight, source in _lowering(m, n - m)]
-    return _from_row(q_power, n - m, integer_row(common, totals))
+    return BosonPolynomial._from_block(q_power, n - m, *integer_row(common, totals))
 
 
 @cache
@@ -296,13 +246,13 @@ def _jacobi_trudi(generator, parts: Partition) -> BosonPolynomial:
     for k >= 0 and 0 below: Laplace expansion with memoised minors, on the matrix
     with its rows and its columns reversed (the same determinant), so the last,
     sparsest rows come first.  Each entry and each minor of degree d is a dense
-    integer row over partitions_of(d) scaled by d!, and the determinant is a row value."""
+    integer row over partitions_of(d) scaled by d!, and the determinant is a block value."""
     size = _schur_degree(parts.size())  # before any table stores a key
     n = len(parts)
     degrees = [[parts[n - 1 - i] + i - j for j in range(n)] for i in range(n)]
     rows = [[(k, generator(k)) if k >= 0 else None for k in row] for row in degrees]
-    total = _minor(rows, frozenset(range(n)), size, {}) or []
-    return _from_row(0, size, integer_row(factorial(size), total))
+    total = _minor(rows, frozenset(range(n)), size, {}) or [0] * len(partitions_of(size))
+    return BosonPolynomial._from_block(0, size, *integer_row(factorial(size), total))
 
 
 def _minor(rows: list, cols: frozenset, degree: int, memo: dict) -> list[int] | None:
@@ -408,8 +358,8 @@ def from_schur(coords: Iterable[tuple[tuple[int, Partition], Rational]]) -> Boso
 
     The inverse of schur_expand: the character rows are summed per (q power,
     degree) as integer numerators over one common denominator, multiplied by
-    1 / z_mu over the lcm of the z_mu, and integer_row puts each block's row
-    in lowest terms.  A value of one block is its row value.
+    1 / z_mu over the lcm of the z_mu, and integer_row puts each row in
+    lowest terms.  A value of one (q power, degree) is its block value.
     """
     coords = list(coords)
     common, numerators = integer_numerators(c for _, c in coords)
@@ -426,8 +376,8 @@ def from_schur(coords: Iterable[tuple[tuple[int, Partition], Rational]]) -> Boso
         totals[m, n] = row if total is None else list(map(add, total, row))
     blocks = []
     for (m, n), total in totals.items():
-        lcd, multipliers = _inverse_z_row(n)
-        blocks.append(_from_row(m, n, integer_row(common * lcd, list(map(mul, total, multipliers)))))
+        lcd, inverse_z = _inverse_z_row(n)
+        blocks.append(BosonPolynomial._from_block(m, n, *integer_row(common * lcd, list(map(mul, total, inverse_z)))))
     if len(blocks) == 1:
         return blocks[0]
     return BosonPolynomial._make({mono: c for block in blocks for mono, c in block.terms.items()})
@@ -446,16 +396,16 @@ def power_sum(shape: Partition) -> BosonPolynomial:
 
 def hall_form(f: BosonPolynomial, g: BosonPolynomial) -> Rational:
     """Symmetric bilinear form with <p_mu, p_nu> = delta * z_mu; q^0 inputs only.
-    Two row values pair as their rows, weighted by _z_row(n), and are
-    orthogonal when their degrees differ."""
+    Two block values pair as their rows, weighted by _z_row(n), and are
+    orthogonal when their degrees differ; any other pair pairs its terms."""
     f.require_q0()
     g.require_q0()
-    a, b = f._row, g._row
+    a, b = f._block, g._block
     if a is None or b is None:
-        return pairing(integer_form(f), integer_form(g), lambda mono: z_factor(mono.shape))
-    if a[2] != b[2]:
+        return pairing((1, f.terms), (1, g.terms), lambda mono: z_factor(mono.shape))
+    if a[1] != b[1]:
         return 0
-    return pairing((a[0], a[3]), (b[0], b[3]), _z_row(a[2]).__getitem__)
+    return pairing(a[2:], b[2:], _z_row(a[1]).__getitem__)
 
 
 def schur_expand(f: BosonPolynomial) -> dict[Partition, Rational]:
@@ -463,24 +413,23 @@ def schur_expand(f: BosonPolynomial) -> dict[Partition, Rational]:
     is the sum over shapes of chi^shape(mu) * S_shape, read from each row
     at mu's index in partitions_of(n)."""
     f.require_q0()
-    if f._row is not None:
-        return _row_schur_expand(f._row)
+    if f._block is not None:
+        return _block_schur_expand(f._block)
     if f.is_zero():
         return {}
     n = f.p_degree()
-    table = characters(n)
-    # Integer numerators over one common denominator: a single division per shape.
-    common, ints = integer_form(f)
     index = _columns(n)
-    numerators = [(index[mono.shape], a) for mono, a in ints.items()]
-    totals = ((shape, sum(a * row[i] for i, a in numerators)) for shape, row in table.items())
+    # integer numerators over one common denominator: a single division per shape
+    common, numerators = integer_numerators(f.terms.values())
+    terms = [(index[mono.shape], a) for mono, a in zip(f.terms, numerators)]
+    totals = ((shape, sum(a * row[i] for i, a in terms)) for shape, row in characters(n).items())
     return {shape: rat(total, common) for shape, total in totals if total}
 
 
-def _row_schur_expand(row: tuple) -> dict[Partition, Rational]:
-    """The Schur coefficients of a row value, its q power aside: the dot
+def _block_schur_expand(block: tuple) -> dict[Partition, Rational]:
+    """The Schur coefficients of a block value, its q power aside: the dot
     product of each character row with the row, over its denominator."""
-    common, _, n, numerators = row
+    _, n, common, numerators = block
     totals = ((shape, sum(map(mul, chi, numerators))) for shape, chi in characters(n).items())
     return {shape: rat(total, common) for shape, total in totals if total}
 

@@ -7,11 +7,12 @@ nonzero restrictions to the fixed points, one Q(t) value per partition of n.
 Both are linear combinations on the one sparse base of ``linear``.
 
 A localized class of degree n <= MAX_SCHUR_DEGREE whose restrictions are all
-rational multiples c * t^n may keep instead its integer form (D, {i: c * D})
-over the least common denominator D, i the index of the fixed point in
-partitions_of(n).  geometric_boson scatters it along the ribbons, and
-bilinear_form pairs two forms with the Euler weights; the Q(t) terms are built
-from it on first read.
+rational multiples c * t^n may keep instead the integer block
+(0, n, D, {i: c * D}) of linear.BlockCombination, a dict by the index i of
+the fixed point in partitions_of(n).  geometric_boson scatters it along the
+ribbons, bilinear_form pairs two blocks with the Euler weights, and ==, +, -
+and rational multiples read it; the Q(t) terms are built from it on first
+read.
 
 Weight convention: a one-dimensional module of weight a has Euler class a*t,
 and the distinguished curve direction in the plane carries weight -1.  This is
@@ -26,7 +27,7 @@ from functools import cache
 
 from .boson import BosonPolynomial, _columns, _schur_degree, from_schur, schur_expand
 from .fermion import FermionState
-from .linear import LazyTerms, LinearCombination, accumulate
+from .linear import BlockCombination, LinearCombination, accumulate
 from .partitions import (
     MAX_SCHUR_DEGREE,
     Partition,
@@ -44,10 +45,8 @@ from .scalars import (
     TLaurent,
     TScalar,
     format_rational,
-    integer_combination,
     integer_numerators,
     integer_row,
-    integer_vector,
     is_integer,
     monomial_coefficient,
     pairing,
@@ -140,15 +139,12 @@ def _scalar(value) -> TScalar:
     return value if isinstance(value, TScalar) else TScalar.monomial(value)
 
 
-class LocalizedClass(LinearCombination):
+class LocalizedClass(BlockCombination):
     """Class on the n-th ambient space, stored by its nonzero restrictions to
-    the fixed points, one Q(t) value per partition of n.
+    the fixed points, one Q(t) value per partition of n; a block value keeps
+    a dict of integers (see the module docstring)."""
 
-    _form is the canonical integer form of a form value (see the module
-    docstring), whose terms are a linear.LazyTerms, and None for every other
-    value."""
-
-    __slots__ = ("n", "_form")
+    __slots__ = ()
     _coerce = staticmethod(_scalar)
 
     def __init__(self, n: int, terms: dict[Partition, TScalar] | None = None):
@@ -156,13 +152,10 @@ class LocalizedClass(LinearCombination):
         for shape in terms or ():
             self._check_size(shape)
         super().__init__(terms)
-        self._form = None
 
-    @classmethod
-    def _make(cls, terms: dict) -> "LocalizedClass":
-        out = cls.__new__(cls)
-        out.terms, out._form = terms, None
-        return out
+    @staticmethod
+    def _term(charge: int, n: int, shape: Partition, c: Rational) -> tuple:
+        return shape, TScalar(TLaurent._make({n: c}))
 
     def _like(self, terms: dict) -> "LocalizedClass":
         out = self._make(terms)
@@ -171,8 +164,8 @@ class LocalizedClass(LinearCombination):
 
     @classmethod
     def zero(cls, n: int) -> "LocalizedClass":
-        """The zero class on X_n: for n a Schur degree, the form value (1, {})."""
-        return _from_form(n, (1, {})) if 0 <= n <= MAX_SCHUR_DEGREE else cls(n)
+        """The zero class on X_n: for n a Schur degree, the block (0, n, 1, {})."""
+        return cls._from_block(0, n, 1, {}) if 0 <= n <= MAX_SCHUR_DEGREE else cls(n)
 
     def _check_size(self, shape: Partition) -> None:
         if shape.size() != self.n:
@@ -182,29 +175,14 @@ class LocalizedClass(LinearCombination):
         if isinstance(other, LocalizedClass) and self.n != other.n:
             raise ValueError(f"classes live on different spaces: n={self.n} vs n={other.n}")
 
-    def __add__(self, other: "LocalizedClass") -> "LocalizedClass":
+    def _combine(self, other: "LocalizedClass", sign: int) -> "LocalizedClass":
         self._check_same_space(other)
-        return super().__add__(other)
-
-    def __sub__(self, other: "LocalizedClass") -> "LocalizedClass":
-        self._check_same_space(other)
-        if type(other) is LocalizedClass and self._form is not None and other._form is not None:
-            return _from_form(self.n, integer_row(*integer_combination([(1, self._form), (-1, other._form)])))
-        return super().__sub__(other)
-
-    def scale(self, factor) -> "LocalizedClass":
-        """factor * self; a nonzero rational factor keeps a form value's form."""
-        if self._form is None or type(factor) not in (int, Rational) or not factor:
-            return super().scale(factor)
-        (common, numerators), (q, (p,)) = self._form, integer_numerators([factor])
-        return _from_form(self.n, integer_row(common * q, {i: a * p for i, a in numerators.items()}))
+        return super()._combine(other, sign)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        if self._form is None or other._form is None:
-            return self.n == other.n and self.terms == other.terms
-        return self.n == other.n and self._form == other._form
+        return self.n == other.n and BlockCombination.__eq__(self, other)
 
     def __hash__(self) -> int:
         return hash((self.n, super().__hash__()))
@@ -220,7 +198,7 @@ class LocalizedClass(LinearCombination):
         ValueError above MAX_SCHUR_DEGREE, the degrees phi and phi_inverse serve."""
         if self.n > MAX_SCHUR_DEGREE:
             raise ValueError(f"a localized class prints up to degree {MAX_SCHUR_DEGREE}, got {self.n}")
-        restriction = dict(self.terms.items()).get  # a plain dict, even for a form value's LazyTerms
+        restriction = dict(self.terms.items()).get  # a plain dict, even for a block value's LazyTerms
         return {
             "n": self.n,
             "restrictions": {str(shape): str(restriction(shape, "0")) for shape in partitions_of(self.n)},
@@ -245,32 +223,16 @@ class LocalizedClass(LinearCombination):
         if n <= MAX_SCHUR_DEGREE:
             coefficients = {shape: monomial_coefficient(value, n) for shape, value in beta.terms.items()}
             if None not in coefficients.values():
-                beta._form = _restriction_form(n, coefficients)
+                return _restriction_class(n, coefficients)
         return beta
 
 
-def _restriction_form(n: int, coefficients: dict[Partition, Rational]) -> tuple[int, dict[int, int]]:
-    """The integer form of the restrictions c * t^n, nonzero c, at the shapes
+def _restriction_class(n: int, coefficients: dict[Partition, Rational]) -> LocalizedClass:
+    """The block value with the restrictions c * t^n, nonzero c, at the shapes
     of coefficients, n <= MAX_SCHUR_DEGREE."""
     index = _columns(n)
     common, numerators = integer_numerators(coefficients.values())
-    return common, {index[shape]: a for shape, a in zip(coefficients, numerators)}
-
-
-def _form_terms(source: tuple) -> dict[Partition, TScalar]:
-    """The restrictions of a form value: one division per nonzero entry."""
-    n, (common, numerators) = source
-    shapes = partitions_of(n)
-    return {shapes[i]: TScalar(TLaurent._make({n: rat(a, common)})) for i, a in numerators.items()}
-
-
-def _from_form(n: int, form: tuple[int, dict[int, int]]) -> LocalizedClass:
-    """The form value of degree n with the integer form (D, {i: c * D}), in
-    lowest terms and with no zero entry."""
-    out = LocalizedClass.__new__(LocalizedClass)
-    out.n, out._form = n, form
-    out.terms = LazyTerms(_form_terms, (n, form))
-    return out
+    return LocalizedClass._from_block(0, n, common, {index[s]: a for s, a in zip(coefficients, numerators)})
 
 
 def _shape_sort_key(shape: Partition):
@@ -344,13 +306,13 @@ def _euler_weights(n: int) -> tuple[int, list[int]]:
 
 def bilinear_form(alpha: LocalizedClass, beta: LocalizedClass) -> TScalar:
     """Intersection pairing: (-1)^n times the integral of the cup product, the
-    fixed-point sum of a * b / Euler class.  Two form values pair as the
-    integer pairing of their forms with the Euler weights."""
+    fixed-point sum of a * b / Euler class.  Two block values pair as the
+    integer pairing of their blocks with the Euler weights."""
     alpha._check_same_space(beta)
-    f, g = alpha._form, beta._form
+    f, g = alpha._block, beta._block
     if f is not None and g is not None:
         common, weights = _euler_weights(alpha.n)
-        return TScalar.monomial(rat(pairing(f, g, weights.__getitem__), common))
+        return TScalar.monomial(rat(pairing(f[2:], g[2:], weights.__getitem__), common))
     value = integrate(cup(alpha, beta))
     return -value if alpha.n % 2 else value
 
@@ -417,7 +379,7 @@ def quiver_form(a: QuiverClass, b: QuiverClass) -> Rational:
     def graded(c: QuiverClass) -> dict[Partition, Rational]:
         return {shape: _graded_coordinate(c.terms[shape], shape) for shape in shared}
 
-    return pairing(integer_vector(graded(a)), integer_vector(graded(b)), lambda shape: 1)
+    return pairing((1, graded(a)), (1, graded(b)), lambda shape: 1)
 
 
 def _graded_coordinate(coeff: TLaurent, shape: Partition) -> Rational:
@@ -451,9 +413,9 @@ def eta(c: QuiverClass, n: int | None = None) -> LocalizedClass:
         raise ValueError(f"class has size {size}, expected {n}")
     # coeff * t^-n times the restriction h(shape) t^n of the normalized class
     if size <= MAX_SCHUR_DEGREE and all(coeff.terms.keys() == {size} for coeff in c.terms.values()):
-        return _from_form(size, _restriction_form(size, {
+        return _restriction_class(size, {
             shape: coeff.terms[size] * hook_product(shape) for shape, coeff in c.terms.items()
-        }))
+        })
     return LocalizedClass(size, {
         shape: TScalar(coeff.scale(hook_product(shape))) for shape, coeff in c.terms.items()
     })
@@ -477,7 +439,7 @@ def _from_schur_coordinates(n: int, coords: dict[Partition, Rational]) -> Locali
     point basis: coordinate c at shape is the restriction c * h(shape) * t^n."""
     restrictions = {shape: c * hook_product(shape) for shape, c in coords.items()}
     if n <= MAX_SCHUR_DEGREE:
-        return _from_form(n, _restriction_form(n, restrictions))
+        return _restriction_class(n, restrictions)
     return LocalizedClass(n, {shape: TScalar(TLaurent._make({n: c})) for shape, c in restrictions.items()})
 
 
@@ -485,8 +447,8 @@ def _schur_coordinates(beta: LocalizedClass) -> dict[Partition, Rational]:
     """Rational coordinates of a class in the normalized point basis: the
     restriction c*t^n at shape is the coordinate c / h(shape)."""
     n = beta.n
-    if beta._form is not None:
-        common, numerators = beta._form
+    if beta._block is not None:
+        _, _, common, numerators = beta._block
         shapes = partitions_of(n)
         return {shapes[i]: rat(a, common * hook_product(shapes[i])) for i, a in numerators.items()}
     coords = {}
@@ -522,8 +484,8 @@ def phi_inverse(f: BosonPolynomial, n: int | None = None) -> LocalizedClass:
 def geometric_boson(k: int, beta: LocalizedClass) -> LocalizedClass:
     """Heisenberg operator on localized classes.  On normalized point classes
     it removes (k > 0) or adds (k < 0) border strips of size |k| with sign
-    (-1)^height, the Murnaghan-Nakayama rule; index 0 acts as zero.  A form
-    value whose image has a Schur degree gives a form value: its coordinates
+    (-1)^height, the Murnaghan-Nakayama rule; index 0 acts as zero.  A block
+    value whose image has a Schur degree gives a block value: its coordinates
     c / h(shape), over the lcm of the hook products, scatter along the
     ribbons, and each sum is multiplied by h at its target.  Any other class
     takes the sparse path."""
@@ -532,14 +494,14 @@ def geometric_boson(k: int, beta: LocalizedClass) -> LocalizedClass:
     if k > beta.n:
         raise DegreeUnderflow(f"cannot lower degree {beta.n} by {k}")
     target = beta.n - k
-    if beta._form is None or target > MAX_SCHUR_DEGREE:
+    if beta._block is None or target > MAX_SCHUR_DEGREE:
         coords = accumulate(
             (out_shape, coeff if sign > 0 else -coeff)
             for shape, coeff in _schur_coordinates(beta).items()
             for sign, out_shape in ribbons(shape, k)
         )
         return _from_schur_coordinates(target, coords)
-    common, numerators = beta._form
+    _, _, common, numerators = beta._block
     lcd, multipliers = _inverse_hook_row(beta.n)
     strips = _strip_positions(beta.n, k)
 
@@ -551,7 +513,7 @@ def geometric_boson(k: int, beta: LocalizedClass) -> LocalizedClass:
 
     hooks = _hook_row(target)
     totals = {j: b * hooks[j] for j, b in accumulate(scattered()).items()}
-    return _from_form(target, integer_row(common * lcd, totals))
+    return LocalizedClass._from_block(0, target, *integer_row(common * lcd, totals))
 
 
 @cache

@@ -6,10 +6,17 @@ coefficient.  They share this base class, and every operator that builds such
 a dict sums its (key, coefficient) contributions through ``accumulate``.  A
 coefficient is zero exactly when it is falsy, so the same test serves
 rationals, Laurent polynomials and elements of Q(t).
+
+The bosonic and localized sides are both indexed by the partitions of n (the
+Schur basis and the torus-fixed points), so a value of theirs that lies in one
+graded piece of a Schur degree may keep instead one integer block (see
+``BlockCombination``), whose terms are built on first read.
 """
 
 from collections.abc import Mapping
 from typing import Iterable
+
+from .partitions import partitions_of
 
 
 def accumulate(pairs: Iterable[tuple], into: dict | None = None) -> dict:
@@ -88,14 +95,11 @@ class LinearCombination:
     whose values carry more than their terms overrides it to pass that on.
 
     A value never changes after it is built: nothing writes to ``terms`` once
-    ``__init__`` or ``_make`` returns.  So a value can keep the integer form
-    of its rational terms (``_rational_terms``), which ``scalars.integer_form``
-    fills in ``_integer_form`` on first use; nothing else writes that slot,
-    and building a value leaves it unset.  For the same reason a zero operand
-    is returned as it is: ``-z`` is ``z``, and ``x + z`` and ``z + x`` are ``x``.
+    ``__init__`` or ``_make`` returns.  So a zero operand is returned as it
+    is: ``-z`` is ``z``, and ``x + z`` and ``z + x`` are ``x``.
     """
 
-    __slots__ = ("terms", "_integer_form")
+    __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
         coerce = self._coerce
@@ -116,11 +120,6 @@ class LinearCombination:
     @classmethod
     def zero(cls):
         return cls._make({})
-
-    def _rational_terms(self) -> dict | None:
-        """The {key: rational} whose integer form the value keeps: its terms,
-        for a combination with rational coefficients."""
-        return self.terms
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -161,3 +160,113 @@ class LinearCombination:
 
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
+
+
+class BlockCombination(LinearCombination):
+    """A combination over the partitions of n that may keep one integer block.
+
+    The block (charge, n, D, numerators) of a block value holds its
+    coefficients c_i, for the shapes partitions_of(n)[i] at one charge, as
+    the integers c_i * D over their least common denominator D: a dense list
+    on the bosonic side, a dict of the nonzero ones on the localized side.
+    Through scalars.integer_row it is in lowest terms, so two block values
+    of one (charge, n) are equal exactly when their blocks are, and a block
+    of zero numerators is the zero value.  Every other value keeps None.
+    _from_block alone writes the slot, when it builds the value; the terms
+    are a LazyTerms, and each subclass says in _term how a shape and a
+    rational become one of them.  n is the degree of a block value (and of
+    every localized class).
+    """
+
+    __slots__ = ("_block", "n")
+
+    def __init__(self, terms: dict | None = None):
+        super().__init__(terms)
+        self._block = None
+
+    @classmethod
+    def _make(cls, terms: dict):
+        out = cls.__new__(cls)
+        out.terms, out._block = terms, None
+        return out
+
+    _like = _make
+
+    @classmethod
+    def _from_block(cls, charge: int, n: int, common: int, numerators: list | dict):
+        """The block value of (charge, n, common, numerators), a block in lowest terms."""
+        out = cls.__new__(cls)
+        out.n, out._block = n, (charge, n, common, numerators)
+        out.terms = LazyTerms(cls._block_terms, out._block)
+        return out
+
+    @classmethod
+    def _block_terms(cls, block: tuple) -> dict:
+        """The terms of a block value: one division per nonzero entry."""
+        charge, n, common, numerators = block
+        shapes, rat, term = partitions_of(n), scalars.rat, cls._term
+        entries = numerators.items() if type(numerators) is dict else enumerate(numerators)
+        return dict(term(charge, n, shapes[i], rat(a, common)) for i, a in entries if a)
+
+    def is_zero(self) -> bool:
+        block = self._block
+        if block is None:
+            return not self.terms
+        numerators = block[3]
+        return not numerators if type(numerators) is dict else not any(numerators)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        a, b = self._block, other._block
+        if a is None or b is None:
+            return self.terms == other.terms
+        return a == b or self.is_zero() and other.is_zero()
+
+    __hash__ = LinearCombination.__hash__
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign: int):
+        """self + sign * other: by the blocks when both are block values of
+        one (charge, n), through the terms otherwise."""
+        if type(other) is not type(self):
+            return NotImplemented
+        a, b = self._block, other._block
+        if a is None or b is None or a[:2] != b[:2]:
+            return (LinearCombination.__add__ if sign > 0 else LinearCombination.__sub__)(self, other)
+        charge, n, p, x = a
+        q, y = b[2], b[3]
+        t, (s,) = scalars.integer_row(p, [q])  # q / p = s / t in lowest terms, so p * s = q * t is their lcm
+        t *= sign
+        if type(x) is dict:
+            numerators = accumulate(((i, t * v) for i, v in y.items()), {i: s * u for i, u in x.items()})
+        else:
+            numerators = [s * u + t * v for u, v in zip(x, y)]
+        return self._from_block(charge, n, *scalars.integer_row(p * s, numerators))
+
+    def scale(self, factor):
+        """factor * self; a nonzero rational factor keeps a block value's block."""
+        block = self._block
+        if block is None or type(factor) not in (int, scalars.Rational) or not factor:
+            return super().scale(factor)
+        charge, n, common, numerators = block
+        q, (p,) = scalars.integer_numerators([factor])
+        # over p / common in lowest terms, an integer multiple of the block stays in lowest terms
+        common, (p,) = scalars.integer_row(common, [p])
+        if type(numerators) is dict:
+            numerators = {i: p * a for i, a in numerators.items()}
+        else:
+            numerators = [p * a for a in numerators]
+        if q != 1:
+            common, numerators = scalars.integer_row(common * q, numerators)
+        return self._from_block(charge, n, common, numerators)
+
+
+# scalars builds its Laurent polynomials on LinearCombination, so it is imported
+# once the classes above exist; the blocks read its kernels when they run
+from . import scalars  # noqa: E402

@@ -9,6 +9,11 @@ backend rational; such a rational compares, hashes and prints as that int,
 since both kinds print as "p/q" with the "/q" omitted for integers.  Every
 division of a coefficient goes through `rat` or has a backend rational
 operand, so no coefficient is ever a float.
+
+Only this module clears denominators: `integer_numerators` puts rationals
+over their least common denominator, `integer_row` puts the integer block of
+a value (``linear.BlockCombination``) in lowest terms, and `pairing` is the
+one weighted pairing, of two blocks or of two sparse rational vectors.
 """
 
 from functools import lru_cache
@@ -117,26 +122,6 @@ def integer_numerators(coeffs) -> tuple[int, list[int]]:
     return common, [p * (common // q) for p, q in fractions]
 
 
-# --- integer vectors: a sparse rational vector as (D, {key: c * D}) ----------
-
-def integer_vector(terms: dict) -> tuple[int, dict]:
-    """A sparse {key: rational} over its least common denominator D."""
-    common, numerators = integer_numerators(terms.values())
-    return common, dict(zip(terms, numerators))
-
-
-def integer_form(value: LinearCombination) -> tuple[int, dict] | None:
-    """The integer vector of a combination's rational terms, or None when it
-    has none, computed on first use and kept on the value, which never
-    changes after it is built."""
-    try:
-        return value._integer_form
-    except AttributeError:
-        terms = value._rational_terms()
-        form = value._integer_form = None if terms is None else integer_vector(terms)
-        return form
-
-
 def integer_row(common: int, numerators: list[int] | dict) -> tuple[int, list[int] | dict]:
     """The rationals a / common of a dense row, or of a sparse dict of
     integer numerators, over their least common denominator: common and the
@@ -151,11 +136,12 @@ def integer_row(common: int, numerators: list[int] | dict) -> tuple[int, list[in
 
 
 def pairing(f: tuple[int, dict | list], g: tuple[int, dict | list], weight) -> Rational:
-    """The sum of weight(key) * f[key] * g[key] over the keys two integer
-    vectors share, for an integer weight read only at those keys: the integer
-    numerators are summed and divided once.  The numerators are two sparse
-    dicts, walked from the smaller, or two dense rows over one index, whose
-    keys are the positions."""
+    """The sum of weight(key) * f[key] * g[key] / (D_f * D_g) over the keys
+    two vectors (D, numerators) share, for an integer weight read only at
+    those keys: the numerators are summed and divided once.  They are two
+    dense rows over one index, whose keys are the positions, or two sparse
+    dicts, walked from the smaller: the integers of two blocks, or the
+    rational terms of two values over D = 1."""
     (common_f, a), (common_g, b) = f, g
     if type(a) is list:
         total = sum(map(mul, map(weight, range(len(a))), map(mul, a, b)))
@@ -164,23 +150,6 @@ def pairing(f: tuple[int, dict | list], g: tuple[int, dict | list], weight) -> R
             a, b = b, a
         total = sum([weight(key) * x * b[key] for key, x in a.items() if key in b])
     return rat(total, common_f * common_g) if total else 0
-
-
-def rational_terms(vector: tuple[int, dict]) -> dict:
-    """The {key: rational} of an integer vector: one division per nonzero key."""
-    common, numerators = vector
-    return {key: rat(a, common) for key, a in numerators.items() if a}
-
-
-def integer_combination(pairs) -> tuple[int, dict]:
-    """The sum of s * v over (integer s, integer vector v) pairs, over the lcm
-    of their denominators."""
-    pairs = list(pairs)
-    common = lcm(*[v[0] for _, v in pairs])
-    scaled = [(s * (common // d), numerators) for s, (d, numerators) in pairs]
-    return common, accumulate(
-        (key, factor * a) for factor, numerators in scaled for key, a in numerators.items()
-    )
 
 
 class TLaurent(LinearCombination):

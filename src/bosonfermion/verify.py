@@ -5,7 +5,6 @@ into, which keeps the first counterexample as its witness."""
 
 from . import fermion, geometry
 from .boson import (
-    BosonPolynomial,
     hall_form,
     oscillator,
     power_sum,
@@ -56,14 +55,7 @@ from .partitions import (
     z_factor,
 )
 from .correspondence import sigma, sigma_inverse
-from .scalars import (
-    Rational,
-    TScalar,
-    integer_combination,
-    integer_form,
-    integer_numerators,
-    rational_terms,
-)
+from .scalars import Rational, TScalar
 
 
 class CheckResult:
@@ -431,11 +423,9 @@ def correspondence_suite(max_size: int = 8, max_index: int = 4, charge_bound: in
     rebuild = CheckResult("schur-expand-rebuild")
     for shape in shapes:
         f = power_sum(shape)
-        coords = schur_expand(f)
-        # the sum of c * S_out in one pass over the integer forms, off from_schur
-        common, weights = integer_numerators(coords.values())
-        denominator, numerators = integer_combination(zip(weights, map(integer_form, map(schur, coords))))
-        rebuilt = BosonPolynomial._make(rational_terms((common * denominator, numerators)))
+        # the sum of c * S_out through the values' own scale and +, off from_schur
+        terms = [schur(out).scale(c) for out, c in schur_expand(f).items()]
+        rebuilt = sum(terms[1:], terms[0])
         rebuild.record(rebuilt == f, "shape={}", shape)
     intertwine = CheckResult("oscillator-intertwining")
     for m in _charges(charge_bound):

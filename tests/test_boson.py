@@ -28,7 +28,7 @@ from bosonfermion.boson import (
 from bosonfermion.correspondence import sigma
 from bosonfermion.fermion import basis_state
 from bosonfermion.partitions import Partition, hook_product, partitions_of, partitions_up_to, z_factor
-from bosonfermion.scalars import integer_form, integer_vector, rat
+from bosonfermion.scalars import rat
 
 
 def P(*parts) -> Partition:
@@ -254,24 +254,6 @@ def test_product_is_the_term_by_term_rational_product(f, g):
     assert product == g * f
 
 
-_schur_coords = st.lists(st.tuples(
-    st.tuples(st.integers(-2, 2), st.sampled_from(partitions_up_to(4))),
-    st.fractions(min_value=-50, max_value=50, max_denominator=12).map(lambda f: rat(f.numerator, f.denominator)),
-), max_size=4)
-
-
-@given(_factors, _factors, st.integers(-3, 3), _schur_coords)
-@example(poly("q^2 * ((1/2)*p2 p1 + p1)"), poly("(1/3)*p2"), 0, [((1, P(2)), rat(1, 6))])
-def test_every_value_keeps_the_integer_form_of_its_terms(f, g, m, coords):
-    values = [f, g, f + g, f - g, f.scale(rat(-3, 4)), f * g, oscillator(m, f), from_schur(coords)]
-    for value in values:
-        form = integer_form(value)
-        assert form == integer_vector(value.terms)
-        # its readers read the kept form and leave it, and the terms, as they were
-        value * g, oscillator(m, value), oscillator(0, value)
-        assert integer_form(value) is form and form == integer_vector(value.terms)
-
-
 def test_schur_degree_limit():
     assert MAX_SCHUR_DEGREE == 20
     with pytest.raises(ValueError):
@@ -306,7 +288,7 @@ def test_row_values_agree_with_their_dict_copies():
             values = {shape: sigma(basis_state(m, shape)) for shape in partitions_of(n)}
             copies = {shape: _agrees_with_its_dict_copy(f) for shape, f in values.items()}
             for shape, f in values.items():
-                assert f._row is not None
+                assert f._block is not None
                 pairs = [(f, copies[shape])]
                 for k in range(-4, 5):
                     image = oscillator(k, f)

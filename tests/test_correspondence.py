@@ -26,13 +26,13 @@ def test_sigma_of_a_signed_basis_state_is_the_row_from_schur_writes():
     denominator and numerators as from_schur of the term, and the memoised
     row as it was."""
     for shape in partitions_up_to(10):
-        kept = list(schur(shape)._row[3])
+        kept = list(schur(shape)._block[3])
         for m in (-1, 0, 1):
             for c in (1, -1):
                 image = sigma(basis_state(m, shape).scale(c))
-                assert image._row == from_schur([((m, shape), c)])._row
+                assert image._block == from_schur([((m, shape), c)])._block
                 assert image == from_schur([((m, shape), c)])
-        assert schur(shape)._row[3] == kept
+        assert schur(shape)._block[3] == kept
 
 
 def test_sigma_inverse_examples():

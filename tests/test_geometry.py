@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import example, given, strategies as st
 
-from bosonfermion.boson import parse_boson, schur
+from bosonfermion.boson import BosonPolynomial, hall_form, parse_boson, schur
 from bosonfermion.correspondence import sigma
 from bosonfermion.fermion import basis_state, vacuum
 from bosonfermion import geometry
@@ -200,7 +200,7 @@ def test_bilinear_form_is_the_localization_sum_on_both_routes(case):
     for shape in alpha.terms.keys() & beta.terms.keys():
         total = total + alpha.terms[shape] * beta.terms[shape] / euler_class(shape)
     assert bilinear_form(alpha, beta) == TScalar.monomial((-1) ** alpha.n) * total
-    assert (alpha._form is not None and beta._form is not None) == integral
+    assert (alpha._block is not None and beta._block is not None) == integral
 
 
 @pytest.mark.parametrize("n", [12, 20])
@@ -214,7 +214,7 @@ def test_the_two_routes_of_bilinear_form_agree_on_a_dense_pair(n):
     beta = _read(n, {shape: TScalar.monomial(rat(i % 5 - 2 or 3, i % 3 + 2), n)
                      for i, shape in enumerate(shapes)})
     off = _read(n, {**beta.terms, shapes[0]: TScalar.monomial(1, n) / ts("t + 1")})
-    assert alpha._form is not None and beta._form is not None and off._form is None
+    assert alpha._block is not None and beta._block is not None and off._block is None
     value = bilinear_form(alpha, beta)
     assert bilinear_form(alpha, off) == bilinear_form(off, alpha) == value
     assert value == TScalar.monomial((-1) ** n) * integrate(cup(alpha, beta))
@@ -366,7 +366,7 @@ def _agrees_with_its_dict_copy(beta: LocalizedClass) -> LocalizedClass:
     """The class built from its terms, which takes the Q(t) paths, checked
     against the form value it copies."""
     copy = LocalizedClass(beta.n, dict(beta.terms))
-    assert beta._form is not None and copy._form is None
+    assert beta._block is not None and copy._block is None
     assert beta == copy and copy == beta
     assert hash(beta) == hash(copy)
     text = str(beta)  # json.dumps of to_json
@@ -387,7 +387,7 @@ def test_form_values_agree_with_their_dict_copies():
         for beta in (normalized_class(shape), power_sum_class(shape), eta(QuiverClass.graded_unit(shape)), scaled):
             copy = _agrees_with_its_dict_copy(beta)
             # read back from its text, the class keeps the form it printed
-            assert LocalizedClass.from_json(beta.to_json())._form == beta._form
+            assert LocalizedClass.from_json(beta.to_json())._block == beta._block
             for k in range(-4, 5):
                 if k > beta.n:
                     for value in (beta, copy):
@@ -404,38 +404,65 @@ def test_geometric_bosons_past_the_schur_degrees_take_the_sparse_path():
     """p_{-2} on a form value of 19 boxes has degree 21, past the forms: the
     image is the sparse class, which agrees with the dict copy's image."""
     beta = _read(19, {P(19): ts("t^19"), P(18, 1): ts("2*t^19")})
-    assert beta._form is not None
+    assert beta._block is not None
     image = geometric_boson(-2, beta)
-    assert image._form is None and image.n == 21
+    assert image._block is None and image.n == 21
     assert image == geometric_boson(-2, LocalizedClass(19, dict(beta.terms)))
-    assert geometric_boson(2, image)._form is not None
+    assert geometric_boson(2, image)._block is not None
 
 
 def test_form_values_differ_by_their_denominator():
     """Two forms with the same numerators over different denominators differ."""
     half, whole = phi_inverse(parse_boson("(1/2)*p1")), phi_inverse(parse_boson("p1"))
-    assert half._form == (2, {0: 1}) and whole._form == (1, {0: 1})
+    assert half._block == (0, 1, 2, {0: 1}) and whole._block == (0, 1, 1, {0: 1})
     assert half != whole and whole != half
+
+
+def _agrees_with_its_sparse_copy(value):
+    """A block value of either side against the copy built from its terms:
+    equal both ways, hashed, printed and paired alike."""
+    if type(value) is LocalizedClass:
+        return _agrees_with_its_dict_copy(value)
+    copy = BosonPolynomial._make(dict(value.terms))
+    assert value._block is not None and copy._block is None
+    assert value == copy and copy == value
+    assert hash(value) == hash(copy)
+    assert str(value) == str(copy) and value.to_json() == copy.to_json()
+    assert hall_form(value, value) == hall_form(copy, copy)
+    return copy
 
 
 def test_differences_and_rational_multiples_of_form_values_keep_the_form():
     """heisenberg-geometric compares p_k p_l beta - p_l p_k beta with k beta:
-    the difference of two form values and a nonzero rational multiple of one
-    are form values, which agree with the values of their dict copies."""
+    on both sides, the sum and the difference of two block values of one
+    degree and a nonzero rational multiple of one are block values, which
+    agree with the values of their dict copies.  One zero rule serves both
+    sides: a block that cancels passes is_zero(), equals the sparse zero
+    both ways, and prints as the sparse zero does."""
     for n in range(5):
-        values = [make(shape) for make in (normalized_class, power_sum_class) for shape in partitions_of(n)]
-        for beta in values:
-            copy = LocalizedClass(n, dict(beta.terms))
-            for gamma in values:
-                difference = beta - gamma
-                assert difference == copy - LocalizedClass(n, dict(gamma.terms))
-                _agrees_with_its_dict_copy(difference)
-            for factor in (3, -2, rat(-5, 6), rat(2, 9)):
-                scaled = beta.scale(factor)
-                assert scaled == copy.scale(factor)
-                _agrees_with_its_dict_copy(scaled)
-            assert (beta - beta)._form == (1, {}) and (beta - beta).is_zero()
-            assert beta.scale(0)._form is None and beta.scale(0).is_zero()
+        shapes = partitions_of(n)
+        localized = [make(shape) for make in (normalized_class, power_sum_class) for shape in shapes]
+        bosonic = [schur(shape) for shape in shapes] + [phi(beta) for beta in localized]
+        for values, zeros in ((localized, (0, n, 1, {})), (bosonic, (0, n, 1, [0] * len(shapes)))):
+            for beta in values:
+                copy = _agrees_with_its_sparse_copy(beta)
+                for gamma in values:
+                    gamma_copy = _agrees_with_its_sparse_copy(gamma)
+                    for value, by_terms in ((beta + gamma, copy + gamma_copy), (beta - gamma, copy - gamma_copy)):
+                        assert value == by_terms and by_terms == value
+                        _agrees_with_its_sparse_copy(value)
+                for factor in (3, -2, rat(-5, 6), rat(2, 9)):
+                    scaled = beta.scale(factor)
+                    assert scaled == copy.scale(factor)
+                    _agrees_with_its_sparse_copy(scaled)
+                zero, sparse_zero = beta - beta, beta.scale(0)
+                assert zero._block == zeros and zero.is_zero()
+                assert sparse_zero._block is None and sparse_zero.is_zero()
+                assert zero == sparse_zero and sparse_zero == zero and hash(zero) == hash(sparse_zero)
+                assert str(zero) == str(sparse_zero) and zero.to_json() == sparse_zero.to_json()
+    for zero in (schur(P(2)) - schur(P(2)), BosonPolynomial.zero()):
+        with pytest.raises(ValueError, match="not homogeneous"):
+            zero.p_degree()
 
 
 def test_zero_classes_keep_the_zero_form():
@@ -444,13 +471,13 @@ def test_zero_classes_keep_the_zero_form():
     the plain zero class both ways, and p_0 of a form value is a form value."""
     for n in range(MAX_SCHUR_DEGREE + 1):
         zero = LocalizedClass.zero(n)
-        assert zero._form == (1, {}) and zero.is_zero() and zero.n == n
+        assert zero._block == (0, n, 1, {}) and zero.is_zero() and zero.n == n
         for other in (_read(n, {}), LocalizedClass(n)):
             assert zero == other and other == zero
             assert hash(zero) == hash(other)
         assert bilinear_form(zero, normalized_class(partitions_of(n)[0])) == TScalar.zero()
-    assert LocalizedClass.zero(MAX_SCHUR_DEGREE + 1)._form is None
-    assert LocalizedClass.zero(-1)._form is None
+    assert LocalizedClass.zero(MAX_SCHUR_DEGREE + 1)._block is None
+    assert LocalizedClass.zero(-1)._block is None
     for shape in partitions_up_to(6):
         beta = normalized_class(shape)
         image = geometric_boson(0, beta)
@@ -491,7 +518,7 @@ def test_c2_toy_reads_x1():
     assert fundamental_class(point).terms == {point: ts("-t^2")}
     # a form value against a class built from its terms, both ways
     curve_by_terms = fundamental_class(point).scale(ts("-t^-1"))
-    assert curve._form is not None and curve_by_terms._form is None
+    assert curve._block is not None and curve_by_terms._block is None
     assert curve == curve_by_terms and curve_by_terms == curve
     assert pullback(curve, point) != ts("-t")
     assert euler_class(point) == ts("-t^2")

@@ -1,3 +1,4 @@
+import ast
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -41,7 +42,6 @@ from bosonfermion.scalars import (
     format_rational,
     integer_numerators,
     integer_row,
-    integer_vector,
     pairing,
     parse_tlaurent,
     parse_tscalar,
@@ -515,10 +515,16 @@ def test_pairing_is_the_weighted_sum_over_shared_keys(f, g, weights):
         read.append(key)
         return weights.get(key, 1)
 
+    def over_lcd(terms: dict) -> tuple[int, dict]:
+        common, numerators = integer_numerators(terms.values())
+        return common, dict(zip(terms, numerators))
+
     direct = sum((f[key] * g[key] * weights.get(key, 1) for key in f.keys() & g.keys()), Rational(0))
-    assert pairing(integer_vector(f), integer_vector(g), weight) == direct
+    assert pairing(over_lcd(f), over_lcd(g), weight) == direct
     assert sorted(read) == sorted(f.keys() & g.keys())
-    assert pairing(integer_vector(g), integer_vector(f), weight) == direct
+    assert pairing(over_lcd(g), over_lcd(f), weight) == direct
+    # the rational terms themselves, over 1, as the sparse values pair
+    assert pairing((1, f), (1, g), weight) == direct
 
 
 @given(st.lists(rationals, max_size=8))
@@ -559,3 +565,20 @@ def test_only_scalars_clears_denominators():
         if re.search(r"\blcm\(|\.denominator\b", line)
     ]
     assert offenders == []
+
+
+def test_only_linear_writes_the_integer_block():
+    """A value's _block is written by linear.BlockCombination alone, when it
+    builds the value: no other module stores to the attribute or names it
+    in a string (as setattr would)."""
+    package = Path(bosonfermion.__file__).parent
+    writes = {
+        path.name: [
+            node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == "_block" and isinstance(node.ctx, ast.Store)
+            or isinstance(node, ast.Constant) and node.value == "_block"
+        ]
+        for path in sorted(package.glob("*.py"))
+    }
+    assert writes.pop("linear.py")
+    assert {name: lines for name, lines in writes.items() if lines} == {}

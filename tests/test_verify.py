@@ -648,20 +648,18 @@ def test_verify_reports_the_mutant(row, fresh_monkeypatch):
 
 def test_a_verify_run_leaves_the_memoised_values_as_built(fresh_monkeypatch):
     """The sweeps read the memoised Schur polynomials and point classes many
-    times, through their kept rows and integer forms; none may change a value."""
+    times, through their kept blocks; none may change a value."""
     run_suite("all", 6)
     for shape in partitions_up_to(6):
         value, fresh = boson.schur(shape), boson.schur.__wrapped__(shape)
         assert value.terms == fresh.terms
-        # the row the Hall pairings of the run read, not a fresh one
-        assert value._row == fresh._row
-        # the form schur-expand-rebuild filled in
-        assert value._integer_form == scalars.integer_vector(value.terms)
+        # the block the Hall pairings, sigma and schur-expand-rebuild of the run read, not a fresh one
+        assert value._block == fresh._block
         point, fresh_point = geometry.normalized_class(shape), geometry.normalized_class.__wrapped__(shape)
         assert point.n == shape.size()
         assert point.terms == fresh_point.terms
-        # the integer form the point-class pairings and the geometric bosons of the run read
-        assert point._form == fresh_point._form
+        # the block the point-class pairings and the geometric bosons of the run read
+        assert point._block == fresh_point._block
 
 
 def test_verify_prints_the_fail_line_of_a_mutant(fresh_monkeypatch, capsys):
